@@ -13,9 +13,9 @@ from .hamiltonian import (DiracOperator, assemble_hamiltonian,
                           hermiticity_of_operator, reduced_equations_rhs,
                           reduced_residual_norm)
 from .lorentz import (GammaRep, LorentzPotential, MassProfile,
-                      PTSymmetryReport, assemble_potential_matrix,
-                      check_pt_symmetry, gamma0_hermiticity_residual,
-                      pt_vector_potential, potential_matrices, sample_mass)
+                      PTSymmetryReport, check_pt_symmetry,
+                      gamma0_hermiticity_residual, pt_vector_potential,
+                      potential_matrices, sample_mass)
 from .report import RunReport, execute, write_outputs
 from .solver import (ShootingResult, SpectrumResult, Spinor, classify_reality,
                      shooting_solve, solve_spectrum)
@@ -28,7 +28,7 @@ __all__ = [
     "GridFunction", "LorentzPotential", "MassError", "MassProfile",
     "PTSymmetryReport", "RepresentationError", "RunConfig", "RunReport",
     "ShootingResult", "SpectrumResult", "Spinor", "adjoint_row",
-    "assemble_hamiltonian", "assemble_potential_matrix", "build_grid",
+    "assemble_hamiltonian", "build_grid",
     "check_pt_symmetry", "classify_reality", "config_from_raw",
     "continuity_residual", "current_density", "differentiate", "execute",
     "gamma0_hermiticity_residual", "gram_matrix", "hermiticity_of_operator",

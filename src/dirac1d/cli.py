@@ -21,7 +21,7 @@ from typing import Optional
 from . import config as config_mod
 from .config import RunConfig, config_from_raw, parse_config
 from .errors import ConfigError, Dirac1DError
-from .report import MODES, RunReport, execute, f17, write_outputs
+from .report import RunReport, _write_csv, execute, f17, write_outputs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,16 +161,9 @@ def _run_sweep(args) -> int:
             any_failed = True
 
     out_root.mkdir(parents=True, exist_ok=True)
-    lines = ["value,passed,min_abs_im_e,n_complex_pairs,identity_residual,error"]
-    for row in summary_rows:
-        err = str(row[5])
-        if "," in err or '"' in err:
-            err = '"' + err.replace('"', '""') + '"'
-        cells = [str(row[0]), "true" if row[1] else "false", f17(row[2]),
-                 str(row[3]), f17(row[4]), err]
-        lines.append(",".join(cells))
     summary = out_root / "sweep_summary.csv"
-    summary.write_text("\n".join(lines) + "\n")
+    _write_csv(summary, ["value", "passed", "min_abs_im_e", "n_complex_pairs",
+                         "identity_residual", "error"], summary_rows)
     print(f"  wrote {summary}")
     if not values:
         print("  empty sweep: no values given, nothing to run")
@@ -183,12 +176,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    mode = {"spectrum": "spectrum", "diagnose": "diagnose",
-            "check-pt": "check-pt"}.get(args.command)
     try:
         if args.command == "sweep":
             return _run_sweep(args)
-        return _run_single(args, mode)
+        return _run_single(args, args.command)
     except Dirac1DError as exc:
         print(f"dirac1d: error: {exc}", file=sys.stderr)
         return 1

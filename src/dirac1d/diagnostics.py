@@ -17,15 +17,15 @@ what the balance report quantifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import GridError
-from .grid import Grid1D, GridFunction, differentiate, integrate
+from .grid import GridFunction, differentiate, integrate
 from .hamiltonian import reduced_residual_norm
-from .lorentz import GammaRep, LorentzPotential, potential_matrices
+from .lorentz import GAMMA, LorentzPotential, potential_matrices
 from .solver import SpectrumResult, Spinor
 
 
@@ -34,19 +34,16 @@ def _components(phi: Spinor) -> np.ndarray:
     return np.stack([phi.plus_component, phi.minus_component], axis=1)
 
 
-def adjoint_row(phi: Spinor, rep: Optional[GammaRep] = None
-                ) -> tuple[GridFunction, GridFunction]:
+def adjoint_row(phi: Spinor) -> tuple[GridFunction, GridFunction]:
     """The adjoint row spinor phibar = phi^dagger gamma0, componentwise."""
-    rep = rep or GammaRep.default()
     c = np.conj(_components(phi))
-    row = c @ rep.gamma0
+    row = c @ GAMMA.gamma0
     return GridFunction(phi.grid, row[:, 0]), GridFunction(phi.grid, row[:, 1])
 
 
-def _bilinear(phi_row: Spinor, phi_col: Spinor, matrix: np.ndarray,
-              rep: GammaRep) -> np.ndarray:
+def _bilinear(phi_row: Spinor, phi_col: Spinor, matrix: np.ndarray) -> np.ndarray:
     """phibar_row (matrix) phi_col node by node; matrix is 2x2 or (n,2,2)."""
-    a = np.conj(_components(phi_row)) @ rep.gamma0
+    a = np.conj(_components(phi_row)) @ GAMMA.gamma0
     b = _components(phi_col)
     if matrix.ndim == 2:
         return np.einsum("na,ab,nb->n", a, matrix, b)
@@ -61,15 +58,14 @@ class CurrentDensity:
     j1: GridFunction
 
 
-def current_density(phi: Spinor, rep: Optional[GammaRep] = None) -> CurrentDensity:
+def current_density(phi: Spinor) -> CurrentDensity:
     """j^mu = phibar gamma^mu phi; both components are real by construction.
 
-    In the default representation j0 = |phi_plus|^2 + |phi_minus|^2 and
+    In the representation j0 = |phi_plus|^2 + |phi_minus|^2 and
     j1 = |phi_plus|^2 - |phi_minus|^2.
     """
-    rep = rep or GammaRep.default()
-    j0 = _bilinear(phi, phi, rep.gamma0, rep)
-    j1 = _bilinear(phi, phi, rep.gamma1, rep)
+    j0 = _bilinear(phi, phi, GAMMA.gamma0)
+    j1 = _bilinear(phi, phi, GAMMA.gamma1)
     scale = max(1.0, float(np.max(np.abs(j0))))
     worst = max(float(np.max(np.abs(j0.imag))), float(np.max(np.abs(j1.imag))))
     if worst > 1e-10 * scale:
@@ -81,14 +77,13 @@ def current_density(phi: Spinor, rep: Optional[GammaRep] = None) -> CurrentDensi
                           j1=GridFunction(phi.grid, j1.real))
 
 
-def normalize(phi: Spinor, rep: Optional[GammaRep] = None) -> Spinor:
+def normalize(phi: Spinor) -> Spinor:
     """Scale so the quadrature of j0 is one; fix the global phase.
 
     Phase convention: the largest-magnitude sample over both components is
     made real and positive.  Deterministic (first such sample wins ties).
     """
-    rep = rep or GammaRep.default()
-    cur = current_density(phi, rep)
+    cur = current_density(phi)
     total = integrate(cur.j0).real
     if total <= 1e-300:
         raise GridError("cannot normalize a zero-norm spinor")
@@ -103,49 +98,43 @@ def normalize(phi: Spinor, rep: Optional[GammaRep] = None) -> Spinor:
 
 def normalize_result(result: SpectrumResult) -> SpectrumResult:
     """Normalize every eigenpair of a spectrum result."""
-    from dataclasses import replace
-    return replace(result, eigenpairs=tuple(normalize(s, result.rep)
-                                            for s in result.eigenpairs))
+    return replace(result, eigenpairs=tuple(normalize(s) for s in result.eigenpairs))
 
 
-def _anti_hermitian_part(pot: LorentzPotential, rep: GammaRep) -> np.ndarray:
+def _anti_hermitian_part(pot: LorentzPotential) -> np.ndarray:
     """Per-node 2x2 stack of V - gamma0 V^dag gamma0.
 
     Vanishes exactly for Hermitian potentials in the gamma0 metric (all four
     channels real); feeding it through the phibar(.)phi bilinear yields the
     non-conservation density.
     """
-    v = potential_matrices(pot, rep)
+    v = potential_matrices(pot)
     vdag = np.conj(np.swapaxes(v, 1, 2))
-    return v - np.einsum("ab,nbc,cd->nad", rep.gamma0, vdag, rep.gamma0)
+    return v - np.einsum("ab,nbc,cd->nad", GAMMA.gamma0, vdag, GAMMA.gamma0)
 
 
-def continuity_residual(phi: Spinor, pot: LorentzPotential,
-                        rep: Optional[GammaRep] = None,
-                        scheme: str = "central") -> GridFunction:
+def continuity_residual(phi: Spinor, pot: LorentzPotential) -> GridFunction:
     """Stationary continuity check R(x), identically zero when current is conserved.
 
         R = 2 Im(E) j0 + d(j1)/dx + i phibar (V - gamma0 V^dag gamma0) phi
 
-    The derivative uses the requested difference scheme, so for discrete
-    eigenstates R floors at the scheme's truncation error, not at zero.
+    The derivative is the central difference, so for discrete eigenstates R
+    floors at its truncation error, not at zero.
     """
-    rep = rep or GammaRep.default()
-    cur = current_density(phi, rep)
-    dj1 = differentiate(cur.j1, scheme=scheme)
-    anti = _bilinear(phi, phi, _anti_hermitian_part(pot, rep), rep)
+    cur = current_density(phi)
+    dj1 = differentiate(cur.j1)
+    anti = _bilinear(phi, phi, _anti_hermitian_part(pot))
     r = 2.0 * phi.energy.imag * cur.j0.values + dj1.values + 1.0j * anti
     return GridFunction(phi.grid, r)
 
 
-def gram_matrix(result: SpectrumResult, rep: Optional[GammaRep] = None) -> np.ndarray:
+def gram_matrix(result: SpectrumResult) -> np.ndarray:
     """G[k', k] = quadrature of phibar_k' gamma0 phi_k over the domain.
 
     Hermitian with unit diagonal for normalized states of a Hermitian
     operator; genuinely non-Hermitian off-diagonal entries appear for
     anti-Hermitian potential admixtures.
     """
-    rep = rep or result.rep
     w = result.grid.quadrature_weights
     comps = [_components(s) for s in result.eigenpairs]
     n = len(comps)
@@ -158,7 +147,7 @@ def gram_matrix(result: SpectrumResult, rep: Optional[GammaRep] = None) -> np.nd
 
 
 def _discrete_flux(skp: Spinor, sk: Spinor, result: SpectrumResult,
-                   rep: GammaRep, lo: int, hi: int) -> complex:
+                   lo: int, hi: int) -> complex:
     """Exact discrete boundary flux of the assembled operator across [lo, hi].
 
     This is the stencil-level counterpart of i [phibar_k' gamma1 phi_k]: the
@@ -172,7 +161,7 @@ def _discrete_flux(skp: Spinor, sk: Spinor, result: SpectrumResult,
     """
     n = skp.grid.n_points
     periodic = skp.grid.boundary == "periodic"
-    rows = np.conj(_components(skp)) @ rep.gamma0
+    rows = np.conj(_components(skp)) @ GAMMA.gamma0
     cols = _components(sk)
 
     def cross(mat: Optional[np.ndarray], i: int, j: int) -> complex:
@@ -185,7 +174,7 @@ def _discrete_flux(skp: Spinor, sk: Spinor, result: SpectrumResult,
         return complex(r @ cols[j])
 
     def p_sym(j: int) -> complex:
-        return cross(rep.gamma1, j, j + 1) + cross(rep.gamma1, j + 1, j)
+        return cross(GAMMA.gamma1, j, j + 1) + cross(GAMMA.gamma1, j + 1, j)
 
     def a_anti(j: int) -> complex:
         return cross(None, j, j + 1) - cross(None, j + 1, j)
@@ -214,7 +203,6 @@ class BalanceReport:
 
 
 def orthogonality_balance(result: SpectrumResult, k: int, k_prime: int,
-                          rep: Optional[GammaRep] = None,
                           window: Optional[tuple[int, int]] = None,
                           identity_tol: Optional[float] = None,
                           oracle_factor: float = 10.0) -> BalanceReport:
@@ -236,7 +224,6 @@ def orthogonality_balance(result: SpectrumResult, k: int, k_prime: int,
         raise GridError("balance identity needs two distinct states (k == k_prime)")
     if not (0 <= k < n_pairs and 0 <= k_prime < n_pairs):
         raise GridError(f"pair indices ({k}, {k_prime}) out of range 0..{n_pairs - 1}")
-    rep = rep or result.rep
     sk = result.eigenpairs[k]
     skp = result.eigenpairs[k_prime]
     grid = result.grid
@@ -271,9 +258,9 @@ def orthogonality_balance(result: SpectrumResult, k: int, k_prime: int,
     g_entry = complex(np.sum(weights * overlap_density[sl]))
     term_energy = (sk.energy - skp.energy) * g_entry
 
-    term_boundary = _discrete_flux(skp, sk, result, rep, lo, hi)
+    term_boundary = _discrete_flux(skp, sk, result, lo, hi)
 
-    anti = _bilinear(skp, sk, _anti_hermitian_part(result.potential, rep), rep)
+    anti = _bilinear(skp, sk, _anti_hermitian_part(result.potential))
     term_potential = complex(np.sum(weights * anti[sl]))
 
     residual = abs(term_energy + term_boundary - term_potential)

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import GridError
 
 BOUNDARIES = ("dirichlet", "periodic")
-SCHEMES = ("central", "forward", "backward", "second_central")
 
 
 @dataclass(frozen=True)
@@ -110,45 +109,20 @@ class GridFunction:
         return cls(grid, np.full(grid.n_points, complex(value)))
 
 
-def differentiate(f: GridFunction, scheme: str = "central") -> GridFunction:
-    """Finite-difference derivative of a grid function.
+def differentiate(f: GridFunction) -> GridFunction:
+    """Central-difference derivative of a grid function.
 
-    Periodic grids wrap; dirichlet grids use one-sided stencils of matching
-    order at the endpoints (second order for ``central`` and
-    ``second_central``, first order for ``forward``/``backward`` where the
-    stencil runs off the grid).
+    Periodic grids wrap; dirichlet grids use second-order one-sided stencils
+    at the two endpoints.
     """
-    if scheme not in SCHEMES:
-        raise GridError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     v = f.values
     h = f.grid.h
-    out = np.empty_like(v)
-
     if f.grid.boundary == "periodic":
-        if scheme == "central":
-            out = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h)
-        elif scheme == "forward":
-            out = (np.roll(v, -1) - v) / h
-        elif scheme == "backward":
-            out = (v - np.roll(v, 1)) / h
-        else:
-            out = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (h * h)
-        return GridFunction(f.grid, out)
-
-    if scheme == "central":
-        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-        out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    elif scheme == "forward":
-        out[:-1] = (v[1:] - v[:-1]) / h
-        out[-1] = (v[-1] - v[-2]) / h
-    elif scheme == "backward":
-        out[1:] = (v[1:] - v[:-1]) / h
-        out[0] = (v[1] - v[0]) / h
-    else:  # second_central
-        out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
-        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
+        return GridFunction(f.grid, (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h))
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     return GridFunction(f.grid, out)
 
 

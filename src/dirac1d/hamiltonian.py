@@ -25,13 +25,12 @@ v = [phi_plus(all active nodes), phi_minus(all active nodes)].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import GridError
 from .grid import Grid1D, GridFunction
-from .lorentz import GammaRep, LorentzPotential
+from .lorentz import GAMMA, LorentzPotential
 
 OPERATOR_SCHEMES = ("central", "central_wilson")
 
@@ -43,25 +42,13 @@ def _difference_matrices(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     weight -wilson_r/(2h) can be applied directly.  For dirichlet grids both
     act on the interior nodes with the wall values treated as zero.
     """
-    n = grid.n_points
-    h = grid.h
-    if grid.boundary == "periodic":
-        k = n
-    else:
-        k = n - 2
-    d = np.zeros((k, k))
-    t = np.zeros((k, k))
-    for j in range(k):
-        jp = (j + 1) % k
-        jm = (j - 1) % k
-        if grid.boundary == "periodic" or j + 1 < k:
-            d[j, jp] += 1.0
-            t[j, jp] += 1.0
-        if grid.boundary == "periodic" or j - 1 >= 0:
-            d[j, jm] -= 1.0
-            t[j, jm] += 1.0
-        t[j, j] -= 2.0
-    return d / (2.0 * h), t
+    periodic = grid.boundary == "periodic"
+    k = grid.n_points if periodic else grid.n_points - 2
+    up = np.eye(k, k=1)
+    if periodic:
+        up[-1, 0] = 1.0
+    down = up.T
+    return (up - down) / (2.0 * grid.h), up + down - 2.0 * np.eye(k)
 
 
 @dataclass(frozen=True)
@@ -74,7 +61,6 @@ class DiracOperator:
     wilson_r: float
     mass: GridFunction
     potential: LorentzPotential
-    rep: GammaRep
 
     @property
     def active_index(self) -> np.ndarray:
@@ -89,8 +75,8 @@ class DiracOperator:
 
 
 def assemble_hamiltonian(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
-                         scheme: str = "central_wilson", wilson_r: float = 1.0,
-                         rep: Optional[GammaRep] = None) -> DiracOperator:
+                         scheme: str = "central_wilson", wilson_r: float = 1.0
+                         ) -> DiracOperator:
     """Build the 2K x 2K matrix (K = active nodes) for the given couplings."""
     if scheme not in OPERATOR_SCHEMES:
         raise GridError(
@@ -100,7 +86,6 @@ def assemble_hamiltonian(grid: Grid1D, pot: LorentzPotential, mass: GridFunction
         raise GridError(f"wilson_r must be non-negative, got {wilson_r}")
     if mass.grid != grid or pot.grid != grid:
         raise GridError("mass and potential must live on the operator grid")
-    rep = rep or GammaRep.default()
 
     d, t = _difference_matrices(grid)
     if grid.boundary == "dirichlet":
@@ -112,14 +97,14 @@ def assemble_hamiltonian(grid: Grid1D, pot: LorentzPotential, mass: GridFunction
     if scheme == "central_wilson" and wilson_r != 0.0:
         coupling = coupling - (wilson_r / (2.0 * grid.h)) * t
 
-    g01 = rep.gamma0 @ rep.gamma1
-    h_mat = (np.kron(g01, -1.0j * d)
-             + np.kron(rep.gamma0, coupling)
+    g5 = GAMMA.gamma5
+    h_mat = (np.kron(g5, -1.0j * d)
+             + np.kron(GAMMA.gamma0, coupling)
              + np.kron(np.eye(2), np.diag(pot.v_t.values[act]))
-             + np.kron(g01, np.diag(pot.v_sp.values[act]))
-             + np.kron(-1.0j * rep.gamma0 @ rep.gamma5, np.diag(pot.v_p.values[act])))
+             + np.kron(g5, np.diag(pot.v_sp.values[act]))
+             + np.kron(-1.0j * GAMMA.gamma0 @ g5, np.diag(pot.v_p.values[act])))
     return DiracOperator(grid=grid, matrix=h_mat, scheme=scheme,
-                         wilson_r=float(wilson_r), mass=mass, potential=pot, rep=rep)
+                         wilson_r=float(wilson_r), mass=mass, potential=pot)
 
 
 def hermiticity_of_operator(op: DiracOperator) -> float:

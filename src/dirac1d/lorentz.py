@@ -2,7 +2,7 @@
 
 Conventions (1+1 dimensions, metric diag(+,-)):
 
-* default representation: gamma0 = sigma_x, gamma1 = -i sigma_y, so
+* the representation: gamma0 = sigma_x, gamma1 = -i sigma_y, so
   gamma5 = gamma0 gamma1 = sigma_z,
 * a general static potential has four channels,
       V = gamma0 V_t + gamma1 V_sp + V_s - i gamma5 V_p,
@@ -187,12 +187,6 @@ class GammaRep:
         sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
         return cls(gamma0=sigma_x, gamma1=-1.0j * sigma_y)
 
-    def transformed(self, s: np.ndarray) -> "GammaRep":
-        """Similarity transform by a unitary S: gamma -> S gamma S^dagger."""
-        s = np.asarray(s, dtype=complex)
-        sh = s.conj().T
-        return GammaRep(gamma0=s @ self.gamma0 @ sh, gamma1=s @ self.gamma1 @ sh)
-
     def clifford_residual(self) -> float:
         """Max deviation of {gamma_mu, gamma_nu} from 2 diag(1,-1)."""
         eye = np.eye(2)
@@ -201,6 +195,12 @@ class GammaRep:
         r = max(r, float(np.max(np.abs(self.gamma1 @ self.gamma1 + eye))))
         r = max(r, float(np.max(np.abs(self.gamma0 @ self.gamma1 + self.gamma1 @ self.gamma0))))
         return r
+
+
+# The one representation every operator and diagnostic is built in; the
+# continuity equation and the gamma0 orthonormalization condition do not
+# depend on this choice.
+GAMMA = GammaRep.default()
 
 
 @dataclass(frozen=True)
@@ -237,37 +237,23 @@ class LorentzPotential:
         return cls(v_t=v_t or z, v_sp=v_sp or z, v_s=v_s or z, v_p=v_p or z)
 
 
-def potential_matrices(pot: LorentzPotential, rep: Optional[GammaRep] = None) -> np.ndarray:
+def potential_matrices(pot: LorentzPotential) -> np.ndarray:
     """Stack of per-node 2x2 matrices V(x_j), shape (n, 2, 2)."""
-    rep = rep or GammaRep.default()
     eye = np.eye(2, dtype=complex)
     vt = pot.v_t.values[:, None, None]
     vsp = pot.v_sp.values[:, None, None]
     vs = pot.v_s.values[:, None, None]
     vp = pot.v_p.values[:, None, None]
-    return (rep.gamma0[None] * vt + rep.gamma1[None] * vsp
-            + eye[None] * vs - 1.0j * rep.gamma5[None] * vp)
+    return (GAMMA.gamma0[None] * vt + GAMMA.gamma1[None] * vsp
+            + eye[None] * vs - 1.0j * GAMMA.gamma5[None] * vp)
 
 
-def assemble_potential_matrix(pot: LorentzPotential, node: int,
-                              rep: Optional[GammaRep] = None) -> np.ndarray:
-    """The 2x2 matrix V(x_j) at one node."""
-    rep = rep or GammaRep.default()
-    eye = np.eye(2, dtype=complex)
-    return (rep.gamma0 * complex(pot.v_t.values[node])
-            + rep.gamma1 * complex(pot.v_sp.values[node])
-            + eye * complex(pot.v_s.values[node])
-            - 1.0j * rep.gamma5 * complex(pot.v_p.values[node]))
-
-
-def gamma0_hermiticity_residual(pot: LorentzPotential,
-                                rep: Optional[GammaRep] = None) -> float:
+def gamma0_hermiticity_residual(pot: LorentzPotential) -> float:
     """Max-norm of (gamma0 V)^dagger - gamma0 V over the nodes.
 
     Zero exactly when all four channels are real; equals twice the largest
     anti-Hermitian part otherwise (e.g. 2 max|A| for V_t = A purely imaginary).
     """
-    rep = rep or GammaRep.default()
-    v = potential_matrices(pot, rep)
-    b = np.einsum("ab,nbc->nac", rep.gamma0, v)
+    v = potential_matrices(pot)
+    b = np.einsum("ab,nbc->nac", GAMMA.gamma0, v)
     return float(np.max(np.abs(np.conj(np.swapaxes(b, 1, 2)) - b)))

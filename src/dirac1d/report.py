@@ -8,6 +8,7 @@ written with 17 significant digits, enough to round-trip doubles.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -18,7 +19,6 @@ from .config import CHANNELS, RunConfig
 from .diagnostics import (BalanceReport, continuity_residual, gram_matrix,
                           normalize_result, orthogonality_balance)
 from .errors import ConvergenceError, Dirac1DError, GridError
-from .grid import GridFunction
 from .hamiltonian import assemble_hamiltonian, hermiticity_of_operator
 from .lorentz import check_pt_symmetry, gamma0_hermiticity_residual, sample_mass
 from .solver import solve_spectrum
@@ -292,18 +292,23 @@ def report_to_dict(report: RunReport) -> dict:
     return _jsonable(out)
 
 
+_CSV_QUOTE = re.compile(r'[,"\r\n]')
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return f17(v)
+    cell = str(v)
+    if _CSV_QUOTE.search(cell):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, (float, np.floating)):
-                cells.append(f17(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -10,7 +10,7 @@ at the midpoint to zero, which gives continuum (not lattice) eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -18,7 +18,7 @@ from scipy.interpolate import CubicSpline
 from .errors import ConvergenceError, GridError
 from .grid import Grid1D, GridFunction
 from .hamiltonian import DiracOperator
-from .lorentz import GammaRep, LorentzPotential
+from .lorentz import LorentzPotential
 
 REALITY_TAGS = ("real", "complex_pair_member", "complex_unpaired")
 
@@ -56,7 +56,6 @@ class SpectrumResult:
     wilson_r: float
     mass: GridFunction
     potential: LorentzPotential
-    rep: GammaRep
 
     @property
     def energies(self) -> np.ndarray:
@@ -114,7 +113,7 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
         eigenpairs=tuple(spinors), residuals=residuals,
         classification=("real",) * len(spinors), solver_tolerance=float(tol),
         scheme=op.scheme, wilson_r=op.wilson_r, mass=op.mass,
-        potential=op.potential, rep=op.rep,
+        potential=op.potential,
     )
     return classify_reality(result, tol=reality_tol)
 
@@ -228,24 +227,8 @@ def _rk4_segment(xs: np.ndarray, y0: np.ndarray, energy: complex, fns: dict,
     return out
 
 
-def _muller_step(za: complex, zb: complex, zc: complex,
-                 fa: complex, fb: complex, fc: complex) -> complex:
-    """One step of Muller's method (quadratic through three points)."""
-    h1 = zb - za
-    h2 = zc - zb
-    d1 = (fb - fa) / h1
-    d2 = (fc - fb) / h2
-    a = (d2 - d1) / (h2 + h1)
-    b = a * h2 + d2
-    disc = np.sqrt(b * b - 4.0 * fc * a) if a != 0 else 0.0
-    den = b + disc if abs(b + disc) > abs(b - disc) else b - disc
-    if den == 0:
-        raise ConvergenceError("matching determinant is degenerate (flat) near the guess")
-    return zc - 2.0 * fc / den
-
-
 def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
-                   energy_guess: complex, bc: str = "dirichlet", *,
+                   energy_guess: complex, *,
                    substeps: int = 2, tol: float = 1e-12, max_iter: int = 60,
                    search_radius: Optional[float] = None,
                    mass_fn: Optional[ChannelFn] = None,
@@ -255,14 +238,13 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     Integrates trial solutions from both walls to the midpoint node with the
     boundary convention phi_plus(wall) = 0 and finds E where the two match,
     i.e. where det[u_left(mid), u_right(mid)] = 0 (determinant normalized by
-    the segment amplitudes).  Root search is secant for a real guess and
-    Muller for a complex one; both work on the full complex determinant.
+    the segment amplitudes).  The root search is a secant iteration on the
+    full complex determinant, started from the guess and the guess plus a
+    small real step, so real and complex guesses follow the same path.
 
     Coefficients between nodes come from mass_fn/channel_fns when given,
     else from cubic interpolation of the sampled channels.
     """
-    if bc != "dirichlet":
-        raise GridError(f"shooting supports dirichlet walls only, got {bc!r}")
     if grid.boundary != "dirichlet":
         raise GridError("shooting requires a dirichlet grid")
     if substeps < 1:
@@ -289,57 +271,29 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
             raise ConvergenceError("trial solution vanished; matching determinant degenerate")
         return (ul[0] * ur[1] - ul[1] * ur[0]) / denom
 
-    # root search on the complex determinant
     step0 = 1e-4 * max(1.0, abs(energy_guess))
-    iterations = 0
-    if abs(energy_guess.imag) > 0.0:
-        za, zb, zc = energy_guess - step0, energy_guess + step0 * 1.0j, energy_guess
-        fa, fb, fc = det_at(za), det_at(zb), det_at(zc)
-        e_cur, f_cur = zc, fc
-        for iterations in range(1, max_iter + 1):
-            zn = _muller_step(za, zb, zc, fa, fb, fc)
-            if abs(zn - energy_guess) > radius:
-                raise ConvergenceError(
-                    f"no root within radius {radius:g} of guess {energy_guess:g}"
-                )
-            fn_ = det_at(zn)
-            za, zb, zc = zb, zc, zn
-            fa, fb, fc = fb, fc, fn_
-            e_cur, f_cur = zn, fn_
-            if abs(fn_) < tol or abs(zc - zb) < tol * max(1.0, abs(zc)):
-                break
-        else:
+    e0, e1 = energy_guess, energy_guess + step0
+    f0, f1 = det_at(e0), det_at(e1)
+    for iterations in range(1, max_iter + 1):
+        if f1 == f0:
+            raise ConvergenceError("matching determinant is degenerate (flat) near the guess")
+        e2 = e1 - f1 * (e1 - e0) / (f1 - f0)
+        if abs(e2 - energy_guess) > radius:
             raise ConvergenceError(
-                f"shooting did not converge in {max_iter} iterations "
-                f"(last |det|={abs(f_cur):.3e})"
+                f"no root within radius {radius:g} of guess {energy_guess:g}"
             )
+        f2 = det_at(e2)
+        e0, f0, e1, f1 = e1, f1, e2, f2
+        if abs(f2) < tol or abs(e1 - e0) < tol * max(1.0, abs(e1)):
+            break
     else:
-        e0, e1 = energy_guess, energy_guess + step0
-        f0, f1 = det_at(e0), det_at(e1)
-        e_cur, f_cur = e1, f1
-        converged = False
-        for iterations in range(1, max_iter + 1):
-            if f1 == f0:
-                raise ConvergenceError("matching determinant is degenerate (flat) near the guess")
-            e2 = e1 - f1 * (e1 - e0) / (f1 - f0)
-            if abs(e2 - energy_guess) > radius:
-                raise ConvergenceError(
-                    f"no root within radius {radius:g} of guess {energy_guess:g}"
-                )
-            f2 = det_at(e2)
-            e0, f0, e1, f1 = e1, f1, e2, f2
-            e_cur, f_cur = e2, f2
-            if abs(f2) < tol or abs(e1 - e0) < tol * max(1.0, abs(e1)):
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                f"shooting did not converge in {max_iter} iterations "
-                f"(last |det|={abs(f_cur):.3e})"
-            )
+        raise ConvergenceError(
+            f"shooting did not converge in {max_iter} iterations "
+            f"(last |det|={abs(f1):.3e})"
+        )
 
     # assemble the matched global spinor at the converged energy
-    left, right = segments(e_cur)
+    left, right = segments(e1)
     ul, ur = left[-1], right[0]
     c = int(np.argmax(np.abs(ur)))
     if ur[c] == 0.0:
@@ -348,6 +302,6 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     values = np.vstack([left, (right * ratio)[1:]])
     mismatch = float(np.linalg.norm(ul - ratio * ur) / max(np.linalg.norm(ul), 1e-300))
     spinor = Spinor(grid=grid, plus_component=values[:, 0],
-                    minus_component=values[:, 1], energy=e_cur)
-    return ShootingResult(energy=e_cur, spinor=spinor, iterations=iterations,
-                          determinant=f_cur, match_mismatch=mismatch)
+                    minus_component=values[:, 1], energy=e1)
+    return ShootingResult(energy=e1, spinor=spinor, iterations=iterations,
+                          determinant=f1, match_mismatch=mismatch)

@@ -211,6 +211,22 @@ def test_sweep_records_failed_value_and_continues(tmp_path, capsys):
     assert (out / "000_0.1" / "spectrum.csv").exists()
 
 
+def test_sweep_summary_quotes_values_and_errors(tmp_path):
+    # values holding a quote or a line break, and error messages full of
+    # commas, all have to survive a round trip through a standard CSV reader
+    ini = write_ini(tmp_path, PT_INI)
+    out = tmp_path / "out"
+    code = main(["sweep", str(ini), "--param", "mass.family",
+                 "--values", '"x,a\nb,constant', "--out", str(out)])
+    assert code == 2
+    rows = read_rows(out / "sweep_summary.csv")
+    assert [r["value"] for r in rows] == ['"x', "a\nb", "constant"]
+    assert [r["passed"] for r in rows] == ["false", "false", "true"]
+    assert "invalid value '\"x'" in rows[0]["error"]
+    assert "constant, double_well" in rows[0]["error"]
+    assert rows[2]["error"] == ""
+
+
 def test_sweep_empty_values_writes_bare_summary(tmp_path, capsys):
     ini = write_ini(tmp_path, PT_INI)
     out = tmp_path / "out"

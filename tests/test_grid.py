@@ -83,7 +83,7 @@ def test_central_derivative_second_order_on_sine():
     for n in (256, 512):
         g = build_grid(-np.pi, np.pi, n, boundary="periodic")
         f = GridFunction.from_callable(g, np.sin)
-        df = differentiate(f, scheme="central")
+        df = differentiate(f)
         errs[n] = np.max(np.abs(df.values - np.cos(g.nodes)))
     assert errs[256] <= 1e-3
     # halving h divides the error by 4 for a second-order stencil
@@ -93,25 +93,8 @@ def test_central_derivative_second_order_on_sine():
 def test_dirichlet_endpoint_stencils_exact_on_quadratics():
     g = build_grid(-1.0, 3.0, 41)
     f = GridFunction.from_callable(g, lambda x: 0.5 * x ** 2 - x)
-    df = differentiate(f, scheme="central")
+    df = differentiate(f)
     assert np.max(np.abs(df.values - (g.nodes - 1.0))) <= 1e-12
-    d2f = differentiate(f, scheme="second_central")
-    assert np.max(np.abs(d2f.values - 1.0)) <= 1e-10
-
-
-@pytest.mark.parametrize("scheme", ["forward", "backward"])
-def test_one_sided_schemes_exact_on_linear(scheme):
-    g = build_grid(0.0, 2.0, 21)
-    f = GridFunction.from_callable(g, lambda x: 3.0 * x - 1.0)
-    df = differentiate(f, scheme=scheme)
-    assert np.max(np.abs(df.values - 3.0)) <= 1e-12
-
-
-def test_unknown_scheme_rejected():
-    g = build_grid(0.0, 1.0, 16)
-    f = GridFunction.constant(g, 1.0)
-    with pytest.raises(GridError, match="scheme"):
-        differentiate(f, scheme="spectral")
 
 
 def test_differentiate_is_linear():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dirac1d import (GammaRep, GridError, GridFunction, LorentzPotential,
+from dirac1d import (GridError, GridFunction, LorentzPotential,
                      MassProfile, assemble_hamiltonian,
                      hermiticity_of_operator, pt_vector_potential,
                      reduced_equations_rhs, reduced_residual_norm,
@@ -122,21 +122,6 @@ def test_massless_free_operator_is_hermitian():
     zero_mass = GridFunction.constant(g, 0.0)  # bypasses the mass validator
     op = assemble_hamiltonian(g, LorentzPotential.zero(g), zero_mass)
     assert hermiticity_of_operator(op) == 0.0
-
-
-def test_spectrum_invariant_under_representation_change():
-    th = 0.77
-    s = np.array([[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]])
-    rep2 = GammaRep.default().transformed(s)
-    rng = np.random.default_rng(41)
-    g = build_grid(-4.0, 4.0, 48, boundary="periodic")
-    mass = sample_mass(MassProfile("quadratic_even", m0=1.0, alpha=0.2), g)
-    chans = {name: GridFunction(g, 0.3 * rng.normal(size=48))
-             for name in ("v_sp", "v_s", "v_p")}
-    pot = LorentzPotential.from_channels(g, **chans)
-    e1 = np.linalg.eigvals(assemble_hamiltonian(g, pot, mass).matrix)
-    e2 = np.linalg.eigvals(assemble_hamiltonian(g, pot, mass, rep=rep2).matrix)
-    assert np.max(np.abs(np.sort_complex(e1) - np.sort_complex(e2))) <= 1e-10
 
 
 def test_reduced_equations_match_matrix_action():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dirac1d import (GammaRep, GridError, GridFunction, LorentzPotential,
-                     MassError, MassProfile, RepresentationError,
-                     assemble_potential_matrix, build_grid,
+                     MassError, MassProfile, RepresentationError, build_grid,
                      check_pt_symmetry, gamma0_hermiticity_residual,
                      potential_matrices, pt_vector_potential, sample_mass)
 
@@ -121,14 +120,6 @@ def test_default_representation():
     assert np.allclose(rep.gamma1, [[0, -1], [1, 0]])
 
 
-def test_transformed_representation_stays_valid():
-    th = 0.3
-    s = np.array([[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]])
-    rep = GammaRep.default().transformed(s)
-    assert rep.clifford_residual() <= 1e-14
-    assert np.max(np.abs(rep.gamma0 - rep.gamma0.conj().T)) <= 1e-14
-
-
 def test_broken_algebra_rejected():
     with pytest.raises(RepresentationError, match="anticommute"):
         GammaRep(gamma0=np.eye(2), gamma1=np.array([[1j, 0], [0, 1j]]))
@@ -149,10 +140,10 @@ def test_potential_matrix_structure():
     a = GridFunction.constant(g, 0.7j)
     w = GridFunction.constant(g, 0.3)
     pot_t = LorentzPotential.from_channels(g, v_t=a)
-    m = assemble_potential_matrix(pot_t, 4)
+    m = potential_matrices(pot_t)[4]
     assert np.allclose(m, [[0.0, 0.7j], [0.7j, 0.0]])
     pot_p = LorentzPotential.from_channels(g, v_p=w)
-    m = assemble_potential_matrix(pot_p, 0)
+    m = potential_matrices(pot_p)[0]
     assert np.allclose(m, [[-0.3j, 0.0], [0.0, 0.3j]])
     assert np.all(potential_matrices(LorentzPotential.zero(g)) == 0.0)
 
@@ -164,7 +155,7 @@ def test_potential_matrices_match_channel_decomposition():
     chans = {name: GridFunction(g, rng.normal(size=12) + 1j * rng.normal(size=12))
              for name in ("v_t", "v_sp", "v_s", "v_p")}
     pot = LorentzPotential.from_channels(g, **chans)
-    stack = potential_matrices(pot, rep)
+    stack = potential_matrices(pot)
     for j in (0, 5, 11):
         expected = (rep.gamma0 * chans["v_t"].values[j]
                     + rep.gamma1 * chans["v_sp"].values[j]

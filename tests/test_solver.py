@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dirac1d import (ConvergenceError, GammaRep, GridError, GridFunction,
+from dirac1d import (ConvergenceError, GridError, GridFunction,
                      LorentzPotential, MassProfile, SpectrumResult, Spinor,
                      assemble_hamiltonian, build_grid, classify_reality,
                      sample_mass, shooting_solve, solve_spectrum)
@@ -59,8 +59,7 @@ def synthetic_result(energies):
                           classification=("real",) * len(pairs),
                           solver_tolerance=1e-9, scheme="central_wilson",
                           wilson_r=1.0, mass=mass,
-                          potential=LorentzPotential.zero(g),
-                          rep=GammaRep.default())
+                          potential=LorentzPotential.zero(g))
 
 
 def test_classify_tiny_imaginary_parts_as_real():
@@ -178,8 +177,6 @@ def test_shooting_spline_and_exact_coefficients_agree():
 
 def test_shooting_input_validation():
     g, pot, mass = box_parts(n=64)
-    with pytest.raises(GridError, match="dirichlet"):
-        shooting_solve(g, pot, mass, 1.0, bc="periodic")
     gp = build_grid(0.0, 8.0, 64, boundary="periodic")
     massp = sample_mass(MassProfile("constant", m0=1.0), gp)
     with pytest.raises(GridError, match="dirichlet"):
