@@ -227,6 +227,37 @@ def _rk4_segment(xs: np.ndarray, y0: np.ndarray, energy: complex, fns: dict,
     return out
 
 
+def _muller_step(za: complex, zb: complex, zc: complex,
+                 fa: complex, fb: complex, fc: complex) -> complex:
+    """One step of Muller's method (quadratic through three points)."""
+    h1 = zb - za
+    h2 = zc - zb
+    d1 = (fb - fa) / h1
+    d2 = (fc - fb) / h2
+    a = (d2 - d1) / (h2 + h1)
+    b = a * h2 + d2
+    disc = np.sqrt(b * b - 4.0 * fc * a) if a != 0 else 0.0
+    den = b + disc if abs(b + disc) > abs(b - disc) else b - disc
+    if den == 0:
+        raise ConvergenceError("matching determinant is degenerate (flat) near the guess")
+    return zc - 2.0 * fc / den
+
+
+def _converged(z_prev: complex, f_prev: complex, z: complex, f: complex,
+               tol: float) -> bool:
+    """Root-search stop test, relative to the local slope of the determinant.
+
+    True when the step just taken, or the secant step through the last two
+    points, is below tol * max(1, |z|).  A fixed bound on |det| would not do:
+    on a strongly non-Hermitian problem |det| stays below 1e-12 across wide
+    regions, and the search would stop there short of the root.
+    """
+    scale = tol * max(1.0, abs(z))
+    if abs(z - z_prev) < scale or f == 0.0:
+        return True
+    return f != f_prev and abs(f * (z - z_prev) / (f - f_prev)) < scale
+
+
 def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
                    energy_guess: complex, *,
                    substeps: int = 2, tol: float = 1e-12, max_iter: int = 60,
@@ -238,9 +269,9 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     Integrates trial solutions from both walls to the midpoint node with the
     boundary convention phi_plus(wall) = 0 and finds E where the two match,
     i.e. where det[u_left(mid), u_right(mid)] = 0 (determinant normalized by
-    the segment amplitudes).  The root search is a secant iteration on the
-    full complex determinant, started from the guess and the guess plus a
-    small real step, so real and complex guesses follow the same path.
+    the segment amplitudes).  Root search is secant for a real guess and
+    Muller for a complex one; both work on the full complex determinant and
+    stop when the step is below tol relative to |E| (see _converged).
 
     Coefficients between nodes come from mass_fn/channel_fns when given,
     else from cubic interpolation of the sampled channels.
@@ -272,25 +303,31 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
         return (ul[0] * ur[1] - ul[1] * ur[0]) / denom
 
     step0 = 1e-4 * max(1.0, abs(energy_guess))
-    e0, e1 = energy_guess, energy_guess + step0
-    f0, f1 = det_at(e0), det_at(e1)
+    if energy_guess.imag == 0.0:
+        zs = [energy_guess, energy_guess + step0]
+    else:
+        zs = [energy_guess - step0, energy_guess + step0 * 1.0j, energy_guess]
+    fs = [det_at(z) for z in zs]
     for iterations in range(1, max_iter + 1):
-        if f1 == f0:
+        if len(zs) == 3:
+            z = _muller_step(*zs, *fs)
+        elif fs[1] == fs[0]:
             raise ConvergenceError("matching determinant is degenerate (flat) near the guess")
-        e2 = e1 - f1 * (e1 - e0) / (f1 - f0)
-        if abs(e2 - energy_guess) > radius:
+        else:
+            z = zs[1] - fs[1] * (zs[1] - zs[0]) / (fs[1] - fs[0])
+        if abs(z - energy_guess) > radius:
             raise ConvergenceError(
                 f"no root within radius {radius:g} of guess {energy_guess:g}"
             )
-        f2 = det_at(e2)
-        e0, f0, e1, f1 = e1, f1, e2, f2
-        if abs(f2) < tol or abs(e1 - e0) < tol * max(1.0, abs(e1)):
+        zs, fs = zs[1:] + [z], fs[1:] + [det_at(z)]
+        if _converged(zs[-2], fs[-2], zs[-1], fs[-1], tol):
             break
     else:
         raise ConvergenceError(
             f"shooting did not converge in {max_iter} iterations "
-            f"(last |det|={abs(f1):.3e})"
+            f"(last |det|={abs(fs[-1]):.3e})"
         )
+    e1, f1 = zs[-1], fs[-1]
 
     # assemble the matched global spinor at the converged energy
     left, right = segments(e1)

@@ -160,6 +160,20 @@ def test_shooting_complex_guess_lands_on_real_level():
     assert out.iterations >= 1
 
 
+
+def test_shooting_complex_guesses_reach_root_of_flat_determinant():
+    # v_t = 0.6 i x: |det| stays below 1e-12 over a wide region near the real
+    # axis, so a fixed bound on |det| stops the search short of the root.
+    # Reference: Newton on the same RK4 determinant in 40-digit arithmetic.
+    g = build_grid(-6.0, 6.0, 121)
+    mass = sample_mass(MassProfile("constant", m0=1.0), g)
+    pot = LorentzPotential.from_channels(g, v_t=GridFunction(g, 0.6j * g.nodes))
+    root = 3.4165079898873747 - 0.8158225479949108j
+    for guess, expected in ((1.2 + 0.1j, root), (1.8 + 0.2j, root),
+                            (-1.5 + 0.1j, -root), (2.5 - 0.2j, root)):
+        out = shooting_solve(g, pot, mass, energy_guess=guess)
+        assert abs(out.energy - expected) <= 1e-9
+
 def test_shooting_spline_and_exact_coefficients_agree():
     g = build_grid(-8.0, 8.0, 400)
     profile = MassProfile("quadratic_even", m0=1.0, alpha=1.0)
