@@ -7,12 +7,12 @@ from .diagnostics import (BalanceReport, CurrentDensity, adjoint_row,
                           continuity_residual, current_density, gram_matrix,
                           normalize, normalize_result, orthogonality_balance)
 from .errors import (ConfigError, ConvergenceError, Dirac1DError, GridError,
-                     MassError, RepresentationError)
+                     MassError)
 from .grid import (Grid1D, GridFunction, build_grid, differentiate, integrate)
 from .hamiltonian import (DiracOperator, assemble_hamiltonian,
                           hermiticity_of_operator, reduced_equations_rhs,
                           reduced_residual_norm)
-from .lorentz import (GammaRep, LorentzPotential, MassProfile,
+from .lorentz import (GAMMA0, GAMMA1, GAMMA5, LorentzPotential, MassProfile,
                       PTSymmetryReport, check_pt_symmetry,
                       gamma0_hermiticity_residual, pt_vector_potential,
                       potential_matrices, sample_mass)
@@ -24,9 +24,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BalanceReport", "ConfigError", "ConvergenceError", "CurrentDensity",
-    "Dirac1DError", "DiracOperator", "GammaRep", "Grid1D", "GridError",
-    "GridFunction", "LorentzPotential", "MassError", "MassProfile",
-    "PTSymmetryReport", "RepresentationError", "RunConfig", "RunReport",
+    "Dirac1DError", "DiracOperator", "GAMMA0", "GAMMA1", "GAMMA5", "Grid1D",
+    "GridError", "GridFunction", "LorentzPotential", "MassError", "MassProfile",
+    "PTSymmetryReport", "RunConfig", "RunReport",
     "ShootingResult", "SpectrumResult", "Spinor", "adjoint_row",
     "assemble_hamiltonian", "build_grid",
     "check_pt_symmetry", "classify_reality", "config_from_raw",

@@ -24,9 +24,13 @@ import numpy as np
 
 from .errors import GridError
 from .grid import GridFunction, differentiate, integrate
-from .hamiltonian import reduced_residual_norm
-from .lorentz import GAMMA, LorentzPotential, potential_matrices
+from .hamiltonian import reduced_residual_norm, wilson_weight
+from .lorentz import GAMMA0, GAMMA1, LorentzPotential, potential_matrices
 from .solver import SpectrumResult, Spinor
+
+# a state enters the balance identity only when its coupled-equation residual
+# is within this multiple of the solver tolerance
+ORACLE_FACTOR = 10.0
 
 
 def _components(phi: Spinor) -> np.ndarray:
@@ -34,16 +38,20 @@ def _components(phi: Spinor) -> np.ndarray:
     return np.stack([phi.plus_component, phi.minus_component], axis=1)
 
 
+def _adjoint(phi: Spinor) -> np.ndarray:
+    """phibar = phi^dagger gamma0 as an (n, 2) array of row spinors."""
+    return np.conj(_components(phi)) @ GAMMA0
+
+
 def adjoint_row(phi: Spinor) -> tuple[GridFunction, GridFunction]:
     """The adjoint row spinor phibar = phi^dagger gamma0, componentwise."""
-    c = np.conj(_components(phi))
-    row = c @ GAMMA.gamma0
+    row = _adjoint(phi)
     return GridFunction(phi.grid, row[:, 0]), GridFunction(phi.grid, row[:, 1])
 
 
 def _bilinear(phi_row: Spinor, phi_col: Spinor, matrix: np.ndarray) -> np.ndarray:
     """phibar_row (matrix) phi_col node by node; matrix is 2x2 or (n,2,2)."""
-    a = np.conj(_components(phi_row)) @ GAMMA.gamma0
+    a = _adjoint(phi_row)
     b = _components(phi_col)
     if matrix.ndim == 2:
         return np.einsum("na,ab,nb->n", a, matrix, b)
@@ -64,8 +72,8 @@ def current_density(phi: Spinor) -> CurrentDensity:
     In the representation j0 = |phi_plus|^2 + |phi_minus|^2 and
     j1 = |phi_plus|^2 - |phi_minus|^2.
     """
-    j0 = _bilinear(phi, phi, GAMMA.gamma0)
-    j1 = _bilinear(phi, phi, GAMMA.gamma1)
+    j0 = _bilinear(phi, phi, GAMMA0)
+    j1 = _bilinear(phi, phi, GAMMA1)
     scale = max(1.0, float(np.max(np.abs(j0))))
     worst = max(float(np.max(np.abs(j0.imag))), float(np.max(np.abs(j1.imag))))
     if worst > 1e-10 * scale:
@@ -110,7 +118,7 @@ def _anti_hermitian_part(pot: LorentzPotential) -> np.ndarray:
     """
     v = potential_matrices(pot)
     vdag = np.conj(np.swapaxes(v, 1, 2))
-    return v - np.einsum("ab,nbc,cd->nad", GAMMA.gamma0, vdag, GAMMA.gamma0)
+    return v - np.einsum("ab,nbc,cd->nad", GAMMA0, vdag, GAMMA0)
 
 
 def continuity_residual(phi: Spinor, pot: LorentzPotential) -> GridFunction:
@@ -161,7 +169,7 @@ def _discrete_flux(skp: Spinor, sk: Spinor, result: SpectrumResult,
     """
     n = skp.grid.n_points
     periodic = skp.grid.boundary == "periodic"
-    rows = np.conj(_components(skp)) @ GAMMA.gamma0
+    rows = _adjoint(skp)
     cols = _components(sk)
 
     def cross(mat: Optional[np.ndarray], i: int, j: int) -> complex:
@@ -174,14 +182,15 @@ def _discrete_flux(skp: Spinor, sk: Spinor, result: SpectrumResult,
         return complex(r @ cols[j])
 
     def p_sym(j: int) -> complex:
-        return cross(GAMMA.gamma1, j, j + 1) + cross(GAMMA.gamma1, j + 1, j)
+        return cross(GAMMA1, j, j + 1) + cross(GAMMA1, j + 1, j)
 
     def a_anti(j: int) -> complex:
         return cross(None, j, j + 1) - cross(None, j + 1, j)
 
     flux = 0.5j * (p_sym(hi) - p_sym(lo - 1))
-    if result.scheme == "central_wilson" and result.wilson_r != 0.0:
-        flux += 0.5 * result.wilson_r * (a_anti(hi) - a_anti(lo - 1))
+    r = wilson_weight(result.scheme, result.wilson_r)
+    if r != 0.0:
+        flux += 0.5 * r * (a_anti(hi) - a_anti(lo - 1))
     return flux
 
 
@@ -204,12 +213,11 @@ class BalanceReport:
 
 def orthogonality_balance(result: SpectrumResult, k: int, k_prime: int,
                           window: Optional[tuple[int, int]] = None,
-                          identity_tol: Optional[float] = None,
-                          oracle_factor: float = 10.0) -> BalanceReport:
+                          identity_tol: Optional[float] = None) -> BalanceReport:
     """Evaluate the balance identity for the ordered pair (k, k_prime).
 
     Both states are first re-checked against the coupled-equation oracle
-    (residual norm within oracle_factor * solver tolerance) so the identity
+    (residual norm within ORACLE_FACTOR * solver tolerance) so the identity
     is only ever reported for genuine eigenpairs.  window, when given, is an
     inclusive pair of node indices; the flux term is then evaluated at the
     window edges and the quadrature restricted to h-weighted sums over the
@@ -234,10 +242,10 @@ def orthogonality_balance(result: SpectrumResult, k: int, k_prime: int,
                                     GridFunction(grid, s.minus_component),
                                     result.potential, result.mass,
                                     scheme=result.scheme, wilson_r=result.wilson_r)
-        if res > oracle_factor * result.solver_tolerance:
+        if res > ORACLE_FACTOR * result.solver_tolerance:
             raise GridError(
                 f"state {label} fails the coupled-equation oracle "
-                f"(residual {res:.3e} > {oracle_factor:g} x tol); "
+                f"(residual {res:.3e} > {ORACLE_FACTOR:g} x tol); "
                 "balance identity is only defined for eigenpairs"
             )
 

@@ -13,10 +13,6 @@ class MassError(Dirac1DError, ValueError):
     """Mass profile invalid on the given grid (zero, wrong sign, or pole too close)."""
 
 
-class RepresentationError(Dirac1DError, ValueError):
-    """Gamma matrices that do not satisfy the 1+1D Clifford algebra."""
-
-
 class ConvergenceError(Dirac1DError, RuntimeError):
     """An iterative or direct solve failed to reach the requested tolerance."""
 

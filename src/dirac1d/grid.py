@@ -23,6 +23,9 @@ from .errors import GridError
 
 BOUNDARIES = ("dirichlet", "periodic")
 
+# relative slack, in units of the domain length, of Grid1D.is_symmetric
+SYMMETRY_REL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -69,9 +72,9 @@ class Grid1D:
         w.flags.writeable = False
         return w
 
-    def is_symmetric(self, rel_tol: float = 1e-12) -> bool:
+    def is_symmetric(self) -> bool:
         """True when the domain is symmetric about the origin (x_min = -x_max)."""
-        return abs(self.x_min + self.x_max) <= rel_tol * (self.x_max - self.x_min)
+        return abs(self.x_min + self.x_max) <= SYMMETRY_REL_TOL * (self.x_max - self.x_min)
 
 
 def build_grid(x_min: float, x_max: float, n_points: int,

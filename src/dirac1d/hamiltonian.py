@@ -30,9 +30,18 @@ import numpy as np
 
 from .errors import GridError
 from .grid import Grid1D, GridFunction
-from .lorentz import GAMMA, LorentzPotential
+from .lorentz import GAMMA0, GAMMA5, LorentzPotential
 
 OPERATOR_SCHEMES = ("central", "central_wilson")
+
+
+def wilson_weight(scheme: str, wilson_r: float) -> float:
+    """Validate the scheme; return the Wilson weight it applies (0.0 for central)."""
+    if scheme not in OPERATOR_SCHEMES:
+        raise GridError(
+            f"unknown operator scheme {scheme!r}; expected one of {OPERATOR_SCHEMES}"
+        )
+    return wilson_r if scheme == "central_wilson" else 0.0
 
 
 def _difference_matrices(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
@@ -78,10 +87,7 @@ def assemble_hamiltonian(grid: Grid1D, pot: LorentzPotential, mass: GridFunction
                          scheme: str = "central_wilson", wilson_r: float = 1.0
                          ) -> DiracOperator:
     """Build the 2K x 2K matrix (K = active nodes) for the given couplings."""
-    if scheme not in OPERATOR_SCHEMES:
-        raise GridError(
-            f"unknown operator scheme {scheme!r}; expected one of {OPERATOR_SCHEMES}"
-        )
+    r = wilson_weight(scheme, wilson_r)
     if wilson_r < 0.0:
         raise GridError(f"wilson_r must be non-negative, got {wilson_r}")
     if mass.grid != grid or pot.grid != grid:
@@ -94,15 +100,14 @@ def assemble_hamiltonian(grid: Grid1D, pot: LorentzPotential, mass: GridFunction
         act = slice(None)
 
     coupling = np.diag(mass.values[act] + pot.v_s.values[act]).astype(complex)
-    if scheme == "central_wilson" and wilson_r != 0.0:
-        coupling = coupling - (wilson_r / (2.0 * grid.h)) * t
+    if r != 0.0:
+        coupling = coupling - (r / (2.0 * grid.h)) * t
 
-    g5 = GAMMA.gamma5
-    h_mat = (np.kron(g5, -1.0j * d)
-             + np.kron(GAMMA.gamma0, coupling)
+    h_mat = (np.kron(GAMMA5, -1.0j * d)
+             + np.kron(GAMMA0, coupling)
              + np.kron(np.eye(2), np.diag(pot.v_t.values[act]))
-             + np.kron(g5, np.diag(pot.v_sp.values[act]))
-             + np.kron(-1.0j * GAMMA.gamma0 @ g5, np.diag(pot.v_p.values[act])))
+             + np.kron(GAMMA5, np.diag(pot.v_sp.values[act]))
+             + np.kron(-1.0j * GAMMA0 @ GAMMA5, np.diag(pot.v_p.values[act])))
     return DiracOperator(grid=grid, matrix=h_mat, scheme=scheme,
                          wilson_r=float(wilson_r), mass=mass, potential=pot)
 
@@ -139,10 +144,7 @@ def reduced_equations_rhs(energy: complex, plus: GridFunction, minus: GridFuncti
     dirichlet grids the wall rows are not equations (values pinned) and the
     residual there is reported as zero.
     """
-    if scheme not in OPERATOR_SCHEMES:
-        raise GridError(
-            f"unknown operator scheme {scheme!r}; expected one of {OPERATOR_SCHEMES}"
-        )
+    r = wilson_weight(scheme, wilson_r)
     g = plus.grid
     if minus.grid != g or pot.grid != g or mass.grid != g:
         raise GridError("all inputs must share one grid")
@@ -164,8 +166,8 @@ def reduced_equations_rhs(energy: complex, plus: GridFunction, minus: GridFuncti
     r_minus = (energy * m - 1.0j * d_central(m)
                - (pot.v_t.values - pot.v_sp.values) * m
                - (c - 1.0j * pot.v_p.values) * p)
-    if scheme == "central_wilson" and wilson_r != 0.0:
-        w = wilson_r / (2.0 * h)
+    if r != 0.0:
+        w = r / (2.0 * h)
         r_plus = r_plus + w * second(m)
         r_minus = r_minus + w * second(p)
     if not per:

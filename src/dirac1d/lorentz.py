@@ -1,4 +1,4 @@
-"""Mass profiles, Lorentz-structure potentials and gamma-matrix machinery.
+"""Mass profiles, Lorentz-structure potentials and the fixed gamma matrices.
 
 Conventions (1+1 dimensions, metric diag(+,-)):
 
@@ -15,12 +15,11 @@ Conventions (1+1 dimensions, metric diag(+,-)):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .errors import GridError, MassError, RepresentationError
+from .errors import GridError, MassError
 from .grid import Grid1D, GridFunction
 
 MASS_FAMILIES = ("constant", "linear", "inverse_linear", "quadratic_even", "double_well")
@@ -144,63 +143,15 @@ def check_pt_symmetry(f: GridFunction, tol: float = 1e-12) -> PTSymmetryReport:
     return PTSymmetryReport(residual=residual, symmetric=residual <= tol, tol=tol)
 
 
-@dataclass(frozen=True)
-class GammaRep:
-    """A concrete choice of gamma matrices satisfying the 1+1D Clifford algebra."""
-
-    gamma0: np.ndarray
-    gamma1: np.ndarray
-
-    def __post_init__(self) -> None:
-        g0 = np.asarray(self.gamma0, dtype=complex)
-        g1 = np.asarray(self.gamma1, dtype=complex)
-        if g0.shape != (2, 2) or g1.shape != (2, 2):
-            raise RepresentationError("gamma matrices must be 2x2")
-        eye = np.eye(2)
-        checks = (
-            (g0 @ g0 - eye, "gamma0^2 != 1"),
-            (g1 @ g1 + eye, "gamma1^2 != -1"),
-            (g0 @ g1 + g1 @ g0, "gamma0 and gamma1 do not anticommute"),
-            (g0 - g0.conj().T, "gamma0 is not Hermitian"),
-        )
-        for resid, msg in checks:
-            if np.max(np.abs(resid)) > 1e-12:
-                raise RepresentationError(
-                    f"{msg} (residual {np.max(np.abs(resid)):.3e})"
-                )
-        g0 = g0.copy()
-        g1 = g1.copy()
-        g0.flags.writeable = False
-        g1.flags.writeable = False
-        object.__setattr__(self, "gamma0", g0)
-        object.__setattr__(self, "gamma1", g1)
-
-    @cached_property
-    def gamma5(self) -> np.ndarray:
-        g5 = self.gamma0 @ self.gamma1
-        g5.flags.writeable = False
-        return g5
-
-    @classmethod
-    def default(cls) -> "GammaRep":
-        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-        return cls(gamma0=sigma_x, gamma1=-1.0j * sigma_y)
-
-    def clifford_residual(self) -> float:
-        """Max deviation of {gamma_mu, gamma_nu} from 2 diag(1,-1)."""
-        eye = np.eye(2)
-        r = 0.0
-        r = max(r, float(np.max(np.abs(self.gamma0 @ self.gamma0 - eye))))
-        r = max(r, float(np.max(np.abs(self.gamma1 @ self.gamma1 + eye))))
-        r = max(r, float(np.max(np.abs(self.gamma0 @ self.gamma1 + self.gamma1 @ self.gamma0))))
-        return r
-
-
 # The one representation every operator and diagnostic is built in; the
 # continuity equation and the gamma0 orthonormalization condition do not
 # depend on this choice.
-GAMMA = GammaRep.default()
+GAMMA0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # sigma_x
+GAMMA1 = -1.0j * np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)  # -i sigma_y
+GAMMA5 = GAMMA0 @ GAMMA1  # sigma_z
+for _g in (GAMMA0, GAMMA1, GAMMA5):
+    _g.flags.writeable = False
+del _g
 
 
 @dataclass(frozen=True)
@@ -244,8 +195,8 @@ def potential_matrices(pot: LorentzPotential) -> np.ndarray:
     vsp = pot.v_sp.values[:, None, None]
     vs = pot.v_s.values[:, None, None]
     vp = pot.v_p.values[:, None, None]
-    return (GAMMA.gamma0[None] * vt + GAMMA.gamma1[None] * vsp
-            + eye[None] * vs - 1.0j * GAMMA.gamma5[None] * vp)
+    return (GAMMA0[None] * vt + GAMMA1[None] * vsp
+            + eye[None] * vs - 1.0j * GAMMA5[None] * vp)
 
 
 def gamma0_hermiticity_residual(pot: LorentzPotential) -> float:
@@ -255,5 +206,5 @@ def gamma0_hermiticity_residual(pot: LorentzPotential) -> float:
     anti-Hermitian part otherwise (e.g. 2 max|A| for V_t = A purely imaginary).
     """
     v = potential_matrices(pot)
-    b = np.einsum("ab,nbc->nac", GAMMA.gamma0, v)
+    b = np.einsum("ab,nbc->nac", GAMMA0, v)
     return float(np.max(np.abs(np.conj(np.swapaxes(b, 1, 2)) - b)))

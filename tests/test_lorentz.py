@@ -1,10 +1,10 @@
-"""Mass families, the induced vector potential, PT checks, gamma algebra."""
+"""Mass families, the induced vector potential, PT checks, the gamma matrices."""
 
 import numpy as np
 import pytest
 
-from dirac1d import (GammaRep, GridError, GridFunction, LorentzPotential,
-                     MassError, MassProfile, RepresentationError, build_grid,
+from dirac1d import (GAMMA0, GAMMA1, GAMMA5, GridError, GridFunction,
+                     LorentzPotential, MassError, MassProfile, build_grid,
                      check_pt_symmetry, gamma0_hermiticity_residual,
                      potential_matrices, pt_vector_potential, sample_mass)
 
@@ -110,27 +110,21 @@ def test_pt_check_needs_symmetric_grid():
         check_pt_symmetry(GridFunction.constant(g, 1.0))
 
 
-# ------------------------------------------------------------ gamma algebra
+# --------------------------------------------------------- gamma matrices
 
 def test_default_representation():
-    rep = GammaRep.default()
-    assert rep.clifford_residual() == 0.0
-    assert np.allclose(rep.gamma5, np.diag([1.0, -1.0]))
-    assert np.allclose(rep.gamma0, [[0, 1], [1, 0]])
-    assert np.allclose(rep.gamma1, [[0, -1], [1, 0]])
-
-
-def test_broken_algebra_rejected():
-    with pytest.raises(RepresentationError, match="anticommute"):
-        GammaRep(gamma0=np.eye(2), gamma1=np.array([[1j, 0], [0, 1j]]))
-    # similarity by a non-unitary matrix keeps the algebra but breaks
-    # the Hermiticity of gamma0
-    u = np.array([[1.0, 1.0], [0.0, 1.0]])
-    ui = np.linalg.inv(u)
-    g0 = u @ GammaRep.default().gamma0 @ ui
-    g1 = u @ GammaRep.default().gamma1 @ ui
-    with pytest.raises(RepresentationError, match="Hermitian"):
-        GammaRep(gamma0=g0, gamma1=g1)
+    eye = np.eye(2)
+    # the 1+1D Clifford algebra and a Hermitian gamma0 hold exactly
+    assert np.array_equal(GAMMA0 @ GAMMA0, eye)
+    assert np.array_equal(GAMMA1 @ GAMMA1, -eye)
+    assert np.array_equal(GAMMA0 @ GAMMA1 + GAMMA1 @ GAMMA0, np.zeros((2, 2)))
+    assert np.array_equal(GAMMA0, GAMMA0.conj().T)
+    assert np.array_equal(GAMMA0, [[0, 1], [1, 0]])
+    assert np.array_equal(GAMMA1, [[0, -1], [1, 0]])
+    assert np.array_equal(GAMMA5, np.diag([1.0, -1.0]))
+    for g in (GAMMA0, GAMMA1, GAMMA5):
+        assert g.dtype == complex
+        assert not g.flags.writeable
 
 
 # ------------------------------------------------------- potential channels
@@ -151,16 +145,15 @@ def test_potential_matrix_structure():
 def test_potential_matrices_match_channel_decomposition():
     rng = np.random.default_rng(3)
     g = build_grid(-1.0, 1.0, 12)
-    rep = GammaRep.default()
     chans = {name: GridFunction(g, rng.normal(size=12) + 1j * rng.normal(size=12))
              for name in ("v_t", "v_sp", "v_s", "v_p")}
     pot = LorentzPotential.from_channels(g, **chans)
     stack = potential_matrices(pot)
     for j in (0, 5, 11):
-        expected = (rep.gamma0 * chans["v_t"].values[j]
-                    + rep.gamma1 * chans["v_sp"].values[j]
+        expected = (GAMMA0 * chans["v_t"].values[j]
+                    + GAMMA1 * chans["v_sp"].values[j]
                     + np.eye(2) * chans["v_s"].values[j]
-                    - 1j * rep.gamma5 * chans["v_p"].values[j])
+                    - 1j * GAMMA5 * chans["v_p"].values[j])
         assert np.allclose(stack[j], expected, atol=1e-15)
 
 

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from dirac1d import (ConvergenceError, GridError, GridFunction,
                      LorentzPotential, MassProfile, SpectrumResult, Spinor,
                      assemble_hamiltonian, build_grid, classify_reality,
-                     sample_mass, shooting_solve, solve_spectrum)
+                     pt_vector_potential, sample_mass, shooting_solve,
+                     solve_spectrum)
+from dirac1d.solver import _coefficient_table
 
 from helpers import dispersion_multiset
 
@@ -174,19 +177,44 @@ def test_shooting_complex_guesses_reach_root_of_flat_determinant():
         out = shooting_solve(g, pot, mass, energy_guess=guess)
         assert abs(out.energy - expected) <= 1e-9
 
-def test_shooting_spline_and_exact_coefficients_agree():
-    g = build_grid(-8.0, 8.0, 400)
+def test_shooting_energy_converges_at_fourth_order():
+    # spline coefficients and RK4 are both O(h^4): n=400 is already within
+    # 1e-8 of n=1600 (measured 9.7e-9), and with an error ~ h^4 the ratio
+    # (E400 - E1600)/(E800 - E1600) is (4^4 - 1)/(2^4 - 1) = 17 (measured 17.1)
     profile = MassProfile("quadratic_even", m0=1.0, alpha=1.0)
-    mass = sample_mass(profile, g)
-    from dirac1d import pt_vector_potential
-    pot = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
-    splined = shooting_solve(g, pot, mass, energy_guess=1.6)
-    exact = shooting_solve(
-        g, pot, mass, energy_guess=1.6,
-        mass_fn=lambda x: profile.mass(np.asarray(x)).item(),
-        channel_fns={"v_t": lambda x: 0.5j * profile.dmass_dx(np.asarray(x)).item()
-                     / profile.mass(np.asarray(x)).item()})
-    assert abs(splined.energy - exact.energy) <= 1e-7
+    energies = {}
+    for n in (400, 800, 1600):
+        g = build_grid(-8.0, 8.0, n)
+        pot = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
+        out = shooting_solve(g, pot, sample_mass(profile, g), energy_guess=1.6)
+        energies[n] = out.energy
+    assert abs(energies[400] - energies[1600]) <= 1e-7
+    ratio = (energies[400] - energies[1600]) / (energies[800] - energies[1600])
+    assert abs(ratio - 17.0) <= 2.0
+
+
+def test_coefficient_table_matches_stagewise_spline_calls():
+    # reference: the spline called at one stage abscissa at a time, with the
+    # RK4 stage expressions; the vectorised table must agree bit for bit
+    g = build_grid(-3.0, 3.0, 41)
+    x = g.nodes
+    mass = sample_mass(MassProfile("double_well", m0=1.0, lam=0.3, a=1.0), g)
+    pot = LorentzPotential.from_channels(
+        g, v_t=GridFunction(g, 0.3j * x), v_sp=GridFunction.constant(g, 0.05),
+        v_s=GridFunction(g, 0.2 * x * x), v_p=GridFunction(g, 0.1 * np.tanh(x)))
+    splines = [CubicSpline(x, f.values) for f in (mass, pot.v_t, pot.v_s, pot.v_p)]
+    for xs in (x[:21], x[20:][::-1]):
+        for substeps in (1, 3):
+            table = _coefficient_table(xs, pot, mass, substeps)
+            assert table.shape == (len(xs) - 1, substeps, 3, 4)
+            for i in range(len(xs) - 1):
+                dx = (xs[i + 1] - xs[i]) / substeps
+                for s in range(substeps):
+                    xa = xs[i] + s * dx
+                    for k, xq in enumerate((xa, xa + 0.5 * dx, xa + dx)):
+                        m, vt, vs, vp = (complex(f(xq)) for f in splines)
+                        expected = [vt, 0.05, m + vs + 1.0j * vp, m + vs - 1.0j * vp]
+                        assert table[i, s, k].tolist() == expected
 
 
 def test_shooting_input_validation():
@@ -197,5 +225,3 @@ def test_shooting_input_validation():
         shooting_solve(gp, LorentzPotential.zero(gp), massp, 1.0)
     with pytest.raises(GridError, match="substeps"):
         shooting_solve(g, pot, mass, 1.0, substeps=0)
-    with pytest.raises(GridError, match="channel"):
-        shooting_solve(g, pot, mass, 1.0, channel_fns={"v_x": lambda x: 0.0})
