@@ -25,7 +25,7 @@ import numpy as np
 from .errors import GridError
 from .grid import GridFunction, differentiate, integrate
 from .hamiltonian import reduced_residual_norm, wilson_weight
-from .lorentz import GAMMA0, GAMMA1, LorentzPotential, potential_matrices
+from .lorentz import GAMMA0, GAMMA1, LorentzPotential
 from .solver import SpectrumResult, Spinor
 
 # a state enters the balance identity only when its coupled-equation residual
@@ -109,18 +109,6 @@ def normalize_result(result: SpectrumResult) -> SpectrumResult:
     return replace(result, eigenpairs=tuple(normalize(s) for s in result.eigenpairs))
 
 
-def _anti_hermitian_part(pot: LorentzPotential) -> np.ndarray:
-    """Per-node 2x2 stack of V - gamma0 V^dag gamma0.
-
-    Vanishes exactly for Hermitian potentials in the gamma0 metric (all four
-    channels real); feeding it through the phibar(.)phi bilinear yields the
-    non-conservation density.
-    """
-    v = potential_matrices(pot)
-    vdag = np.conj(np.swapaxes(v, 1, 2))
-    return v - np.einsum("ab,nbc,cd->nad", GAMMA0, vdag, GAMMA0)
-
-
 def continuity_residual(phi: Spinor, pot: LorentzPotential) -> GridFunction:
     """Stationary continuity check R(x), identically zero when current is conserved.
 
@@ -131,7 +119,7 @@ def continuity_residual(phi: Spinor, pot: LorentzPotential) -> GridFunction:
     """
     cur = current_density(phi)
     dj1 = differentiate(cur.j1)
-    anti = _bilinear(phi, phi, _anti_hermitian_part(pot))
+    anti = _bilinear(phi, phi, pot.anti_hermitian)
     r = 2.0 * phi.energy.imag * cur.j0.values + dj1.values + 1.0j * anti
     return GridFunction(phi.grid, r)
 
@@ -268,7 +256,7 @@ def orthogonality_balance(result: SpectrumResult, k: int, k_prime: int,
 
     term_boundary = _discrete_flux(skp, sk, result, lo, hi)
 
-    anti = _bilinear(skp, sk, _anti_hermitian_part(result.potential))
+    anti = _bilinear(skp, sk, result.potential.anti_hermitian)
     term_potential = complex(np.sum(weights * anti[sl]))
 
     residual = abs(term_energy + term_boundary - term_potential)

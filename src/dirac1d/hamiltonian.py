@@ -133,7 +133,7 @@ def _shift(values: np.ndarray, offset: int, periodic: bool) -> np.ndarray:
 
 def reduced_equations_rhs(energy: complex, plus: GridFunction, minus: GridFunction,
                           pot: LorentzPotential, mass: GridFunction,
-                          scheme: str = "central", wilson_r: float = 0.0
+                          scheme: str = "central_wilson", wilson_r: float = 1.0
                           ) -> tuple[GridFunction, GridFunction]:
     """Pointwise residuals of the two coupled first-order equations.
 
@@ -180,7 +180,8 @@ def reduced_equations_rhs(energy: complex, plus: GridFunction, minus: GridFuncti
 
 def reduced_residual_norm(energy: complex, plus: GridFunction, minus: GridFunction,
                           pot: LorentzPotential, mass: GridFunction,
-                          scheme: str = "central", wilson_r: float = 0.0) -> float:
+                          scheme: str = "central_wilson", wilson_r: float = 1.0
+                          ) -> float:
     """Relative l2 norm of the reduced-equation residuals."""
     rp, rm = reduced_equations_rhs(energy, plus, minus, pot, mass, scheme, wilson_r)
     num = np.sum(np.abs(rp.values) ** 2) + np.sum(np.abs(rm.values) ** 2)

@@ -15,6 +15,7 @@ Conventions (1+1 dimensions, metric diag(+,-)):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -187,6 +188,20 @@ class LorentzPotential:
         z = GridFunction.constant(grid, 0.0)
         return cls(v_t=v_t or z, v_sp=v_sp or z, v_s=v_s or z, v_p=v_p or z)
 
+    @cached_property
+    def anti_hermitian(self) -> np.ndarray:
+        """Per-node 2x2 stack of V - gamma0 V^dag gamma0 (read-only).
+
+        Vanishes exactly for Hermitian potentials in the gamma0 metric (all
+        four channels real); feeding it through the phibar(.)phi bilinear
+        yields the non-conservation density.
+        """
+        v = potential_matrices(self)
+        vdag = np.conj(np.swapaxes(v, 1, 2))
+        anti = v - np.einsum("ab,nbc,cd->nad", GAMMA0, vdag, GAMMA0)
+        anti.flags.writeable = False
+        return anti
+
 
 def potential_matrices(pot: LorentzPotential) -> np.ndarray:
     """Stack of per-node 2x2 matrices V(x_j), shape (n, 2, 2)."""
@@ -202,9 +217,9 @@ def potential_matrices(pot: LorentzPotential) -> np.ndarray:
 def gamma0_hermiticity_residual(pot: LorentzPotential) -> float:
     """Max-norm of (gamma0 V)^dagger - gamma0 V over the nodes.
 
-    Zero exactly when all four channels are real; equals twice the largest
-    anti-Hermitian part otherwise (e.g. 2 max|A| for V_t = A purely imaginary).
+    gamma0 only permutes entries, so this is the max-norm of
+    pot.anti_hermitian.  Zero exactly when all four channels are real;
+    equals twice the largest anti-Hermitian part otherwise (e.g. 2 max|A|
+    for V_t = A purely imaginary).
     """
-    v = potential_matrices(pot)
-    b = np.einsum("ab,nbc->nac", GAMMA0, v)
-    return float(np.max(np.abs(np.conj(np.swapaxes(b, 1, 2)) - b)))
+    return float(np.max(np.abs(pot.anti_hermitian)))

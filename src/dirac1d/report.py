@@ -1,15 +1,17 @@
 """Run pipelines (spectrum / diagnose / check-pt) and deterministic writers.
 
-Reports carry no timestamps or timing so repeated runs of the same
-configuration produce byte-identical CSV and JSON artifacts.  Floats are
-written with 17 significant digits, enough to round-trip doubles.
+Each report table is a list of row dicts; the CSVs and report.json are
+written from the same rows.  Reports carry no timestamps or timing so
+repeated runs of the same configuration produce byte-identical CSV and JSON
+artifacts.  Floats are written with 17 significant digits, enough to
+round-trip doubles.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -106,10 +108,9 @@ def execute(cfg: RunConfig, mode: str, strict_pt: bool = False,
     # PT symmetry of each channel (informational; gating below)
     declared_pt = cfg.pt_channels()
     if grid.is_symmetric():
-        channels = {"v_t": potential.v_t, "v_sp": potential.v_sp,
-                    "v_s": potential.v_s, "v_p": potential.v_p}
-        for name in CHANNELS:
-            pt = check_pt_symmetry(channels[name], tol=pt_tol)
+        sampled = [(c, getattr(potential, c)) for c in CHANNELS] + [("mass", mass)]
+        for name, f in sampled:
+            pt = check_pt_symmetry(f, tol=pt_tol)
             report.pt_rows.append({
                 "channel": name,
                 "declared_pt": name in declared_pt,
@@ -117,12 +118,6 @@ def execute(cfg: RunConfig, mode: str, strict_pt: bool = False,
                 "symmetric": pt.symmetric,
                 "tol": pt.tol,
             })
-        mass_pt = check_pt_symmetry(mass, tol=pt_tol)
-        report.pt_rows.append({
-            "channel": "mass", "declared_pt": False,
-            "residual": mass_pt.residual, "symmetric": mass_pt.symmetric,
-            "tol": mass_pt.tol,
-        })
     else:
         report.notes.append(
             "grid is not symmetric about the origin; PT checks skipped"
@@ -252,46 +247,6 @@ def execute(cfg: RunConfig, mode: str, strict_pt: bool = False,
     return report
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj
-
-
-def report_to_dict(report: RunReport) -> dict:
-    out = {
-        "mode": report.mode,
-        "config": report.config,
-        "grid": report.grid_info,
-        "hermiticity": report.hermiticity,
-        "pt": report.pt_rows,
-        "spectrum": report.spectrum_rows,
-        "balance": report.balance_rows,
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in report.checks],
-        "notes": report.notes,
-        "passed": report.passed,
-    }
-    if report.gram is not None:
-        out["gram"] = [
-            {"k_prime": i, "k": j,
-             "re": report.gram[i, j].real, "im": report.gram[i, j].imag}
-            for i in range(report.gram.shape[0])
-            for j in range(report.gram.shape[1])
-        ]
-    return _jsonable(out)
-
-
 _CSV_QUOTE = re.compile(r'[,"\r\n]')
 
 
@@ -312,42 +267,40 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+# (table key, CSV file name) in writing order; report.json holds the same
+# row lists under the table keys
+_TABLES = (("spectrum", "spectrum.csv"), ("gram", "gram.csv"),
+           ("balance", "balance.csv"), ("pt", "pt_check.csv"))
+
+
 def write_outputs(report: RunReport, out_dir: Path, formats: str) -> list[Path]:
-    """Write spectrum/gram/balance CSVs and/or report.json; returns paths."""
+    """Write spectrum/gram/balance/pt CSVs and/or report.json; returns paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    tables = {"spectrum": report.spectrum_rows, "balance": report.balance_rows,
+              "pt": report.pt_rows}
+    if report.gram is not None:
+        g = report.gram
+        tables["gram"] = [{"k_prime": i, "k": j,
+                           "re": g[i, j].real, "im": g[i, j].imag}
+                          for i in range(g.shape[0]) for j in range(g.shape[1])]
     written: list[Path] = []
 
     if formats in ("csv", "both"):
-        if report.spectrum_rows:
-            cols = list(report.spectrum_rows[0].keys())
-            p = out_dir / "spectrum.csv"
-            _write_csv(p, cols,
-                       [[row[c] for c in cols] for row in report.spectrum_rows])
-            written.append(p)
-        if report.gram is not None:
-            p = out_dir / "gram.csv"
-            g = report.gram
-            _write_csv(p, ["k_prime", "k", "re", "im"],
-                       [[i, j, g[i, j].real, g[i, j].imag]
-                        for i in range(g.shape[0]) for j in range(g.shape[1])])
-            written.append(p)
-        if report.balance_rows:
-            cols = list(report.balance_rows[0].keys())
-            p = out_dir / "balance.csv"
-            _write_csv(p, cols,
-                       [[row[c] for c in cols] for row in report.balance_rows])
-            written.append(p)
-        if report.pt_rows:
-            p = out_dir / "pt_check.csv"
-            _write_csv(p, ["channel", "declared_pt", "residual", "symmetric", "tol"],
-                       [[r["channel"], r["declared_pt"], r["residual"],
-                         r["symmetric"], r["tol"]] for r in report.pt_rows])
-            written.append(p)
+        for key, name in _TABLES:
+            rows = tables.get(key)
+            if rows:
+                cols = list(rows[0])
+                p = out_dir / name
+                _write_csv(p, cols, [[row[c] for c in cols] for row in rows])
+                written.append(p)
 
     if formats in ("json", "both"):
+        doc = {"mode": report.mode, "config": report.config,
+               "grid": report.grid_info, "hermiticity": report.hermiticity,
+               "checks": [asdict(c) for c in report.checks],
+               "notes": report.notes, "passed": report.passed, **tables}
         p = out_dir / "report.json"
-        p.write_text(json.dumps(report_to_dict(report), indent=2,
-                                sort_keys=True) + "\n")
+        p.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         written.append(p)
     return written

@@ -22,6 +22,11 @@ from .lorentz import LorentzPotential
 
 REALITY_TAGS = ("real", "complex_pair_member", "complex_unpaired")
 
+# shooting root search: stop when the step is below SHOOTING_TOL relative to
+# |E| (see _converged); give up after SHOOTING_MAX_ITER steps
+SHOOTING_TOL = 1e-12
+SHOOTING_MAX_ITER = 60
+
 
 @dataclass(frozen=True)
 class Spinor:
@@ -172,7 +177,7 @@ def _coefficient_table(xs: np.ndarray, pot: LorentzPotential, mass: GridFunction
     stages = np.stack([xa, xa + 0.5 * dx, xa + dx], axis=-1)
 
     def at_stages(values: np.ndarray) -> np.ndarray:
-        if np.allclose(values, values[0]):
+        if np.all(values == values[0]):
             return np.full(stages.shape, complex(values[0]))
         return CubicSpline(mass.grid.nodes, values)(stages).astype(complex)
 
@@ -260,8 +265,7 @@ def _converged(z_prev: complex, f_prev: complex, z: complex, f: complex,
 
 
 def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
-                   energy_guess: complex, *,
-                   substeps: int = 2, tol: float = 1e-12, max_iter: int = 60,
+                   energy_guess: complex, *, substeps: int = 2,
                    search_radius: Optional[float] = None) -> ShootingResult:
     """Bound state near energy_guess by two-sided shooting.
 
@@ -270,7 +274,8 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     i.e. where det[u_left(mid), u_right(mid)] = 0 (determinant normalized by
     the segment amplitudes).  Root search is secant for a real guess and
     Muller for a complex one; both work on the full complex determinant and
-    stop when the step is below tol relative to |E| (see _converged).
+    stop when the step is below SHOOTING_TOL relative to |E| (see
+    _converged), failing after SHOOTING_MAX_ITER steps.
 
     Off-node coefficients are cubic splines of the sampled channels,
     tabulated once per solve at every RK4 stage (see _coefficient_table);
@@ -310,7 +315,7 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     else:
         zs = [energy_guess - step0, energy_guess + step0 * 1.0j, energy_guess]
     fs = [det_at(z) for z in zs]
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, SHOOTING_MAX_ITER + 1):
         if len(zs) == 3:
             z = _muller_step(*zs, *fs)
         elif fs[1] == fs[0]:
@@ -322,11 +327,11 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
                 f"no root within radius {radius:g} of guess {energy_guess:g}"
             )
         zs, fs = zs[1:] + [z], fs[1:] + [det_at(z)]
-        if _converged(zs[-2], fs[-2], zs[-1], fs[-1], tol):
+        if _converged(zs[-2], fs[-2], zs[-1], fs[-1], SHOOTING_TOL):
             break
     else:
         raise ConvergenceError(
-            f"shooting did not converge in {max_iter} iterations "
+            f"shooting did not converge in {SHOOTING_MAX_ITER} iterations "
             f"(last |det|={abs(fs[-1]):.3e})"
         )
     e1, f1 = zs[-1], fs[-1]

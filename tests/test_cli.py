@@ -101,6 +101,31 @@ def test_diagnose_balanced_but_not_conserving(tmp_path, capsys):
     assert "tail_amplitude" in spectrum[0] and "continuity_max" in spectrum[0]
 
 
+def _same_value(cell: str, value) -> bool:
+    if isinstance(value, bool):
+        return cell == ("true" if value else "false")
+    if isinstance(value, int):
+        return int(cell) == value
+    if isinstance(value, float):
+        return float(cell) == value
+    return cell == value
+
+
+def test_json_tables_hold_the_csv_rows(tmp_path):
+    ini = write_ini(tmp_path, PT_INI)
+    out = tmp_path / "out"
+    assert main(["diagnose", str(ini), "--out", str(out), "--format", "both"]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    for key, name in (("spectrum", "spectrum.csv"), ("gram", "gram.csv"),
+                      ("balance", "balance.csv"), ("pt", "pt_check.csv")):
+        rows = read_rows(out / name)
+        assert rows and len(rows) == len(doc[key]), key
+        for row, doc_row in zip(rows, doc[key]):
+            assert set(row) == set(doc_row), key
+            for col, cell in row.items():
+                assert _same_value(cell, doc_row[col]), (key, col, cell, doc_row[col])
+
+
 def test_check_pt_strict_fails_for_asymmetric_mass(tmp_path, capsys):
     ini = write_ini(tmp_path, textwrap.dedent("""\
         [grid]

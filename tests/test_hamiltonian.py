@@ -7,7 +7,7 @@ from dirac1d import (GridError, GridFunction, LorentzPotential,
                      MassProfile, assemble_hamiltonian,
                      hermiticity_of_operator, pt_vector_potential,
                      reduced_equations_rhs, reduced_residual_norm,
-                     sample_mass, build_grid)
+                     sample_mass, build_grid, solve_spectrum)
 
 from helpers import symbol_eigenvector
 
@@ -152,6 +152,20 @@ def test_reduced_equations_match_matrix_action():
             k = len(act)
             assert np.max(np.abs(rp.values[act] - out[:k])) <= 1e-12
             assert np.max(np.abs(rm.values[act] - out[k:])) <= 1e-12
+
+
+def test_oracle_defaults_match_operator_defaults():
+    # an eigenpair of the default operator passes the oracle at its defaults
+    g = build_grid(-5.0, 5.0, 100)
+    pot = LorentzPotential.zero(g)
+    mass = sample_mass(MassProfile("constant", m0=1.0), g)
+    result = solve_spectrum(assemble_hamiltonian(g, pot, mass), max_pairs=6)
+    for s in result.eigenpairs:
+        plus = GridFunction(g, s.plus_component)
+        minus = GridFunction(g, s.minus_component)
+        assert reduced_residual_norm(s.energy, plus, minus, pot, mass) <= 1e-12
+        rp, rm = reduced_equations_rhs(s.energy, plus, minus, pot, mass)
+        assert max(np.max(np.abs(rp.values)), np.max(np.abs(rm.values))) <= 1e-12
 
 
 def test_reduced_residual_norm_rejects_zero_spinor():

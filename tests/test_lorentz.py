@@ -181,6 +181,18 @@ def test_hermiticity_residual_zero_iff_channels_real():
         assert resid == pytest.approx(2e-3, rel=1e-9)
 
 
+def test_anti_hermitian_part_is_cached_and_read_only():
+    g = build_grid(-2.0, 2.0, 25)
+    a = GridFunction(g, 0.3j * g.nodes)
+    pot = LorentzPotential.from_channels(g, v_t=a, v_s=GridFunction(g, g.nodes))
+    anti = pot.anti_hermitian
+    assert anti is pot.anti_hermitian
+    assert not anti.flags.writeable
+    # real v_s drops out; v_t = iA gives V - gamma0 V^dag gamma0 = 2iA gamma0
+    np.testing.assert_array_equal(anti, 2.0 * a.values[:, None, None] * GAMMA0)
+    assert gamma0_hermiticity_residual(pot) == float(np.max(np.abs(anti)))
+
+
 def test_hermiticity_residual_equals_twice_peak_potential():
     g = build_grid(-5.0, 5.0, 101)
     profile = MassProfile("quadratic_even", m0=1.0, alpha=1.0)
