@@ -3,11 +3,13 @@
 The central identity: for two stationary states phi_k, phi_k' of the same
 operator on [a, b],
 
-    (E_k - E_k') * I[ phibar_k' gamma0 phi_k ]
+    (E_k - conj(E_k')) * I[ phibar_k' gamma0 phi_k ]
         + i [ phibar_k' gamma1 phi_k ]_a^b
         - I[ phibar_k' (V - gamma0 V^dag gamma0) phi_k ]  =  0
 
-with I[.] the domain quadrature and [.]_a^b the endpoint difference.  For a
+with I[.] the domain quadrature and [.]_a^b the endpoint difference.  E_k'
+enters conjugated because phibar_k' obeys the gamma0-adjoint equation; for
+k = k' this is the 2 Im(E) j0 term of the continuity equation.  For a
 Hermitian potential the last term vanishes and distinct levels come out
 orthogonal; an anti-Hermitian admixture (e.g. the purely imaginary vector
 potential generated by a position-dependent mass) feeds the third term and
@@ -18,7 +20,7 @@ what the balance report quantifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -124,6 +126,17 @@ def continuity_residual(phi: Spinor, pot: LorentzPotential) -> GridFunction:
     return GridFunction(phi.grid, r)
 
 
+def _stack(result: SpectrumResult) -> np.ndarray:
+    """All eigenpairs as one (K, n, 2) array of components."""
+    return np.stack([_components(s) for s in result.eigenpairs])
+
+
+def _overlap(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """M[k', k] = sum over nodes j of weights_j rows[k', j] . cols[k, j]."""
+    k = rows.shape[0]
+    return rows.reshape(k, -1) @ (cols * weights[:, None]).reshape(k, -1).T
+
+
 def gram_matrix(result: SpectrumResult) -> np.ndarray:
     """G[k', k] = quadrature of phibar_k' gamma0 phi_k over the domain.
 
@@ -131,55 +144,51 @@ def gram_matrix(result: SpectrumResult) -> np.ndarray:
     operator; genuinely non-Hermitian off-diagonal entries appear for
     anti-Hermitian potential admixtures.
     """
-    w = result.grid.quadrature_weights
-    comps = [_components(s) for s in result.eigenpairs]
-    n = len(comps)
-    g = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            # gamma0 gamma0 = 1: the integrand is the plain component overlap
-            g[i, j] = np.sum(w * np.sum(np.conj(comps[i]) * comps[j], axis=1))
-    return g
+    c = _stack(result)
+    # gamma0 gamma0 = 1: the integrand is the plain component overlap
+    return _overlap(np.conj(c), c, result.grid.quadrature_weights)
 
 
-def _discrete_flux(skp: Spinor, sk: Spinor, result: SpectrumResult,
-                   lo: int, hi: int) -> complex:
-    """Exact discrete boundary flux of the assembled operator across [lo, hi].
+def _edge_flux(rows: np.ndarray, cols: np.ndarray, j: int,
+               periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """gamma1-symmetrized and plain antisymmetrized cross-node bilinears of
+    all pairs [k', k] at the edge between nodes j and j+1.  Periodic edges
+    wrap; an edge past a hard wall, where the states vanish, carries none."""
+    n = rows.shape[1]
+    a, b = j, j + 1
+    if periodic:
+        a, b = a % n, b % n
+    elif a < 0 or b >= n:
+        return (np.zeros((rows.shape[0], cols.shape[0]), dtype=complex),) * 2
+    ra, rb, ca, cb = rows[:, a], rows[:, b], cols[:, a], cols[:, b]
+    return (ra @ GAMMA1) @ cb.T + (rb @ GAMMA1) @ ca.T, ra @ cb.T - rb @ ca.T
 
-    This is the stencil-level counterpart of i [phibar_k' gamma1 phi_k]: the
-    central-difference part telescopes to a symmetrized cross-node gamma1
-    bilinear at each window edge (equal to the pointwise value up to O(h^2)),
-    and the Wilson term contributes its own antisymmetrized gamma0 flux of
-    size O(h).  Using these instead of the pointwise continuum expressions
-    is what lets the balance identity close at rounding level for any
-    window.  Out-of-range nodes are zero (hard wall) or wrap (periodic), so
-    the flux vanishes identically for full-domain hard-wall states.
+
+def _balance_terms(result: SpectrumResult, lo: int, hi: int,
+                   weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Energy, boundary and potential terms of all pairs, as K x K [k', k].
+
+    The boundary term is the exact discrete flux of the assembled operator:
+    the central difference telescopes to a symmetrized cross-node gamma1
+    bilinear at each window edge and the Wilson term adds an antisymmetrized
+    gamma0 flux of size O(h), so the identity closes at rounding.
     """
-    n = skp.grid.n_points
-    periodic = skp.grid.boundary == "periodic"
-    rows = _adjoint(skp)
-    cols = _components(sk)
-
-    def cross(mat: Optional[np.ndarray], i: int, j: int) -> complex:
-        if periodic:
-            i %= n
-            j %= n
-        elif not (0 <= i < n and 0 <= j < n):
-            return 0.0 + 0.0j
-        r = rows[i] if mat is None else rows[i] @ mat
-        return complex(r @ cols[j])
-
-    def p_sym(j: int) -> complex:
-        return cross(GAMMA1, j, j + 1) + cross(GAMMA1, j + 1, j)
-
-    def a_anti(j: int) -> complex:
-        return cross(None, j, j + 1) - cross(None, j + 1, j)
-
-    flux = 0.5j * (p_sym(hi) - p_sym(lo - 1))
+    c = _stack(result)
+    rows = np.conj(c) @ GAMMA0
+    sl = slice(lo, hi + 1)
+    e = result.energies
+    # E_k' enters the gamma0-adjoint equation of state k' conjugated
+    energy = (e[None, :] - np.conj(e)[:, None]) * _overlap(np.conj(c[:, sl]),
+                                                            c[:, sl], weights)
+    periodic = result.grid.boundary == "periodic"
+    p_hi, a_hi = _edge_flux(rows, c, hi, periodic)
+    p_lo, a_lo = _edge_flux(rows, c, lo - 1, periodic)
+    boundary = 0.5j * (p_hi - p_lo)
     r = wilson_weight(result.scheme, result.wilson_r)
     if r != 0.0:
-        flux += 0.5 * r * (a_anti(hi) - a_anti(lo - 1))
-    return flux
+        boundary = boundary + 0.5 * r * (a_hi - a_lo)
+    anti_c = np.einsum("nab,knb->kna", result.potential.anti_hermitian[sl], c[:, sl])
+    return energy, boundary, _overlap(rows[:, sl], anti_c, weights)
 
 
 @dataclass(frozen=True)
@@ -199,81 +208,74 @@ class BalanceReport:
     window: Optional[tuple[int, int]]
 
 
-def orthogonality_balance(result: SpectrumResult, k: int, k_prime: int,
-                          window: Optional[tuple[int, int]] = None,
-                          identity_tol: Optional[float] = None) -> BalanceReport:
-    """Evaluate the balance identity for the ordered pair (k, k_prime).
-
-    Both states are first re-checked against the coupled-equation oracle
-    (residual norm within ORACLE_FACTOR * solver tolerance) so the identity
-    is only ever reported for genuine eigenpairs.  window, when given, is an
-    inclusive pair of node indices; the flux term is then evaluated at the
-    window edges and the quadrature restricted to h-weighted sums over the
-    window, which keeps the identity exact at the stencil level.  The
-    orthogonality verdict compares |term_boundary - term_potential| against
-    the identity tolerance; by the identity this difference equals
-    (E_k' - E_k) <k'|k> up to rounding, so a small gap for distinct real
-    levels means the states are orthogonal in the gamma0 inner product.
-    """
-    n_pairs = len(result.eigenpairs)
+def _pair_error(k: int, k_prime: int, n_states: int) -> Optional[str]:
     if k == k_prime:
-        raise GridError("balance identity needs two distinct states (k == k_prime)")
-    if not (0 <= k < n_pairs and 0 <= k_prime < n_pairs):
-        raise GridError(f"pair indices ({k}, {k_prime}) out of range 0..{n_pairs - 1}")
-    sk = result.eigenpairs[k]
-    skp = result.eigenpairs[k_prime]
+        return "balance identity needs two distinct states (k == k_prime)"
+    if not (0 <= k < n_states and 0 <= k_prime < n_states):
+        return f"pair indices ({k}, {k_prime}) out of range 0..{n_states - 1}"
+    return None
+
+
+def orthogonality_balance(result: SpectrumResult, pairs: Sequence[tuple[int, int]],
+                          window: Optional[tuple[int, int]] = None,
+                          identity_tol: Optional[float] = None
+                          ) -> tuple[list[BalanceReport], list[tuple[int, int, str]]]:
+    """Evaluate the balance identity for every ordered pair (k, k_prime).
+
+    Returns the reports of the evaluated pairs and (k, k_prime, reason) for
+    each refused one, both in the order of pairs.  A pair is refused when
+    its states are not distinct or out of range, when either state fails
+    the coupled-equation oracle (residual norm within ORACLE_FACTOR * solver
+    tolerance, run once per state) or when the window is invalid.  window,
+    when given, is an inclusive pair of node indices; the flux term is then
+    taken at the window edges and the quadrature restricted to h-weighted
+    sums over the window, which keeps the identity exact at the stencil
+    level.  The orthogonality gap |term_boundary - term_potential| equals
+    |E_k - conj(E_k')| |<k'|k>| up to rounding: for distinct real levels a
+    gap within the tolerance means gamma0-orthogonal states, while for
+    conjugate partners (E_k' = conj(E_k)) it vanishes whatever the overlap.
+    """
     grid = result.grid
+    n_states = len(result.eigenpairs)
+    oracle = {}
+    for i in sorted({i for k, kp in pairs if _pair_error(k, kp, n_states) is None
+                     for i in (k, kp)}):
+        s = result.eigenpairs[i]
+        oracle[i] = reduced_residual_norm(
+            s.energy, GridFunction(grid, s.plus_component),
+            GridFunction(grid, s.minus_component), result.potential,
+            result.mass, scheme=result.scheme, wilson_r=result.wilson_r)
 
-    for label, s in (("k", sk), ("k_prime", skp)):
-        res = reduced_residual_norm(s.energy,
-                                    GridFunction(grid, s.plus_component),
-                                    GridFunction(grid, s.minus_component),
-                                    result.potential, result.mass,
-                                    scheme=result.scheme, wilson_r=result.wilson_r)
-        if res > ORACLE_FACTOR * result.solver_tolerance:
-            raise GridError(
-                f"state {label} fails the coupled-equation oracle "
-                f"(residual {res:.3e} > {ORACLE_FACTOR:g} x tol); "
-                "balance identity is only defined for eigenpairs"
-            )
-
-    if window is None:
-        lo, hi = 0, grid.n_points - 1
-        weights = grid.quadrature_weights
-        sl = slice(None)
-    else:
-        lo, hi = int(window[0]), int(window[1])
-        if not (0 <= lo < hi <= grid.n_points - 1):
-            raise GridError(f"window ({lo}, {hi}) is not a valid index range")
-        sl = slice(lo, hi + 1)
-        # rectangle weights: the discrete identity closes exactly in plain
-        # h-weighted sums, edge halving would reopen it by O(h)
-        weights = np.full(hi - lo + 1, grid.h)
-
-    overlap_density = np.sum(np.conj(_components(skp)) * _components(sk), axis=1)
-    g_entry = complex(np.sum(weights * overlap_density[sl]))
-    term_energy = (sk.energy - skp.energy) * g_entry
-
-    term_boundary = _discrete_flux(skp, sk, result, lo, hi)
-
-    anti = _bilinear(skp, sk, result.potential.anti_hermitian)
-    term_potential = complex(np.sum(weights * anti[sl]))
-
-    residual = abs(term_energy + term_boundary - term_potential)
-    scale = max(1.0, abs(term_energy), abs(term_boundary), abs(term_potential))
+    lo, hi = (0, grid.n_points - 1) if window is None else (int(window[0]), int(window[1]))
+    window_error = (None if 0 <= lo < hi <= grid.n_points - 1
+                    else f"window ({lo}, {hi}) is not a valid index range")
+    if oracle and window_error is None:
+        # rectangle weights on a window: the discrete identity closes exactly
+        # in plain h-weighted sums, edge halving would reopen it by O(h)
+        weights = (grid.quadrature_weights if window is None
+                   else np.full(hi - lo + 1, grid.h))
+        terms = _balance_terms(result, lo, hi, weights)
     tol = identity_tol if identity_tol is not None else 100.0 * grid.h ** 2
-    identity_ok = residual <= tol * scale
 
-    # By the identity, term_boundary - term_potential = -(E_k - E_k') <k'|k>
-    # up to rounding, so this gap measures how far the pair is from the
-    # restored-orthogonality condition.  Zero for Hermitian potentials with
-    # vanishing flux; O(1) under an anti-Hermitian admixture.
-    gap = abs(term_boundary - term_potential)
-    restored = bool(gap <= tol)
-
-    return BalanceReport(k=k, k_prime=k_prime, term_energy=term_energy,
-                         term_boundary=term_boundary, term_potential=term_potential,
-                         identity_residual=residual, identity_tol=tol,
-                         identity_ok=bool(identity_ok),
-                         orthogonality_gap=float(gap),
-                         orthogonality_restored=restored, window=window)
+    reports, failures = [], []
+    for k, kp in pairs:
+        error = _pair_error(k, kp, n_states)
+        for label, i in (("k", k), ("k_prime", kp)):
+            if error is None and oracle[i] > ORACLE_FACTOR * result.solver_tolerance:
+                error = (f"state {label} fails the coupled-equation oracle "
+                         f"(residual {oracle[i]:.3e} > {ORACLE_FACTOR:g} x tol); "
+                         "balance identity is only defined for eigenpairs")
+        if error or window_error:
+            failures.append((k, kp, error or window_error))
+            continue
+        te, tb, tp = (complex(t[kp, k]) for t in terms)
+        residual = abs(te + tb - tp)
+        # by the identity, tb - tp = -(E_k - conj(E_k')) <k'|k> up to rounding
+        gap = abs(tb - tp)
+        reports.append(BalanceReport(
+            k=k, k_prime=kp, term_energy=te, term_boundary=tb, term_potential=tp,
+            identity_residual=residual, identity_tol=tol,
+            identity_ok=residual <= tol * max(1.0, abs(te), abs(tb), abs(tp)),
+            orthogonality_gap=gap, orthogonality_restored=gap <= tol,
+            window=window))
+    return reports, failures

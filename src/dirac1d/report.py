@@ -20,7 +20,7 @@ import numpy as np
 from .config import CHANNELS, RunConfig
 from .diagnostics import (BalanceReport, continuity_residual, gram_matrix,
                           normalize_result, orthogonality_balance)
-from .errors import ConvergenceError, Dirac1DError, GridError
+from .errors import ConvergenceError, Dirac1DError
 from .hamiltonian import assemble_hamiltonian, hermiticity_of_operator
 from .lorentz import check_pt_symmetry, gamma0_hermiticity_residual, sample_mass
 from .solver import solve_spectrum
@@ -211,14 +211,11 @@ def execute(cfg: RunConfig, mode: str, strict_pt: bool = False,
         if not pairs:
             low = min(d["balance_lowest"], len(result.eigenpairs))
             pairs = [(k, kp) for k in range(low) for kp in range(k)]
-        reports = []
-        for k, kp in pairs:
-            try:
-                reports.append(orthogonality_balance(
-                    result, k, kp, window=window, identity_tol=identity_tol))
-            except GridError as exc:
-                report.checks.append(CheckOutcome(
-                    "balance_identity", False, f"pair ({k},{kp}): {exc}"))
+        reports, failures = orthogonality_balance(
+            result, pairs, window=window, identity_tol=identity_tol)
+        report.checks.extend(
+            CheckOutcome("balance_identity", False, f"pair ({k},{kp}): {why}")
+            for k, kp, why in failures)
         report.balance_rows = [_balance_row(r) for r in reports]
         if reports:
             bad = [r for r in reports if not r.identity_ok]

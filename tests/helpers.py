@@ -1,6 +1,8 @@
-"""Closed-form oracles shared by the test modules."""
+"""Closed-form oracles and reference computations shared by the test modules."""
 
 import numpy as np
+
+from dirac1d import GAMMA0, GAMMA1
 
 
 def dispersion_multiset(n: int, h: float, m: float, wilson_r: float) -> np.ndarray:
@@ -41,3 +43,49 @@ def symbol_eigenvector(kh: float, h: float, m: float, wilson_r: float,
         vec = np.array([1.0, 0.0], dtype=complex) if branch > 0 else \
             np.array([0.0, 1.0], dtype=complex)
     return float(e), vec / np.linalg.norm(vec)
+
+
+def reference_balance_terms(result, k: int, k_prime: int,
+                            window: tuple[int, int] | None = None
+                            ) -> tuple[complex, complex, complex]:
+    """(term_energy, term_boundary, term_potential) of one pair, by itself.
+
+    A plain per-pair restatement of the balance identity, kept apart from
+    the library's all-pairs matrix form so the two can be checked against
+    each other: (E_k - conj(E_k')) times the gamma0 overlap, the discrete
+    flux of the assembled stencil at the two window edges, and the
+    quadrature of the anti-Hermitian potential bilinear.
+    """
+    grid = result.grid
+    n = grid.n_points
+    sk, skp = result.eigenpairs[k], result.eigenpairs[k_prime]
+    col = np.stack([sk.plus_component, sk.minus_component], axis=1)
+    col_prime = np.stack([skp.plus_component, skp.minus_component], axis=1)
+    row = np.conj(col_prime) @ GAMMA0
+    if window is None:
+        lo, hi = 0, n - 1
+        weights = grid.quadrature_weights
+    else:
+        lo, hi = window
+        weights = np.full(n, grid.h)
+    nodes = range(lo, hi + 1)
+
+    # gamma0 gamma0 = 1: phibar_k' gamma0 phi_k is the plain component overlap
+    overlap = sum(weights[j] * np.vdot(col_prime[j], col[j]) for j in nodes)
+    term_energy = (sk.energy - np.conj(skp.energy)) * overlap
+
+    anti = result.potential.anti_hermitian
+    term_potential = sum(weights[j] * (row[j] @ anti[j] @ col[j]) for j in nodes)
+
+    wilson = result.wilson_r if result.scheme == "central_wilson" else 0.0
+    term_boundary = 0.0j
+    for sign, a in ((1.0, hi), (-1.0, lo - 1)):
+        b = a + 1
+        if grid.boundary == "periodic":
+            a, b = a % n, b % n
+        elif a < 0 or b >= n:
+            continue  # the states vanish past a hard wall
+        p_sym = row[a] @ GAMMA1 @ col[b] + row[b] @ GAMMA1 @ col[a]
+        a_anti = row[a] @ col[b] - row[b] @ col[a]
+        term_boundary += sign * (0.5j * p_sym + 0.5 * wilson * a_anti)
+    return complex(term_energy), complex(term_boundary), complex(term_potential)

@@ -5,11 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dirac1d import diagnostics, report
 from dirac1d import (GridError, GridFunction, LorentzPotential, MassProfile,
                      Spinor, adjoint_row, assemble_hamiltonian, build_grid,
                      continuity_residual, current_density, differentiate,
                      gram_matrix, integrate, normalize, normalize_result,
-                     orthogonality_balance, sample_mass, solve_spectrum)
+                     config_from_raw, execute, orthogonality_balance,
+                     reduced_residual_norm, sample_mass, solve_spectrum)
+from helpers import reference_balance_terms
 
 
 def constant_spinor(a, b, n=16, energy=1.0):
@@ -120,7 +123,7 @@ def test_gram_single_state():
 
 def test_balance_hermitian_limit(scalar_cases):
     result = normalize_result(scalar_cases[200].result)
-    rep = orthogonality_balance(result, 1, 0)
+    (rep,), _ = orthogonality_balance(result, [(1, 0)])
     assert rep.identity_ok
     assert rep.term_boundary == 0.0  # hard walls: no flux through the ends
     assert abs(rep.term_potential) <= 1e-12
@@ -130,7 +133,7 @@ def test_balance_hermitian_limit(scalar_cases):
 
 def test_balance_terms_with_imaginary_vector_channel(pt_cases):
     result = normalize_result(pt_cases[400].result)
-    rep = orthogonality_balance(result, 1, 0, identity_tol=1e-6)
+    (rep,), _ = orthogonality_balance(result, [(1, 0)], identity_tol=1e-6)
     scale = max(1.0, abs(rep.term_energy), abs(rep.term_boundary),
                 abs(rep.term_potential))
     # the identity closes at rounding level even though each side is O(1)
@@ -144,7 +147,7 @@ def test_balance_terms_with_imaginary_vector_channel(pt_cases):
 
 def test_balance_windowed_flux(pt_cases):
     result = pt_cases[400].result
-    rep = orthogonality_balance(result, 1, 0, window=(100, 300))
+    (rep,), _ = orthogonality_balance(result, [(1, 0)], window=(100, 300))
     scale = max(1.0, abs(rep.term_energy), abs(rep.term_boundary),
                 abs(rep.term_potential))
     assert rep.identity_residual <= 1e-12 * scale
@@ -154,12 +157,14 @@ def test_balance_windowed_flux(pt_cases):
 
 def test_balance_rejects_bad_pairs(pt_cases):
     result = pt_cases[400].result
-    with pytest.raises(GridError, match="distinct"):
-        orthogonality_balance(result, 2, 2)
-    with pytest.raises(GridError, match="range"):
-        orthogonality_balance(result, 0, 99)
-    with pytest.raises(GridError, match="window"):
-        orthogonality_balance(result, 0, 1, window=(300, 100))
+    reports, failures = orthogonality_balance(result, [(2, 2), (1, 0), (0, 99)])
+    assert [(r.k, r.k_prime) for r in reports] == [(1, 0)]
+    assert [(k, kp) for k, kp, _ in failures] == [(2, 2), (0, 99)]
+    assert "distinct" in failures[0][2]
+    assert failures[1][2] == "pair indices (0, 99) out of range 0..11"
+    reports, failures = orthogonality_balance(result, [(0, 1)], window=(300, 100))
+    assert reports == []
+    assert failures == [(0, 1, "window (300, 100) is not a valid index range")]
 
 
 def test_balance_rejects_non_eigenpairs(pt_cases):
@@ -173,8 +178,11 @@ def test_balance_rejects_non_eigenpairs(pt_cases):
     tampered = replace(result,
                        eigenpairs=(result.eigenpairs[0], fake)
                        + result.eigenpairs[2:])
-    with pytest.raises(GridError, match="oracle"):
-        orthogonality_balance(tampered, 1, 0)
+    reports, failures = orthogonality_balance(tampered, [(1, 0), (2, 0), (2, 1)])
+    assert [(r.k, r.k_prime) for r in reports] == [(2, 0)]
+    assert [(k, kp) for k, kp, _ in failures] == [(1, 0), (2, 1)]
+    assert failures[0][2].startswith("state k fails the coupled-equation oracle")
+    assert failures[1][2].startswith("state k_prime fails the coupled-equation oracle")
 
 
 def test_balance_potential_term_oracle():
@@ -186,10 +194,130 @@ def test_balance_potential_term_oracle():
     pot = LorentzPotential.from_channels(g, v_t=GridFunction(g, 1.0j * w_vals))
     op = assemble_hamiltonian(g, pot, mass)
     result = solve_spectrum(op)
-    rep = orthogonality_balance(result, 1, 0)
+    (rep,), _ = orthogonality_balance(result, [(1, 0)])
     s_k = result.eigenpairs[1]
     s_kp = result.eigenpairs[0]
     overlap = (np.conj(s_kp.plus_component) * s_k.plus_component
                + np.conj(s_kp.minus_component) * s_k.minus_component)
     direct = 2.0j * np.sum(g.quadrature_weights * w_vals * overlap)
     assert rep.term_potential == pytest.approx(direct, abs=1e-13)
+
+
+def _channel_solve(boundary, x_max, n, scheme="central_wilson", max_pairs=12,
+                   **channels):
+    g = build_grid(-x_max, x_max, n, boundary=boundary)
+    mass = sample_mass(MassProfile("constant", m0=1.0), g)
+    pot = LorentzPotential.from_channels(
+        g, **{name: GridFunction(g, f(g.nodes)) for name, f in channels.items()})
+    op = assemble_hamiltonian(g, pot, mass, scheme=scheme)
+    return normalize_result(solve_spectrum(op, max_pairs=max_pairs))
+
+
+def _all_pairs(result):
+    k_max = len(result.eigenpairs)
+    return [(k, kp) for k in range(k_max) for kp in range(k_max) if k != kp]
+
+
+def test_balance_closes_at_rounding_for_complex_levels():
+    # E_k' enters the gamma0-adjoint equation conjugated: with the plain
+    # E_k - E_k' the worst residual here is 1.46, with the conjugate the
+    # identity closes at rounding for the eight complex levels too
+    result = _channel_solve("dirichlet", 6.0, 121, max_pairs=10,
+                            v_t=lambda x: 0.6j * x, v_s=lambda x: 0.5 * np.abs(x))
+    assert sum(t != "real" for t in result.classification) == 8
+    reports, failures = orthogonality_balance(result, _all_pairs(result))
+    assert failures == [] and len(reports) == 90
+    for rep in reports:
+        scale = max(1.0, abs(rep.term_energy), abs(rep.term_boundary),
+                    abs(rep.term_potential))
+        assert rep.identity_residual <= 1e-12 * scale, (rep.k, rep.k_prime)
+
+
+def _assert_matches_reference(result, window=None):
+    reports, failures = orthogonality_balance(result, _all_pairs(result),
+                                              window=window)
+    assert failures == []
+    for rep in reports:
+        got = (rep.term_energy, rep.term_boundary, rep.term_potential)
+        want = reference_balance_terms(result, rep.k, rep.k_prime, window)
+        scale = max(1.0, *(abs(t) for t in want))
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * scale
+    return reports
+
+
+def test_balance_matrix_form_matches_reference_periodic_window():
+    result = _channel_solve("periodic", 4.0, 120,
+                            v_t=lambda x: 0.3j * x, v_sp=lambda x: 0.1 + 0 * x,
+                            v_s=lambda x: 0.5 * np.abs(x),
+                            v_p=lambda x: 0.05 * x ** 2)
+    assert np.max(np.abs(result.energies.imag)) > 0.1
+    reports = _assert_matches_reference(result, window=(30, 82))
+    assert max(abs(r.term_boundary) for r in reports) > 1e-3
+
+
+def test_balance_matrix_form_matches_reference_hard_walls(pt_cases):
+    reports = _assert_matches_reference(normalize_result(pt_cases[400].result))
+    assert all(r.term_boundary == 0.0 for r in reports)
+
+
+def test_balance_matrix_form_matches_reference_central_scheme():
+    result = _channel_solve("dirichlet", 6.0, 100, scheme="central",
+                            max_pairs=8, v_s=lambda x: 0.5 * np.abs(x),
+                            v_sp=lambda x: 0.2 + 0 * x)
+    _assert_matches_reference(result, window=(25, 66))
+
+
+def test_balance_runs_the_oracle_once_per_state(pt_cases, monkeypatch):
+    result = normalize_result(pt_cases[400].result)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return reduced_residual_norm(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "reduced_residual_norm", counted)
+    reports, _ = orthogonality_balance(result, _all_pairs(result))
+    assert len(reports) == 12 * 11
+    assert sorted(calls, key=lambda e: (e.real, e.imag)) == sorted(
+        result.energies, key=lambda e: (e.real, e.imag))
+
+
+PT_RAW = {"grid": {"x_min": "-6.0", "x_max": "6.0", "n_points": "100"},
+          "mass": {"family": "quadratic_even", "m0": "1.0", "alpha": "0.1"},
+          "potential": {"v_t": "pt_from_mass"},
+          "diagnostics": {"balance_lowest": "4"}}
+
+
+def test_tampered_state_fails_each_of_its_pairs_in_execute(monkeypatch):
+    # one failing state refuses every pair it belongs to, each with its own
+    # check in pair order, and the other pairs are still evaluated
+    seen = {}
+
+    def tampered(op, **kwargs):
+        result = solve_spectrum(op, **kwargs)
+        rng = np.random.default_rng(13)
+        n = result.grid.n_points
+        seen["op"] = op
+        seen["fake"] = Spinor(grid=result.grid, plus_component=rng.normal(size=n),
+                              minus_component=rng.normal(size=n),
+                              energy=result.eigenpairs[2].energy)
+        states = result.eigenpairs
+        return replace(result, eigenpairs=states[:2] + (seen["fake"],) + states[3:])
+
+    monkeypatch.setattr(report, "solve_spectrum", tampered)
+    run = execute(config_from_raw(PT_RAW), "diagnose")
+
+    op, s = seen["op"], normalize(seen["fake"])
+    res = reduced_residual_norm(s.energy, GridFunction(op.grid, s.plus_component),
+                                GridFunction(op.grid, s.minus_component),
+                                op.potential, op.mass, scheme=op.scheme,
+                                wilson_r=op.wilson_r)
+    why = (f"fails the coupled-equation oracle (residual {res:.3e} > 10 x tol); "
+           "balance identity is only defined for eigenpairs")
+    balance = [c for c in run.checks if c.name == "balance_identity"]
+    assert [(c.passed, c.detail) for c in balance[:-1]] == [
+        (False, f"pair (2,0): state k {why}"),
+        (False, f"pair (2,1): state k {why}"),
+        (False, f"pair (3,2): state k_prime {why}"),
+    ]
+    assert balance[-1].passed and balance[-1].detail.startswith("3 pair(s)")
