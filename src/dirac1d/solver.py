@@ -5,6 +5,9 @@ general eigensolver and wraps the output in checked, deterministically
 ordered form.  The shooting path integrates the coupled first-order system
 from both walls with classical RK4 and drives the 2x2 matching determinant
 at the midpoint to zero, which gives continuum (not lattice) eigenvalues.
+The system is linear in the state, so each RK4 substep is a 2x2 matrix:
+a trial energy builds all of them in batched array expressions and the
+midpoint states are their ordered products, formed as a pairwise tree.
 """
 
 from __future__ import annotations
@@ -169,7 +172,8 @@ def _coefficient_table(xs: np.ndarray, pot: LorentzPotential, mass: GridFunction
     the rows at its start, middle and end.  Off-node values are cubic splines
     of the sampled channels (their O(h^4) error matches the integrator
     order); a constant channel is used as it is.  Nothing here depends on
-    the trial energy, so one table serves the whole root search.
+    the trial energy, so one table serves the whole root search:
+    _step_matrices turns it into the substep matrices of each trial energy.
     """
     x = xs[:-1, None]
     dx = (xs[1:, None] - x) / substeps
@@ -193,43 +197,77 @@ def _coefficient_table(xs: np.ndarray, pot: LorentzPotential, mass: GridFunction
     return table
 
 
-def _rhs(y: np.ndarray, energy: complex, row: list) -> np.ndarray:
-    """First-order system phi' = F(x) phi equivalent to H phi = E phi.
+def _step_matrices(energy: complex, table: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """The RK4 substeps of one segment as matrices: phi <- P phi, in order.
 
-    row holds (v_t, v_sp, M+V_s+iV_p, M+V_s-iV_p) at the stage abscissa.
+    The system phi' = F(x) phi is linear, with
+    F = [[i(E - v_t - v_sp), -i(M+V_s+iV_p)], [i(M+V_s-iV_p), -i(E - v_t + v_sp)]],
+    so one classical RK4 substep is exactly
+    P = I + dx/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = F_start,
+    K2 = F_mid (I + dx/2 K1), K3 = F_mid (I + dx/2 K2), K4 = F_end (I + dx K3).
+    table is _coefficient_table(xs, ...) and dx the (len(xs) - 1, 1) substep
+    widths.  Returns a (2, 2, (len(xs) - 1) * substeps) stack, substep j of
+    interval i at i * substeps + j.
     """
-    vt, vsp, c_plus, c_minus = row
-    dp = 1.0j * (energy - vt - vsp) * y[0] - 1.0j * c_plus * y[1]
-    dm = -1.0j * (energy - vt + vsp) * y[1] + 1.0j * c_minus * y[0]
-    return np.array([dp, dm])
+    coeff = np.moveaxis(table, (2, 3), (0, 1))  # (stage, channel, N, substeps)
+    vt, vsp, c_plus, c_minus = coeff[:, 0], coeff[:, 1], coeff[:, 2], coeff[:, 3]
+    f = np.empty((2, 2) + vt.shape, dtype=complex)
+    f[0, 0] = 1.0j * (energy - vt - vsp)
+    f[0, 1] = -1.0j * c_plus
+    f[1, 0] = 1.0j * c_minus
+    f[1, 1] = -1.0j * (energy - vt + vsp)
+    start, middle, end = f[:, :, 0], f[:, :, 1], f[:, :, 2]
+    eye = np.eye(2)[:, :, None, None]
+    k2 = _mul(middle, eye + (0.5 * dx) * start)
+    k3 = _mul(middle, eye + (0.5 * dx) * k2)
+    k4 = _mul(end, eye + dx * k3)
+    steps = eye + (dx / 6.0) * (start + 2.0 * k2 + 2.0 * k3 + k4)
+    return steps.reshape(2, 2, -1)
 
 
-def _rk4_segment(xs: np.ndarray, y0: np.ndarray, energy: complex,
-                 table: np.ndarray) -> np.ndarray:
-    """Integrate node-to-node, recording the state at every node.
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of 2x2 matrices held as (2, 2, ...), written entrywise."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
 
-    table is _coefficient_table(xs, ...).  The whole trajectory is rescaled
-    whenever the running amplitude overflows toward 1e150; only the shape
-    matters, and earlier exponentially small values flushing to zero is
-    harmless.
+
+def _ordered_product(steps: np.ndarray) -> np.ndarray:
+    """P_last ... P_0 of a (2, 2, K) stack, up to a positive factor.
+
+    A pairwise tree: each level multiplies neighbours in one batched product,
+    so there are about log2 K levels.  Every partial product is divided by
+    its largest entry, which keeps the amplitudes of a growing solution far
+    from overflow; callers use the product only up to scale.
     """
-    substeps = table.shape[1]
-    out = np.empty((len(xs), 2), dtype=complex)
-    y = y0.astype(complex)
-    out[0] = y
-    for i in range(len(xs) - 1):
-        dx = (xs[i + 1] - xs[i]) / substeps
-        for start, middle, end in table[i].tolist():
-            k1 = _rhs(y, energy, start)
-            k2 = _rhs(y + 0.5 * dx * k1, energy, middle)
-            k3 = _rhs(y + 0.5 * dx * k2, energy, middle)
-            k4 = _rhs(y + dx * k3, energy, end)
-            y = y + (dx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        big = np.max(np.abs(y))
+    while steps.shape[-1] > 1:
+        odd = steps.shape[-1] % 2
+        paired = _mul(steps[..., 1::2], steps[..., : steps.shape[-1] - odd : 2])
+        if odd:
+            paired = np.concatenate([paired, steps[..., -1:]], axis=-1)
+        steps = paired / np.abs(paired).max(axis=(0, 1))
+    return steps[..., 0]
+
+
+def _trajectory(steps: np.ndarray, substeps: int, y0: np.ndarray) -> np.ndarray:
+    """Apply the step matrices in turn, recording the state at every node.
+
+    One sequential pass in Python complex scalars.  The whole trajectory is
+    rescaled whenever the running amplitude overflows toward 1e150; only the
+    shape matters, and earlier exponentially small values flushing to zero
+    is harmless.
+    """
+    intervals = steps.shape[-1] // substeps
+    rows = np.moveaxis(steps, -1, 0).reshape(intervals, substeps, 2, 2).tolist()
+    out = np.empty((intervals + 1, 2), dtype=complex)
+    p, m = (complex(v) for v in y0)
+    out[0] = p, m
+    for i, row in enumerate(rows):
+        for (a, b), (c, d) in row:
+            p, m = a * p + b * m, c * p + d * m
+        big = max(abs(p), abs(m))
         if big > 1e150:
-            y /= big
+            p, m = p / big, m / big
             out[: i + 1] /= big
-        out[i + 1] = y
+        out[i + 1] = p, m
     return out
 
 
@@ -275,11 +313,16 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     the segment amplitudes).  Root search is secant for a real guess and
     Muller for a complex one; both work on the full complex determinant and
     stop when the step is below SHOOTING_TOL relative to |E| (see
-    _converged), failing after SHOOTING_MAX_ITER steps.
+    _converged), failing after SHOOTING_MAX_ITER steps with the last |det|
+    and the last relative step, i.e. the accuracy the search did reach.
 
     Off-node coefficients are cubic splines of the sampled channels,
     tabulated once per solve at every RK4 stage (see _coefficient_table);
-    their error is O(h^4), the order of the integrator.
+    their error is O(h^4), the order of the integrator.  Each trial energy
+    forms the RK4 substep matrices of both segments (_step_matrices) and
+    only their ordered products (_ordered_product), which give the two
+    midpoint states up to scale.  The spinor at the converged energy comes
+    from one sequential pass over the same matrices (_trajectory).
     """
     if grid.boundary != "dirichlet":
         raise GridError("shooting requires a dirichlet grid")
@@ -294,16 +337,17 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     xs_right = grid.nodes[mid:][::-1]
     table_left = _coefficient_table(xs_left, pot, mass, substeps)
     table_right = _coefficient_table(xs_right, pot, mass, substeps)
+    dx_left = np.diff(xs_left)[:, None] / substeps
+    dx_right = np.diff(xs_right)[:, None] / substeps
     y_wall = np.array([0.0, 1.0], dtype=complex)
 
-    def segments(energy: complex) -> tuple[np.ndarray, np.ndarray]:
-        left = _rk4_segment(xs_left, y_wall, energy, table_left)
-        right = _rk4_segment(xs_right, y_wall, energy, table_right)
-        return left, right[::-1]
+    def step_matrices(energy: complex) -> tuple[np.ndarray, np.ndarray]:
+        return (_step_matrices(energy, table_left, dx_left),
+                _step_matrices(energy, table_right, dx_right))
 
     def det_at(energy: complex) -> complex:
-        left, right = segments(energy)
-        ul, ur = left[-1], right[0]
+        # y_wall = (0, 1): the midpoint state is the second column
+        ul, ur = (_ordered_product(steps)[:, 1] for steps in step_matrices(energy))
         denom = np.linalg.norm(ul) * np.linalg.norm(ur)
         if denom == 0.0:
             raise ConvergenceError("trial solution vanished; matching determinant degenerate")
@@ -330,14 +374,18 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
         if _converged(zs[-2], fs[-2], zs[-1], fs[-1], SHOOTING_TOL):
             break
     else:
+        step = abs(zs[-1] - zs[-2]) / max(1.0, abs(zs[-1]))
         raise ConvergenceError(
             f"shooting did not converge in {SHOOTING_MAX_ITER} iterations "
-            f"(last |det|={abs(fs[-1]):.3e})"
+            f"(last |det|={abs(fs[-1]):.3e}, "
+            f"last step |dE|/max(1,|E|)={step:.3e}, tol={SHOOTING_TOL:g})"
         )
     e1, f1 = zs[-1], fs[-1]
 
     # assemble the matched global spinor at the converged energy
-    left, right = segments(e1)
+    left, right = (_trajectory(steps, substeps, y_wall)
+                   for steps in step_matrices(e1))
+    right = right[::-1]
     ul, ur = left[-1], right[0]
     c = int(np.argmax(np.abs(ur)))
     if ur[c] == 0.0:

@@ -89,3 +89,47 @@ def reference_balance_terms(result, k: int, k_prime: int,
         a_anti = row[a] @ col[b] - row[b] @ col[a]
         term_boundary += sign * (0.5j * p_sym + 0.5 * wilson * a_anti)
     return complex(term_energy), complex(term_boundary), complex(term_potential)
+
+
+def reference_rhs(y: np.ndarray, energy: complex, row) -> np.ndarray:
+    """The shooting system phi' = F(x) phi at one stage abscissa.
+
+    row holds (v_t, v_sp, M+V_s+iV_p, M+V_s-iV_p) there, as one stage of
+    the solver's coefficient table.
+    """
+    vt, vsp, c_plus, c_minus = row
+    dp = 1.0j * (energy - vt - vsp) * y[0] - 1.0j * c_plus * y[1]
+    dm = -1.0j * (energy - vt + vsp) * y[1] + 1.0j * c_minus * y[0]
+    return np.array([dp, dm])
+
+
+def reference_rk4_substep(y: np.ndarray, energy: complex, dx: float,
+                          stages) -> np.ndarray:
+    """One classical RK4 substep on vectors; stages = (start, middle, end) rows."""
+    start, middle, end = stages
+    k1 = reference_rhs(y, energy, start)
+    k2 = reference_rhs(y + 0.5 * dx * k1, energy, middle)
+    k3 = reference_rhs(y + 0.5 * dx * k2, energy, middle)
+    k4 = reference_rhs(y + dx * k3, energy, end)
+    return y + (dx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_rk4_segment(xs: np.ndarray, y0: np.ndarray, energy: complex,
+                          table: np.ndarray) -> np.ndarray:
+    """The state at every node of xs, one RK4 substep at a time.
+
+    The per-substep vector loop the step-matrix shooter replaced, kept apart
+    from it so the two can be checked against each other.  table is the
+    solver's coefficient table for xs; there is no overflow rescaling, so
+    use it only where the amplitudes stay finite.
+    """
+    substeps = table.shape[1]
+    out = np.empty((len(xs), 2), dtype=complex)
+    y = np.asarray(y0, dtype=complex)
+    out[0] = y
+    for i in range(len(xs) - 1):
+        dx = (xs[i + 1] - xs[i]) / substeps
+        for stages in table[i].tolist():
+            y = reference_rk4_substep(y, energy, dx, stages)
+        out[i + 1] = y
+    return out

@@ -9,9 +9,12 @@ from dirac1d import (ConvergenceError, GridError, GridFunction,
                      assemble_hamiltonian, build_grid, classify_reality,
                      pt_vector_potential, sample_mass, shooting_solve,
                      solve_spectrum)
-from dirac1d.solver import _coefficient_table
+from dirac1d import solver
+from dirac1d.solver import (_coefficient_table, _ordered_product,
+                            _step_matrices, _trajectory)
 
-from helpers import dispersion_multiset
+from helpers import (dispersion_multiset, reference_rk4_segment,
+                     reference_rk4_substep)
 
 
 def free_operator(n, m=1.0, wilson_r=1.0):
@@ -193,18 +196,29 @@ def test_shooting_energy_converges_at_fourth_order():
     assert abs(ratio - 17.0) <= 2.0
 
 
-def test_coefficient_table_matches_stagewise_spline_calls():
-    # reference: the spline called at one stage abscissa at a time, with the
-    # RK4 stage expressions; the vectorised table must agree bit for bit
-    # only the exactly constant v_sp may skip the spline; the second mass
-    # varies by less than np.allclose resolves and must still be splined
+def four_channel_parts():
+    """All four channels on [-3, 3], n=41, complex v_t and constant v_sp.
+
+    Two masses: a double well, and one that varies by less than np.allclose
+    resolves (so it must still be splined, not taken as constant).
+    """
     g = build_grid(-3.0, 3.0, 41)
     x = g.nodes
     pot = LorentzPotential.from_channels(
         g, v_t=GridFunction(g, 0.3j * x), v_sp=GridFunction.constant(g, 0.05),
         v_s=GridFunction(g, 0.2 * x * x), v_p=GridFunction(g, 0.1 * np.tanh(x)))
-    for mass in (sample_mass(MassProfile("double_well", m0=1.0, lam=0.3, a=1.0), g),
-                 GridFunction(g, 100.0 * (1.0 + 1e-7 * x * x))):
+    masses = (sample_mass(MassProfile("double_well", m0=1.0, lam=0.3, a=1.0), g),
+              GridFunction(g, 100.0 * (1.0 + 1e-7 * x * x)))
+    return g, pot, masses
+
+
+def test_coefficient_table_matches_stagewise_spline_calls():
+    # reference: the spline called at one stage abscissa at a time, with the
+    # RK4 stage expressions; the vectorised table must agree bit for bit
+    # only the exactly constant v_sp may skip the spline
+    g, pot, masses = four_channel_parts()
+    x = g.nodes
+    for mass in masses:
         splines = [CubicSpline(x, f.values) for f in (mass, pot.v_t, pot.v_s, pot.v_p)]
         for xs in (x[:21], x[20:][::-1]):
             for substeps in (1, 3):
@@ -219,6 +233,70 @@ def test_coefficient_table_matches_stagewise_spline_calls():
                             expected = [vt, 0.05, m + vs + 1.0j * vp,
                                         m + vs - 1.0j * vp]
                             assert table[i, s, k].tolist() == expected
+
+
+def test_step_matrices_match_reference_rk4():
+    # P y must be one RK4 substep of the vector loop, and the ordered
+    # product and the sequential pass must reproduce the loop's segment
+    g, pot, masses = four_channel_parts()
+    rng = np.random.default_rng(7)
+    y_wall = np.array([0.0, 1.0], dtype=complex)
+    for mass in masses:
+        for xs in (g.nodes[:21], g.nodes[20:][::-1]):
+            for substeps in (1, 3):
+                table = _coefficient_table(xs, pot, mass, substeps)
+                dx = np.diff(xs)[:, None] / substeps
+                for energy in (1.3, 1.1 - 0.4j):
+                    steps = _step_matrices(energy, table, dx)
+                    assert steps.shape == (2, 2, (len(xs) - 1) * substeps)
+                    for i in range(len(xs) - 1):
+                        for s in range(substeps):
+                            y = rng.normal(size=2) + 1.0j * rng.normal(size=2)
+                            expected = reference_rk4_substep(
+                                y, energy, dx[i, 0], table[i, s].tolist())
+                            got = steps[:, :, i * substeps + s] @ y
+                            assert (np.linalg.norm(got - expected)
+                                    <= 1e-14 * np.linalg.norm(expected))
+
+                    reference = reference_rk4_segment(xs, y_wall, energy, table)
+                    path = _trajectory(steps, substeps, y_wall)
+                    scale = np.linalg.norm(reference, axis=1)
+                    assert np.all(np.linalg.norm(path - reference, axis=1)
+                                  <= 1e-12 * scale)
+                    # the tree product is known only up to a positive factor
+                    end = _ordered_product(steps)[:, 1]
+                    end = end / np.linalg.norm(end)
+                    assert (np.linalg.norm(end - reference[-1] / scale[-1])
+                            <= 1e-12)
+
+
+def test_shooting_rescales_a_solution_that_would_overflow():
+    # alpha = 1 on [-14, 14]: the unscaled amplitude grows to about e^928
+    # from each wall, far past the double range, so an unscaled product
+    # gives an inf/nan determinant.  Reference energy from the vector RK4
+    # loop with its 1e150 rescale.
+    profile = MassProfile("quadratic_even", m0=1.0, alpha=1.0)
+    g = build_grid(-14.0, 14.0, 1200)
+    pot = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
+    out = shooting_solve(g, pot, sample_mass(profile, g), energy_guess=1.6)
+    assert abs(out.energy - 1.6364065780519570) <= 1e-10
+    assert out.match_mismatch <= 1e-10
+    amplitude = np.hypot(np.abs(out.spinor.plus_component),
+                         np.abs(out.spinor.minus_component))
+    assert np.all(np.isfinite(amplitude))
+    # the trial solution starts at amplitude 1 on the wall; next to it the
+    # spinor is now far below that, so the pass went through the rescale
+    assert amplitude[1] <= 1e-200 * amplitude.max()
+
+
+def test_shooting_non_convergence_reports_attainable_accuracy(monkeypatch):
+    g, pot, mass = box_parts()
+    monkeypatch.setattr(solver, "SHOOTING_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError,
+                       match=r"did not converge in 2 iterations \(last "
+                             r"\|det\|=\S+, last step \|dE\|/max\(1,\|E\|\)="
+                             r"\d\.\d{3}e[+-]\d+, tol=1e-12\)"):
+        shooting_solve(g, pot, mass, energy_guess=1.05 + 0.02j)
 
 
 def test_shooting_input_validation():
