@@ -14,8 +14,8 @@ from .hamiltonian import (DiracOperator, assemble_hamiltonian,
                           reduced_residual_norm)
 from .lorentz import (GAMMA0, GAMMA1, GAMMA5, LorentzPotential, MassProfile,
                       PTSymmetryReport, check_pt_symmetry,
-                      gamma0_hermiticity_residual, pt_vector_potential,
-                      potential_matrices, sample_mass)
+                      gamma0_hermiticity_residual, local_blocks,
+                      pt_vector_potential, sample_mass)
 from .report import RunReport, execute, write_outputs
 from .solver import (ShootingResult, SpectrumResult, Spinor, classify_reality,
                      shooting_solve, solve_spectrum)
@@ -32,8 +32,8 @@ __all__ = [
     "check_pt_symmetry", "classify_reality", "config_from_raw",
     "continuity_residual", "current_density", "differentiate", "execute",
     "gamma0_hermiticity_residual", "gram_matrix", "hermiticity_of_operator",
-    "integrate", "normalize", "normalize_result", "orthogonality_balance",
-    "parse_config", "pt_vector_potential", "potential_matrices",
+    "integrate", "local_blocks", "normalize", "normalize_result",
+    "orthogonality_balance", "parse_config", "pt_vector_potential",
     "reduced_equations_rhs", "reduced_residual_norm", "sample_mass",
     "shooting_solve", "solve_spectrum", "write_outputs",
 ]

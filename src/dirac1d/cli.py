@@ -18,8 +18,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import config as config_mod
-from .config import RunConfig, config_from_raw, parse_config
+from .config import RunConfig, parse_config
 from .errors import ConfigError, Dirac1DError
 from .report import RunReport, _write_csv, execute, f17, write_outputs
 
@@ -37,9 +36,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("config", help="path to the INI run configuration")
     sub.add_argument("--out", default=None,
                      help="output directory (default: <config stem>_out)")
-    sub.add_argument("--tol", type=float, default=None,
+    sub.add_argument("--tol", default=None,
                      help="override solver.tol from the config")
-    sub.add_argument("--format", choices=("csv", "json", "both"), default=None,
+    sub.add_argument("--format", default=None, metavar="{csv,json,both}",
                      help="override output.formats from the config")
     sub.add_argument("--strict-pt", action="store_true",
                      help="fail (exit 2) when a channel declared "
@@ -78,8 +77,11 @@ def _out_dir(args, cfg: RunConfig) -> Path:
     return Path.cwd() / f"{stem}_out"
 
 
-def _formats(args, cfg: RunConfig) -> str:
-    return args.format if args.format else cfg["output"]["formats"]
+def _config(args) -> RunConfig:
+    """The config file with the --tol and --format flags applied as keys."""
+    flags = {"solver.tol": args.tol, "output.formats": args.format}
+    return parse_config(args.config).replace(
+        {key: value for key, value in flags.items() if value is not None})
 
 
 def _print_report(report: RunReport, written) -> None:
@@ -97,10 +99,9 @@ def _print_report(report: RunReport, written) -> None:
 
 
 def _run_single(args, mode: str) -> int:
-    cfg = parse_config(args.config)
-    report = execute(cfg, mode, strict_pt=args.strict_pt,
-                     tol_override=args.tol)
-    written = write_outputs(report, _out_dir(args, cfg), _formats(args, cfg))
+    cfg = _config(args)
+    report = execute(cfg, mode, strict_pt=args.strict_pt)
+    written = write_outputs(report, _out_dir(args, cfg), cfg["output"]["formats"])
     _print_report(report, written)
     if not report.passed:
         failed = ", ".join(c.name for c in report.checks if not c.passed)
@@ -115,29 +116,26 @@ def _sweep_value_token(value: str) -> str:
 
 
 def _run_sweep(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = _config(args)
     try:
         section, key = args.param.split(".")
     except ValueError:
         raise ConfigError(
             f"--param must look like section.key, got {args.param!r}") from None
-    if section not in config_mod._SCHEMA or key not in config_mod._SCHEMA[section]:
+    if key not in cfg.raw.get(section, {}):
         raise ConfigError(f"--param {args.param!r} is not a known config key")
 
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     out_root = _out_dir(args, cfg)
-    formats = _formats(args, cfg)
+    formats = cfg["output"]["formats"]
 
     summary_rows = []
     any_failed = False
     for idx, value in enumerate(values):
-        raw = {sec: dict(keys) for sec, keys in cfg.raw.items()}
-        raw[section][key] = value
         # a failing run is recorded in the summary and the sweep moves on
         try:
-            sub_cfg = config_from_raw(raw, path=cfg.path)
-            report = execute(sub_cfg, "diagnose", strict_pt=args.strict_pt,
-                             tol_override=args.tol)
+            report = execute(cfg.replace({args.param: value}), "diagnose",
+                             strict_pt=args.strict_pt)
         except Dirac1DError as exc:
             summary_rows.append([value, False, float("nan"), 0,
                                  float("nan"), str(exc)])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import difflib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -72,15 +73,19 @@ def _suggest(name: str, candidates: list[str]) -> str:
 
 def _parse_value(section: str, key: str, kind: str, raw: str):
     where = f"{section}.{key}"
+    if kind == "float_or_auto" and raw.strip() == "auto":
+        return "auto"
     try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
+        if kind in ("float", "float_or_auto"):
+            value = float(raw)
+        elif kind == "int":
             return int(raw)
-        if kind == "float_or_auto":
-            return "auto" if raw.strip() == "auto" else float(raw)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind}") from None
+    if kind in ("float", "float_or_auto"):
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: {raw!r} is not a finite number")
+        return value
     if kind.startswith("choice:"):
         allowed = kind.split(":", 1)[1].split("|")
         if raw not in allowed:
@@ -132,16 +137,17 @@ class RunConfig:
     def __getitem__(self, section: str) -> dict:
         return self.values[section]
 
-    def as_dict(self) -> dict:
-        """Effective configuration (defaults included) for report echoing."""
-        out = {}
-        for sec, keys in self.values.items():
-            out[sec] = {}
-            for k, v in keys.items():
-                if isinstance(v, tuple):
-                    v = list(list(p) if isinstance(p, tuple) else p for p in v)
-                out[sec][k] = v
-        return out
+    def replace(self, overrides: dict[str, str]) -> "RunConfig":
+        """This configuration with {"section.key": raw value} entries replaced.
+
+        The result is validated from scratch like a config file, so an
+        override is checked exactly like the key it sets.
+        """
+        raw = {sec: dict(keys) for sec, keys in self.raw.items()}
+        for name, value in overrides.items():
+            section, _, key = name.partition(".")
+            raw.setdefault(section, {})[key] = value
+        return config_from_raw(raw, path=self.path)
 
     def build_grid(self) -> Grid1D:
         g = self.values["grid"]

@@ -69,22 +69,16 @@ class CurrentDensity:
 
 
 def current_density(phi: Spinor) -> CurrentDensity:
-    """j^mu = phibar gamma^mu phi; both components are real by construction.
+    """j^mu = phibar gamma^mu phi, real by construction.
 
-    In the representation j0 = |phi_plus|^2 + |phi_minus|^2 and
+    In the fixed representation j0 = |phi_plus|^2 + |phi_minus|^2 and
     j1 = |phi_plus|^2 - |phi_minus|^2.
     """
-    j0 = _bilinear(phi, phi, GAMMA0)
-    j1 = _bilinear(phi, phi, GAMMA1)
-    scale = max(1.0, float(np.max(np.abs(j0))))
-    worst = max(float(np.max(np.abs(j0.imag))), float(np.max(np.abs(j1.imag))))
-    if worst > 1e-10 * scale:
-        raise GridError(
-            f"current density has a non-vanishing imaginary part ({worst:.3e}); "
-            "gamma matrices violate the required Hermiticity structure"
-        )
-    return CurrentDensity(j0=GridFunction(phi.grid, j0.real),
-                          j1=GridFunction(phi.grid, j1.real))
+    p, m = phi.plus_component, phi.minus_component
+    plus = p.real ** 2 + p.imag ** 2
+    minus = m.real ** 2 + m.imag ** 2
+    return CurrentDensity(j0=GridFunction(phi.grid, plus + minus),
+                          j1=GridFunction(phi.grid, plus - minus))
 
 
 def normalize(phi: Spinor) -> Spinor:

@@ -8,8 +8,9 @@ H phi = E phi for spinor phi = (phi_plus, phi_minus) reads
     E phi_minus = +i phi_minus' + (V_t - V_sp) phi_minus
                   + (M + V_s - i V_p) phi_plus
 
-i.e. H = -i sigma_z d/dx + (M + V_s) sigma_x - V_p sigma_y
-         + V_sp sigma_z + V_t.
+i.e. H = -i sigma_z d/dx + h(x), with h = gamma0 (M + V) the per-node
+2x2 block of lorentz.local_blocks; the assembled matrix carries those
+blocks on four diagonals.
 
 The first derivative is the central difference.  The optional Wilson term
 adds -(wilson_r*h/2) * (second central difference) inside the sigma_x (mass)
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import GridError
 from .grid import Grid1D, GridFunction
-from .lorentz import GAMMA0, GAMMA5, LorentzPotential
+from .lorentz import GAMMA0, GAMMA5, LorentzPotential, local_blocks
 
 OPERATOR_SCHEMES = ("central", "central_wilson")
 
@@ -86,7 +87,11 @@ class DiracOperator:
 def assemble_hamiltonian(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
                          scheme: str = "central_wilson", wilson_r: float = 1.0
                          ) -> DiracOperator:
-    """Build the 2K x 2K matrix (K = active nodes) for the given couplings."""
+    """Build the 2K x 2K matrix (K = active nodes) for the given couplings.
+
+    kron(sigma_z, -i D) + kron(sigma_x, Wilson term) plus the local blocks of
+    the active nodes, in the block-by-component layout.
+    """
     r = wilson_weight(scheme, wilson_r)
     if wilson_r < 0.0:
         raise GridError(f"wilson_r must be non-negative, got {wilson_r}")
@@ -94,20 +99,15 @@ def assemble_hamiltonian(grid: Grid1D, pot: LorentzPotential, mass: GridFunction
         raise GridError("mass and potential must live on the operator grid")
 
     d, t = _difference_matrices(grid)
-    if grid.boundary == "dirichlet":
-        act = slice(1, grid.n_points - 1)
-    else:
-        act = slice(None)
-
-    coupling = np.diag(mass.values[act] + pot.v_s.values[act]).astype(complex)
-    if r != 0.0:
-        coupling = coupling - (r / (2.0 * grid.h)) * t
-
+    act = slice(1, -1) if grid.boundary == "dirichlet" else slice(None)
+    blocks = local_blocks(pot, mass)[act]
     h_mat = (np.kron(GAMMA5, -1.0j * d)
-             + np.kron(GAMMA0, coupling)
-             + np.kron(np.eye(2), np.diag(pot.v_t.values[act]))
-             + np.kron(GAMMA5, np.diag(pot.v_sp.values[act]))
-             + np.kron(-1.0j * GAMMA0 @ GAMMA5, np.diag(pot.v_p.values[act])))
+             + np.kron(GAMMA0, -(r / (2.0 * grid.h)) * t))
+    # node j's block acts on rows and columns (plus, j) and (minus, j); added
+    # in place, which keeps no dense block-diagonal matrix alive
+    k = len(blocks)
+    node = np.arange(k)
+    h_mat.reshape(2, k, 2, k)[:, node, :, node] += blocks
     return DiracOperator(grid=grid, matrix=h_mat, scheme=scheme,
                          wilson_r=float(wilson_r), mass=mass, potential=pot)
 

@@ -7,6 +7,8 @@ Conventions (1+1 dimensions, metric diag(+,-)):
 * a general static potential has four channels,
       V = gamma0 V_t + gamma1 V_sp + V_s - i gamma5 V_p,
   i.e. time-component vector, space-component vector, scalar, pseudoscalar,
+* the mass and the potential enter every operator and diagnostic through
+  one per-node 2x2 block, h = gamma0 (M + V) (local_blocks),
 * the mass-induced vector potential A(x) = (i/2) M'(x)/M(x) is purely
   imaginary for a real mass and PT-symmetric, A(-x) = conj(A(x)), whenever
   M is even.
@@ -194,24 +196,32 @@ class LorentzPotential:
 
         Vanishes exactly for Hermitian potentials in the gamma0 metric (all
         four channels real); feeding it through the phibar(.)phi bilinear
-        yields the non-conservation density.
+        yields the non-conservation density.  With b = gamma0 V the
+        potential's local block, it is gamma0 (b - b^dag).
         """
-        v = potential_matrices(self)
-        vdag = np.conj(np.swapaxes(v, 1, 2))
-        anti = v - np.einsum("ab,nbc,cd->nad", GAMMA0, vdag, GAMMA0)
+        b = local_blocks(self)
+        anti = GAMMA0 @ (b - np.conj(np.swapaxes(b, 1, 2)))
         anti.flags.writeable = False
         return anti
 
 
-def potential_matrices(pot: LorentzPotential) -> np.ndarray:
-    """Stack of per-node 2x2 matrices V(x_j), shape (n, 2, 2)."""
-    eye = np.eye(2, dtype=complex)
-    vt = pot.v_t.values[:, None, None]
-    vsp = pot.v_sp.values[:, None, None]
-    vs = pot.v_s.values[:, None, None]
-    vp = pot.v_p.values[:, None, None]
-    return (GAMMA0[None] * vt + GAMMA1[None] * vsp
-            + eye[None] * vs - 1.0j * GAMMA5[None] * vp)
+def local_blocks(pot: LorentzPotential,
+                 mass: Optional[GridFunction] = None) -> np.ndarray:
+    """The per-node 2x2 block h = gamma0 (M + V), shape (n, 2, 2).
+
+    h = [[V_t + V_sp, M + V_s + i V_p], [M + V_s - i V_p, V_t - V_sp]], the
+    non-derivative part of the Hamiltonian at each node.  Without a mass it
+    is gamma0 V, the potential's part alone.  The assembled operator, the
+    shooter's coefficients and the anti-Hermitian part are all built from it.
+    """
+    c = pot.v_s.values if mass is None else mass.values + pot.v_s.values
+    i_p = 1.0j * pot.v_p.values
+    h = np.empty((pot.grid.n_points, 2, 2), dtype=complex)
+    h[:, 0, 0] = pot.v_t.values + pot.v_sp.values
+    h[:, 0, 1] = c + i_p
+    h[:, 1, 0] = c - i_p
+    h[:, 1, 1] = pot.v_t.values - pot.v_sp.values
+    return h
 
 
 def gamma0_hermiticity_residual(pot: LorentzPotential) -> float:

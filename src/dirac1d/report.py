@@ -79,12 +79,11 @@ def _balance_row(rep: BalanceReport) -> dict:
     }
 
 
-def execute(cfg: RunConfig, mode: str, strict_pt: bool = False,
-            tol_override: Optional[float] = None) -> RunReport:
+def execute(cfg: RunConfig, mode: str, strict_pt: bool = False) -> RunReport:
     """Run one pipeline over a validated configuration."""
     if mode not in MODES:
         raise Dirac1DError(f"unknown mode {mode!r}")
-    report = RunReport(mode=mode, config=cfg.as_dict())
+    report = RunReport(mode=mode, config=cfg.values)
 
     grid = cfg.build_grid()
     profile = cfg.build_mass_profile()
@@ -92,7 +91,7 @@ def execute(cfg: RunConfig, mode: str, strict_pt: bool = False,
     potential = cfg.build_potential(grid, profile)
     scheme = cfg["solver"]["scheme"]
     wilson_r = cfg["solver"]["wilson_r"]
-    tol = tol_override if tol_override is not None else cfg["solver"]["tol"]
+    tol = cfg["solver"]["tol"]
     pt_tol = cfg["diagnostics"]["pt_tol"]
 
     report.grid_info = {

@@ -5,7 +5,8 @@ general eigensolver and wraps the output in checked, deterministically
 ordered form.  The shooting path integrates the coupled first-order system
 from both walls with classical RK4 and drives the 2x2 matching determinant
 at the midpoint to zero, which gives continuum (not lattice) eigenvalues.
-The system is linear in the state, so each RK4 substep is a 2x2 matrix:
+The system is linear in the state, phi' = i sigma_z (E - h(x)) phi with h
+the local block of lorentz.local_blocks, so each RK4 substep is a 2x2 matrix:
 a trial energy builds all of them in batched array expressions and the
 midpoint states are their ordered products, formed as a pairwise tree.
 """
@@ -21,7 +22,7 @@ from scipy.interpolate import CubicSpline
 from .errors import ConvergenceError, GridError
 from .grid import Grid1D, GridFunction
 from .hamiltonian import DiracOperator
-from .lorentz import LorentzPotential
+from .lorentz import LorentzPotential, local_blocks
 
 REALITY_TAGS = ("real", "complex_pair_member", "complex_unpaired")
 
@@ -166,56 +167,41 @@ class ShootingResult:
 
 def _coefficient_table(xs: np.ndarray, pot: LorentzPotential, mass: GridFunction,
                        substeps: int) -> np.ndarray:
-    """(v_t, v_sp, M+V_s+iV_p, M+V_s-iV_p) at every RK4 stage along xs.
+    """The local block h = gamma0 (M + V) at every RK4 stage along xs.
 
-    Shape (len(xs) - 1, substeps, 3, 4): for each node interval and substep,
-    the rows at its start, middle and end.  Off-node values are cubic splines
-    of the sampled channels (their O(h^4) error matches the integrator
-    order); a constant channel is used as it is.  Nothing here depends on
-    the trial energy, so one table serves the whole root search:
+    Shape (len(xs) - 1, substeps, 3, 2, 2): for each node interval and
+    substep, h at its start, middle and end.  Off-node values come from one
+    cubic spline of lorentz.local_blocks (its O(h^4) error matches the
+    integrator order; a constant entry comes out exactly).  Nothing here
+    depends on the trial energy, so one table serves the whole root search:
     _step_matrices turns it into the substep matrices of each trial energy.
     """
     x = xs[:-1, None]
     dx = (xs[1:, None] - x) / substeps
     xa = x + np.arange(substeps) * dx
     stages = np.stack([xa, xa + 0.5 * dx, xa + dx], axis=-1)
-
-    def at_stages(values: np.ndarray) -> np.ndarray:
-        if np.all(values == values[0]):
-            return np.full(stages.shape, complex(values[0]))
-        return CubicSpline(mass.grid.nodes, values)(stages).astype(complex)
-
-    # filled in place: stacking five channel arrays and their sums kept
-    # about twice the table alive at once and raised the solve's peak RSS
-    table = np.empty(stages.shape + (4,), dtype=complex)
-    table[..., 0] = at_stages(pot.v_t.values)
-    table[..., 1] = at_stages(pot.v_sp.values)
-    m_s = at_stages(mass.values) + at_stages(pot.v_s.values)
-    i_p = 1.0j * at_stages(pot.v_p.values)
-    table[..., 2] = m_s + i_p
-    table[..., 3] = m_s - i_p
-    return table
+    return CubicSpline(mass.grid.nodes, local_blocks(pot, mass))(stages)
 
 
 def _step_matrices(energy: complex, table: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """The RK4 substeps of one segment as matrices: phi <- P phi, in order.
 
-    The system phi' = F(x) phi is linear, with
-    F = [[i(E - v_t - v_sp), -i(M+V_s+iV_p)], [i(M+V_s-iV_p), -i(E - v_t + v_sp)]],
-    so one classical RK4 substep is exactly
+    The system phi' = F(x) phi is linear, with F = i sigma_z (E - h) for the
+    local block h, so one classical RK4 substep is exactly
     P = I + dx/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = F_start,
     K2 = F_mid (I + dx/2 K1), K3 = F_mid (I + dx/2 K2), K4 = F_end (I + dx K3).
     table is _coefficient_table(xs, ...) and dx the (len(xs) - 1, 1) substep
     widths.  Returns a (2, 2, (len(xs) - 1) * substeps) stack, substep j of
     interval i at i * substeps + j.
     """
-    coeff = np.moveaxis(table, (2, 3), (0, 1))  # (stage, channel, N, substeps)
-    vt, vsp, c_plus, c_minus = coeff[:, 0], coeff[:, 1], coeff[:, 2], coeff[:, 3]
-    f = np.empty((2, 2) + vt.shape, dtype=complex)
-    f[0, 0] = 1.0j * (energy - vt - vsp)
-    f[0, 1] = -1.0j * c_plus
-    f[1, 0] = 1.0j * c_minus
-    f[1, 1] = -1.0j * (energy - vt + vsp)
+    h = table.transpose(3, 4, 2, 0, 1)  # (row, col, stage, N, substeps) view
+    # a fresh C-contiguous, stage-major array, not empty_like(h): the
+    # products below run slower on the view's strided layout
+    f = np.empty(h.shape, dtype=complex)
+    f[0, 0] = 1.0j * (energy - h[0, 0])
+    f[0, 1] = -1.0j * h[0, 1]
+    f[1, 0] = 1.0j * h[1, 0]
+    f[1, 1] = -1.0j * (energy - h[1, 1])
     start, middle, end = f[:, :, 0], f[:, :, 1], f[:, :, 2]
     eye = np.eye(2)[:, :, None, None]
     k2 = _mul(middle, eye + (0.5 * dx) * start)
@@ -316,9 +302,9 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     _converged), failing after SHOOTING_MAX_ITER steps with the last |det|
     and the last relative step, i.e. the accuracy the search did reach.
 
-    Off-node coefficients are cubic splines of the sampled channels,
-    tabulated once per solve at every RK4 stage (see _coefficient_table);
-    their error is O(h^4), the order of the integrator.  Each trial energy
+    Off-node coefficients are a cubic spline of the sampled local blocks
+    (lorentz.local_blocks), tabulated once per solve at every RK4 stage (see
+    _coefficient_table); their error is O(h^4), the order of the integrator.  Each trial energy
     forms the RK4 substep matrices of both segments (_step_matrices) and
     only their ordered products (_ordered_product), which give the two
     midpoint states up to scale.  The spinor at the converged energy comes

@@ -91,21 +91,22 @@ def reference_balance_terms(result, k: int, k_prime: int,
     return complex(term_energy), complex(term_boundary), complex(term_potential)
 
 
-def reference_rhs(y: np.ndarray, energy: complex, row) -> np.ndarray:
+def reference_rhs(y: np.ndarray, energy: complex, block) -> np.ndarray:
     """The shooting system phi' = F(x) phi at one stage abscissa.
 
-    row holds (v_t, v_sp, M+V_s+iV_p, M+V_s-iV_p) there, as one stage of
-    the solver's coefficient table.
+    block is the local 2x2 block there,
+    [[V_t+V_sp, M+V_s+iV_p], [M+V_s-iV_p, V_t-V_sp]], as one stage of the
+    solver's coefficient table; the two equations are written out by hand.
     """
-    vt, vsp, c_plus, c_minus = row
-    dp = 1.0j * (energy - vt - vsp) * y[0] - 1.0j * c_plus * y[1]
-    dm = -1.0j * (energy - vt + vsp) * y[1] + 1.0j * c_minus * y[0]
+    (h_pp, h_pm), (h_mp, h_mm) = block
+    dp = 1.0j * (energy - h_pp) * y[0] - 1.0j * h_pm * y[1]
+    dm = -1.0j * (energy - h_mm) * y[1] + 1.0j * h_mp * y[0]
     return np.array([dp, dm])
 
 
 def reference_rk4_substep(y: np.ndarray, energy: complex, dx: float,
                           stages) -> np.ndarray:
-    """One classical RK4 substep on vectors; stages = (start, middle, end) rows."""
+    """One classical RK4 substep on vectors; stages = (start, middle, end) blocks."""
     start, middle, end = stages
     k1 = reference_rhs(y, energy, start)
     k2 = reference_rhs(y + 0.5 * dx * k1, energy, middle)

@@ -281,3 +281,22 @@ def test_tol_override_can_force_convergence_failure(tmp_path, capsys):
     code = main(["spectrum", str(ini), "--out", str(out), "--tol", "1e-18"])
     assert code == 2
     assert "solver_convergence" in capsys.readouterr().err
+
+
+def test_flags_are_validated_and_echoed_like_config_keys(tmp_path, capsys):
+    ini = write_ini(tmp_path, FREE_INI)
+    for tol in ("-1", "0", "nan"):
+        assert main(["spectrum", str(ini), "--tol", tol]) == 1
+        assert "solver.tol" in capsys.readouterr().err
+    assert main(["spectrum", str(write_ini(tmp_path, FREE_INI + "tol = nan\n",
+                                           name="nan.ini"))]) == 1
+    assert "solver.tol" in capsys.readouterr().err
+    assert main(["spectrum", str(ini), "--format", "xml"]) == 1
+    assert "output.formats" in capsys.readouterr().err
+
+    out = tmp_path / "out"
+    assert main(["spectrum", str(ini), "--out", str(out), "--tol", "1e-6",
+                 "--format", "json"]) == 0
+    echo = json.loads((out / "report.json").read_text())["config"]
+    assert echo["solver"]["tol"] == 1e-6
+    assert echo["output"]["formats"] == "json"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dirac1d import ConfigError, Dirac1DError, parse_config
+from dirac1d import (ConfigError, Dirac1DError, execute, parse_config,
+                     write_outputs)
 
 MINIMAL = """\
 [grid]
@@ -189,11 +190,35 @@ def test_missing_file():
         parse_config("/nonexistent/run.ini")
 
 
-def test_as_dict_is_json_friendly(tmp_path):
+def test_report_json_echoes_effective_config(tmp_path):
     import json
     text = MINIMAL + "\n[diagnostics]\nbalance_pairs = 1:0\nwindow = -1.0:1.0\n"
     cfg = parse_config(write(tmp_path, text))
-    echo = cfg.as_dict()
-    json.dumps(echo)  # must not raise
+    write_outputs(execute(cfg, "check-pt"), tmp_path / "out", "json")
+    echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
     assert echo["grid"]["n_points"] == 64
     assert echo["diagnostics"]["balance_pairs"] == [[1, 0]]
+    assert echo["diagnostics"]["window"] == [-1.0, 1.0]
+    assert echo["solver"]["tol"] == 1e-9  # defaults are echoed too
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", [
+    ("solver", "tol"), ("solver", "wilson_r"), ("diagnostics", "pt_tol"),
+    ("diagnostics", "identity_tol"), ("grid", "x_max"),
+])
+def test_non_finite_float_rejected_at_parse_time(tmp_path, section, key, value):
+    cfg = parse_config(write(tmp_path, MINIMAL))
+    with pytest.raises(ConfigError, match=rf"{section}\.{key}: .* not a finite"):
+        cfg.replace({f"{section}.{key}": value})
+
+
+def test_replace_revalidates_like_a_config_file(tmp_path):
+    cfg = parse_config(write(tmp_path, MINIMAL))
+    new = cfg.replace({"solver.tol": "1e-6", "output.formats": "json"})
+    assert new["solver"]["tol"] == 1e-6 and new["output"]["formats"] == "json"
+    assert cfg["solver"]["tol"] == 1e-9  # the original is left as it was
+    with pytest.raises(ConfigError, match="solver.tol must be positive"):
+        cfg.replace({"solver.tol": "0"})
+    with pytest.raises(ConfigError, match="unknown key 'tols'"):
+        cfg.replace({"solver.tols": "1e-6"})

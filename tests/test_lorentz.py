@@ -6,7 +6,7 @@ import pytest
 from dirac1d import (GAMMA0, GAMMA1, GAMMA5, GridError, GridFunction,
                      LorentzPotential, MassError, MassProfile, build_grid,
                      check_pt_symmetry, gamma0_hermiticity_residual,
-                     potential_matrices, pt_vector_potential, sample_mass)
+                     local_blocks, pt_vector_potential, sample_mass)
 
 
 # ---------------------------------------------------------------- mass
@@ -134,27 +134,55 @@ def test_potential_matrix_structure():
     a = GridFunction.constant(g, 0.7j)
     w = GridFunction.constant(g, 0.3)
     pot_t = LorentzPotential.from_channels(g, v_t=a)
-    m = potential_matrices(pot_t)[4]
-    assert np.allclose(m, [[0.0, 0.7j], [0.7j, 0.0]])
+    m = local_blocks(pot_t)[4]
+    assert np.allclose(m, [[0.7j, 0.0], [0.0, 0.7j]])
     pot_p = LorentzPotential.from_channels(g, v_p=w)
-    m = potential_matrices(pot_p)[0]
-    assert np.allclose(m, [[-0.3j, 0.0], [0.0, 0.3j]])
-    assert np.all(potential_matrices(LorentzPotential.zero(g)) == 0.0)
+    m = local_blocks(pot_p)[0]
+    assert np.allclose(m, [[0.0, 0.3j], [-0.3j, 0.0]])
+    assert np.all(local_blocks(LorentzPotential.zero(g)) == 0.0)
+    # the mass sits on the off-diagonal, next to V_s
+    mass = GridFunction.constant(g, 1.5)
+    assert np.allclose(local_blocks(pot_p, mass)[0], [[0.0, 1.5 + 0.3j],
+                                                      [1.5 - 0.3j, 0.0]])
 
 
-def test_potential_matrices_match_channel_decomposition():
-    rng = np.random.default_rng(3)
-    g = build_grid(-1.0, 1.0, 12)
-    chans = {name: GridFunction(g, rng.normal(size=12) + 1j * rng.normal(size=12))
+def random_channels(seed: int, n: int) -> tuple:
+    """A grid on [-1, 1] and four random complex channels on it."""
+    rng = np.random.default_rng(seed)
+    g = build_grid(-1.0, 1.0, n)
+    chans = {name: GridFunction(g, rng.normal(size=n) + 1j * rng.normal(size=n))
              for name in ("v_t", "v_sp", "v_s", "v_p")}
+    return g, chans
+
+
+def gamma_form(chans: dict, j: int) -> np.ndarray:
+    """V = gamma0 V_t + gamma1 V_sp + V_s - i gamma5 V_p at node j."""
+    return (GAMMA0 * chans["v_t"].values[j]
+            + GAMMA1 * chans["v_sp"].values[j]
+            + np.eye(2) * chans["v_s"].values[j]
+            - 1j * GAMMA5 * chans["v_p"].values[j])
+
+
+def test_local_blocks_match_channel_decomposition():
+    g, chans = random_channels(3, 12)
     pot = LorentzPotential.from_channels(g, **chans)
-    stack = potential_matrices(pot)
-    for j in (0, 5, 11):
-        expected = (GAMMA0 * chans["v_t"].values[j]
-                    + GAMMA1 * chans["v_sp"].values[j]
-                    + np.eye(2) * chans["v_s"].values[j]
-                    - 1j * GAMMA5 * chans["v_p"].values[j])
-        assert np.allclose(stack[j], expected, atol=1e-15)
+    mass = GridFunction(g, 1.0 + g.nodes ** 2)
+    for m in (None, mass):
+        stack = local_blocks(pot, m)
+        assert stack.shape == (12, 2, 2)
+        m_values = np.zeros(12) if m is None else m.values
+        for j in (0, 5, 11):
+            expected = GAMMA0 @ (m_values[j] * np.eye(2) + gamma_form(chans, j))
+            assert np.allclose(stack[j], expected, atol=1e-15)
+
+
+def test_anti_hermitian_matches_gamma_form():
+    g, chans = random_channels(5, 12)
+    pot = LorentzPotential.from_channels(g, **chans)
+    for j in range(12):
+        v = gamma_form(chans, j)
+        expected = v - GAMMA0 @ v.conj().T @ GAMMA0
+        assert np.allclose(pot.anti_hermitian[j], expected, atol=1e-15)
 
 
 def test_channels_must_share_grid():

@@ -213,25 +213,27 @@ def four_channel_parts():
 
 
 def test_coefficient_table_matches_stagewise_spline_calls():
-    # reference: the spline called at one stage abscissa at a time, with the
-    # RK4 stage expressions; the vectorised table must agree bit for bit
-    # only the exactly constant v_sp may skip the spline
+    # reference: one spline per hand-built block entry, called at one stage
+    # abscissa at a time with the RK4 stage expressions; the vectorised
+    # table must agree bit for bit
     g, pot, masses = four_channel_parts()
     x = g.nodes
+    vt, vsp, vs, vp = (f.values for f in (pot.v_t, pot.v_sp, pot.v_s, pot.v_p))
     for mass in masses:
-        splines = [CubicSpline(x, f.values) for f in (mass, pot.v_t, pot.v_s, pot.v_p)]
+        c = mass.values + vs
+        entries = [[vt + vsp, c + 1.0j * vp], [c - 1.0j * vp, vt - vsp]]
+        splines = [[CubicSpline(x, e) for e in row] for row in entries]
         for xs in (x[:21], x[20:][::-1]):
             for substeps in (1, 3):
                 table = _coefficient_table(xs, pot, mass, substeps)
-                assert table.shape == (len(xs) - 1, substeps, 3, 4)
+                assert table.shape == (len(xs) - 1, substeps, 3, 2, 2)
                 for i in range(len(xs) - 1):
                     dx = (xs[i + 1] - xs[i]) / substeps
                     for s in range(substeps):
                         xa = xs[i] + s * dx
                         for k, xq in enumerate((xa, xa + 0.5 * dx, xa + dx)):
-                            m, vt, vs, vp = (complex(f(xq)) for f in splines)
-                            expected = [vt, 0.05, m + vs + 1.0j * vp,
-                                        m + vs - 1.0j * vp]
+                            expected = [[complex(f(xq)) for f in row]
+                                        for row in splines]
                             assert table[i, s, k].tolist() == expected
 
 
