@@ -1,14 +1,16 @@
 """Eigenvalue solvers: dense matrix diagonalization and two-sided shooting.
 
-The matrix path hands the (generally non-Hermitian) operator to LAPACK's
-general eigensolver and wraps the output in checked, deterministically
-ordered form.  The shooting path integrates the coupled first-order system
-from both walls with classical RK4 and drives the 2x2 matching determinant
-at the midpoint to zero, which gives continuum (not lattice) eigenvalues.
-The system is linear in the state, phi' = i sigma_z (E - h(x)) phi with h
-the local block of lorentz.local_blocks, so each RK4 substep is a 2x2 matrix:
-a trial energy builds all of them in batched array expressions and the
-midpoint states are their ordered products, formed as a pairwise tree.
+The matrix path hands an exactly Hermitian operator to LAPACK's Hermitian
+eigensolver and any other (e.g. PT-symmetric) operator to the general one,
+and wraps either output in checked form, ordered by one rule that does not
+depend on which routine ran or on rounding.  The shooting path integrates the
+coupled first-order system from both walls with classical RK4 and drives the
+2x2 matching determinant at the midpoint to zero, which gives continuum (not
+lattice) eigenvalues.  The system is linear in the state,
+phi' = i sigma_z (E - h(x)) phi with h the local block of
+lorentz.local_blocks, so each RK4 substep is a 2x2 matrix: a trial energy
+builds all of them in batched array expressions and the midpoint states are
+their ordered products, formed as a pairwise tree.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import ConvergenceError, GridError
 from .grid import Grid1D, GridFunction
-from .hamiltonian import DiracOperator
+from .hamiltonian import DiracOperator, hermiticity_of_operator
 from .lorentz import LorentzPotential, local_blocks
 
 REALITY_TAGS = ("real", "complex_pair_member", "complex_unpaired")
@@ -86,30 +88,64 @@ def _embed(op: DiracOperator, column: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return plus, minus
 
 
+def _is_real(energies: np.ndarray, tol: float) -> np.ndarray:
+    """The reality test: |Im E| <= tol * max(1, |Re E|), elementwise."""
+    return np.abs(energies.imag) <= tol * np.maximum(1.0, np.abs(energies.real))
+
+
+def _canonical_order(energies: np.ndarray, tol: float) -> np.ndarray:
+    """Indices that put energies in the solver's report order.
+
+    Sort by |Re E|; consecutive values whose gap is at most
+    tol * max(1, |Re E|) form one tie class, so +-E partners, whose |Re E|
+    differ only by rounding, share a class.  Inside a class -E comes before
+    +E, then Im E ascends, then Re E.  Ordering by the sign of Re E rather
+    than by its value keeps conjugate partners a +- ib, whose real parts also
+    differ only by rounding, in Im order.
+    """
+    mag = np.abs(energies.real)
+    by_mag = np.argsort(mag, kind="stable")
+    m = mag[by_mag]
+    starts = np.diff(m) > tol * np.maximum(1.0, m[1:])
+    tie_class = np.concatenate(([0], np.cumsum(starts)))
+    e = energies[by_mag]
+    return by_mag[np.lexsort((e.real, e.imag, np.sign(e.real), tie_class))]
+
+
 def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
                    reality_tol: float = 1e-9) -> SpectrumResult:
-    """Diagonalize, order by (|Re E|, Im E, Re E), keep the lowest max_pairs.
+    """Diagonalize, snap real levels, order canonically, keep max_pairs.
 
-    Every returned pair is residual-checked: ||H v - E v||_2 / ||v||_2 must
-    not exceed tol, otherwise the solve is reported as non-converged with the
-    offending residuals listed.  Eigenvectors are returned unnormalized;
-    normalization conventions live in the diagnostics layer.
+    An exactly Hermitian matrix (H == H^dagger entry for entry) goes to
+    LAPACK's Hermitian eigensolver, anything else to the general one: the
+    Hermitian routine reads one triangle only and would drop an
+    anti-Hermitian part of any size.  Levels that pass the reality test of
+    classify_reality get Im E = 0 exactly, then _canonical_order picks the
+    lowest max_pairs.  Every returned pair is residual-checked against
+    LAPACK's own eigenvalue: ||H v - E v||_2 / ||v||_2 must not exceed tol,
+    otherwise the solve is reported as non-converged with the offending
+    residuals listed.  Eigenvectors are returned unnormalized; normalization
+    conventions live in the diagnostics layer.
     """
     if max_pairs < 1:
         raise GridError(f"max_pairs must be positive, got {max_pairs}")
-    w, v = np.linalg.eig(op.matrix)
-    order = np.lexsort((w.real, w.imag, np.abs(w.real)))
-    keep = order[: min(max_pairs, len(order))]
+    h = op.matrix
+    if hermiticity_of_operator(op) == 0.0:
+        w, v = np.linalg.eigh(h)
+    else:
+        w, v = np.linalg.eig(h)
+    energies = w.astype(complex)
+    energies.imag[_is_real(energies, reality_tol)] = 0.0
+    keep = _canonical_order(energies, reality_tol)[:max_pairs]
 
-    residuals = np.empty(len(keep))
+    vk = v[:, keep]
+    residuals = (np.linalg.norm(h @ vk - vk * w[keep], axis=0)
+                 / np.linalg.norm(vk, axis=0))
     spinors = []
-    for i, col in enumerate(keep):
-        vec = v[:, col]
-        residuals[i] = (np.linalg.norm(op.matrix @ vec - w[col] * vec)
-                        / np.linalg.norm(vec))
+    for col, vec in zip(keep, vk.T):
         plus, minus = _embed(op, vec)
         spinors.append(Spinor(grid=op.grid, plus_component=plus,
-                              minus_component=minus, energy=w[col]))
+                              minus_component=minus, energy=energies[col]))
     bad = np.nonzero(residuals > tol)[0]
     if bad.size:
         detail = ", ".join(
@@ -136,8 +172,7 @@ def classify_reality(result: SpectrumResult, tol: float = 1e-9) -> SpectrumResul
     the partner fell outside the retained low-|Re| window, not a bug).
     """
     e = result.energies
-    scale = np.maximum(1.0, np.abs(e.real))
-    is_real = np.abs(e.imag) <= tol * scale
+    is_real = _is_real(e, tol)
     tags = np.where(is_real, "real", "").astype(object)
 
     open_idx = [i for i in range(len(e)) if not is_real[i]]

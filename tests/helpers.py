@@ -25,6 +25,27 @@ def lowest_by_abs(values: np.ndarray, count: int) -> np.ndarray:
     return values[order][:count]
 
 
+def canonical_sorted(values: np.ndarray, tol: float) -> np.ndarray:
+    """values in the report order of the matrix solver, by a plain loop.
+
+    Levels with |Im E| <= tol * max(1, |Re E|) first get Im E = 0.  Then
+    sort by |Re E| and split into tie classes wherever the next |Re E| is
+    more than tol * max(1, |Re E|) above the previous one; inside a class
+    -E comes before +E, then Im E ascends, then Re E.
+    """
+    snapped = [complex(e.real, 0.0) if abs(e.imag) <= tol * max(1.0, abs(e.real))
+               else complex(e) for e in values]
+    by_mag = sorted(snapped, key=lambda e: abs(e.real))
+    classes = [[by_mag[0]]]
+    for prev, e in zip(by_mag, by_mag[1:]):
+        if abs(e.real) - abs(prev.real) <= tol * max(1.0, abs(e.real)):
+            classes[-1].append(e)
+        else:
+            classes.append([e])
+    return np.array([e for cls in classes
+                     for e in sorted(cls, key=lambda e: (np.sign(e.real), e.imag, e.real))])
+
+
 def symbol_eigenvector(kh: float, h: float, m: float, wilson_r: float,
                        branch: int) -> tuple[float, np.ndarray]:
     """Energy and spinor amplitude of one plane-wave mode.

@@ -233,6 +233,21 @@ def test_balance_closes_at_rounding_for_complex_levels():
         assert rep.identity_residual <= 1e-12 * scale, (rep.k, rep.k_prime)
 
 
+def test_auto_identity_tol_is_rounding_scaled(pt_cases):
+    # the identity holds at the stencil level, so the auto tolerance carries
+    # no h^2 term: at n=400, 100 h^2 = 0.25 would call the O(0.06) gap of
+    # the broken-orthogonality pair (1, 0) "restored"
+    result = normalize_result(pt_cases[400].result)
+    reports, failures = orthogonality_balance(result, _all_pairs(result))
+    assert failures == []
+    assert all(rep.identity_ok for rep in reports)
+    assert {rep.identity_tol for rep in reports} == {diagnostics.AUTO_IDENTITY_TOL}
+    assert diagnostics.AUTO_IDENTITY_TOL < 1e-11
+    (rep,) = [r for r in reports if (r.k, r.k_prime) == (1, 0)]
+    assert rep.orthogonality_gap > 1e-2
+    assert not rep.orthogonality_restored
+
+
 def _assert_matches_reference(result, window=None):
     reports, failures = orthogonality_balance(result, _all_pairs(result),
                                               window=window)

@@ -13,8 +13,8 @@ from dirac1d import solver
 from dirac1d.solver import (_coefficient_table, _ordered_product,
                             _step_matrices, _trajectory)
 
-from helpers import (dispersion_multiset, reference_rk4_segment,
-                     reference_rk4_substep)
+from helpers import (canonical_sorted, dispersion_multiset,
+                     reference_rk4_segment, reference_rk4_substep)
 
 
 def free_operator(n, m=1.0, wilson_r=1.0):
@@ -48,9 +48,74 @@ def test_ordering_and_truncation():
     assert np.all(result.residuals <= result.solver_tolerance)
 
 
-def test_unreachable_tolerance_raises():
+def spy_eigensolvers(monkeypatch):
+    """Record which LAPACK eigensolver each solve calls, by name, in order."""
+    calls = []
+    for name in ("eig", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def spy(matrix, _real=real, _name=name):
+            calls.append(_name)
+            return _real(matrix)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def test_unreachable_tolerance_raises(monkeypatch):
+    calls = spy_eigensolvers(monkeypatch)
     with pytest.raises(ConvergenceError, match="residual"):
         solve_spectrum(free_operator(32), tol=1e-16)
+    assert calls == ["eigh"]
+
+
+def scalar_box_operator(n=120, v_t=None):
+    # V_s = |x| between hard walls: H = sigma_z p + sigma_x (M + V_s + Wilson)
+    # anticommutes with sigma_y, so the spectrum is +-E symmetric
+    g = build_grid(-8.0, 8.0, n)
+    mass = sample_mass(MassProfile("constant", m0=1.0), g)
+    pot = LorentzPotential.from_channels(
+        g, v_s=GridFunction(g, np.abs(g.nodes)), v_t=v_t)
+    return assemble_hamiltonian(g, pot, mass)
+
+
+def test_plus_minus_ties_order_negative_first():
+    op = scalar_box_operator()
+    result = solve_spectrum(op, max_pairs=20)
+    e = result.energies.real
+    assert np.all(e[0::2] < 0.0)
+    assert np.allclose(e[1::2], -e[0::2], rtol=0.0, atol=1e-10)
+    oracle = canonical_sorted(np.linalg.eigvals(op.matrix), 1e-9)[:20]
+    assert np.max(np.abs(result.energies - oracle)) <= 1e-12
+
+
+def test_exactly_hermitian_operator_gives_real_energies(monkeypatch):
+    calls = spy_eigensolvers(monkeypatch)
+    result = solve_spectrum(scalar_box_operator(), max_pairs=20)
+    assert calls == ["eigh"]
+    assert np.all(result.energies.imag == 0.0)
+    assert np.all(result.residuals <= result.solver_tolerance)
+    assert set(result.classification) == {"real"}
+
+
+def test_any_anti_hermitian_part_takes_general_solver(monkeypatch):
+    # eigh reads one triangle and would drop this part silently, so the
+    # Hermitian test must be exact, not a tolerance
+    calls = spy_eigensolvers(monkeypatch)
+    g = build_grid(-8.0, 8.0, 120)
+    op = scalar_box_operator(v_t=GridFunction.constant(g, 1e-300j))
+    result = solve_spectrum(op, max_pairs=20)
+    assert calls == ["eig"]
+    assert np.all(result.energies.imag == 0.0)
+    assert set(result.classification) == {"real"}
+
+
+def test_imaginary_parts_above_reality_tol_are_kept():
+    # a constant v_t = 1e-6i shifts every level by exactly 1e-6i
+    g = build_grid(-8.0, 8.0, 120)
+    op = scalar_box_operator(v_t=GridFunction.constant(g, 1e-6j))
+    result = solve_spectrum(op, max_pairs=20)
+    assert "real" not in result.classification
+    assert np.allclose(result.energies.imag, 1e-6, rtol=1e-6, atol=0.0)
 
 
 def synthetic_result(energies):
