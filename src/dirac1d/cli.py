@@ -45,6 +45,27 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                           "pt_from_mass is not PT-symmetric")
 
 
+# flags that take a value; _attach_values joins each to the token after it
+_VALUE_FLAGS = ("--out", "--tol", "--format", "--param", "--values")
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """Join each value flag and a following '-' token as --flag=token.
+
+    argparse takes such a token for an option unless it is a plain negative
+    number, so --values -0.05,0.05 and --tol -1e-3 would not reach the
+    config layer.  Options (--anything, -h) are left to argparse.
+    """
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1] in _VALUE_FLAGS and token.startswith("-")
+                and not token.startswith("--") and token != "-h"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dirac1d",
                      description="1+1D Dirac spectra with position-dependent "
@@ -171,7 +192,8 @@ def _run_sweep(args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -15,6 +15,9 @@ orthogonal; an anti-Hermitian admixture (e.g. the purely imaginary vector
 potential generated by a position-dependent mass) feeds the third term and
 orthogonality in the plain gamma0 inner product is lost, which is exactly
 what the balance report quantifies.
+
+Normalization, the Gram matrix and the balance terms work on a result's whole
+(K, n, 2) state stack at once; the per-state functions take one Spinor.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GridError
-from .grid import GridFunction, differentiate, integrate
+from .grid import GridFunction, differentiate
 from .hamiltonian import reduced_residual_norm, wilson_weight
 from .lorentz import GAMMA0, GAMMA1, LorentzPotential
 from .solver import SpectrumResult, Spinor
@@ -39,6 +42,11 @@ ORACLE_FACTOR = 10.0
 # worst relative residual measured on the acceptance cases (README PT run at
 # n=800, many-state Hermitian runs, complex PT levels) is about 230 eps.
 AUTO_IDENTITY_TOL = 1e4 * float(np.finfo(float).eps)
+
+# the phase pivot is the first sample whose magnitude is within this relative
+# distance of the largest: mirror-symmetric states have two equal-magnitude
+# peaks, and a plain argmax would let rounding choose between them
+PIVOT_REL_TOL = 1e-8
 
 
 def _components(phi: Spinor) -> np.ndarray:
@@ -55,15 +63,6 @@ def adjoint_row(phi: Spinor) -> tuple[GridFunction, GridFunction]:
     """The adjoint row spinor phibar = phi^dagger gamma0, componentwise."""
     row = _adjoint(phi)
     return GridFunction(phi.grid, row[:, 0]), GridFunction(phi.grid, row[:, 1])
-
-
-def _bilinear(phi_row: Spinor, phi_col: Spinor, matrix: np.ndarray) -> np.ndarray:
-    """phibar_row (matrix) phi_col node by node; matrix is 2x2 or (n,2,2)."""
-    a = _adjoint(phi_row)
-    b = _components(phi_col)
-    if matrix.ndim == 2:
-        return np.einsum("na,ab,nb->n", a, matrix, b)
-    return np.einsum("na,nab,nb->n", a, matrix, b)
 
 
 @dataclass(frozen=True)
@@ -87,28 +86,41 @@ def current_density(phi: Spinor) -> CurrentDensity:
                           j1=GridFunction(phi.grid, plus - minus))
 
 
+def _normalized(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A (K, n, 2) stack with each state normalized as normalize describes."""
+    k = len(states)
+    # summed in complex arithmetic, as grid.integrate sums j0, to the same bits
+    charge = np.sum(weights * np.sum(states.real ** 2 + states.imag ** 2,
+                                     axis=2).astype(complex), axis=1).real
+    if np.any(charge <= 1e-300):
+        raise GridError("cannot normalize a zero-norm spinor")
+    flat = states.transpose(0, 2, 1).reshape(k, -1)
+    mag = np.abs(flat)
+    first = np.argmax(mag >= (1.0 - PIVOT_REL_TOL) * mag.max(axis=1, keepdims=True),
+                      axis=1)
+    pivots = flat[np.arange(k), first]
+    # scalar arithmetic: the vectorized complex division rounds differently
+    factors = [(abs(p) / p) / np.sqrt(t) for p, t in zip(pivots, charge)]
+    return states * np.array(factors)[:, None, None]
+
+
 def normalize(phi: Spinor) -> Spinor:
     """Scale so the quadrature of j0 is one; fix the global phase.
 
-    Phase convention: the largest-magnitude sample over both components is
-    made real and positive.  Deterministic (first such sample wins ties).
+    Phase convention: the pivot sample is made real and positive.  It is the
+    first sample, plus component then minus, each in node order, whose
+    magnitude is at least (1 - PIVOT_REL_TOL) times the largest, so a global
+    phase or rounding in the input cannot move it between near-equal peaks.
     """
-    cur = current_density(phi)
-    total = integrate(cur.j0).real
-    if total <= 1e-300:
-        raise GridError("cannot normalize a zero-norm spinor")
-    stacked = np.concatenate([phi.plus_component, phi.minus_component])
-    pivot = stacked[int(np.argmax(np.abs(stacked)))]
-    factor = (abs(pivot) / pivot) / np.sqrt(total)
-    return Spinor(grid=phi.grid,
-                  plus_component=phi.plus_component * factor,
-                  minus_component=phi.minus_component * factor,
-                  energy=phi.energy)
+    c = _normalized(_components(phi)[None], phi.grid.quadrature_weights)[0]
+    return Spinor(grid=phi.grid, plus_component=c[:, 0],
+                  minus_component=c[:, 1], energy=phi.energy)
 
 
 def normalize_result(result: SpectrumResult) -> SpectrumResult:
-    """Normalize every eigenpair of a spectrum result."""
-    return replace(result, eigenpairs=tuple(normalize(s) for s in result.eigenpairs))
+    """Normalize every state of a spectrum result, as normalize does one."""
+    return replace(result, states=_normalized(result.states,
+                                              result.grid.quadrature_weights))
 
 
 def continuity_residual(phi: Spinor, pot: LorentzPotential) -> GridFunction:
@@ -121,14 +133,10 @@ def continuity_residual(phi: Spinor, pot: LorentzPotential) -> GridFunction:
     """
     cur = current_density(phi)
     dj1 = differentiate(cur.j1)
-    anti = _bilinear(phi, phi, pot.anti_hermitian)
+    anti = np.einsum("na,nab,nb->n", _adjoint(phi), pot.anti_hermitian,
+                     _components(phi))
     r = 2.0 * phi.energy.imag * cur.j0.values + dj1.values + 1.0j * anti
     return GridFunction(phi.grid, r)
-
-
-def _stack(result: SpectrumResult) -> np.ndarray:
-    """All eigenpairs as one (K, n, 2) array of components."""
-    return np.stack([_components(s) for s in result.eigenpairs])
 
 
 def _overlap(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -144,7 +152,7 @@ def gram_matrix(result: SpectrumResult) -> np.ndarray:
     operator; genuinely non-Hermitian off-diagonal entries appear for
     anti-Hermitian potential admixtures.
     """
-    c = _stack(result)
+    c = result.states
     # gamma0 gamma0 = 1: the integrand is the plain component overlap
     return _overlap(np.conj(c), c, result.grid.quadrature_weights)
 
@@ -173,7 +181,7 @@ def _balance_terms(result: SpectrumResult, lo: int, hi: int,
     bilinear at each window edge and the Wilson term adds an antisymmetrized
     gamma0 flux of size O(h), so the identity closes at rounding.
     """
-    c = _stack(result)
+    c = result.states
     rows = np.conj(c) @ GAMMA0
     sl = slice(lo, hi + 1)
     e = result.energies
@@ -184,10 +192,11 @@ def _balance_terms(result: SpectrumResult, lo: int, hi: int,
     p_hi, a_hi = _edge_flux(rows, c, hi, periodic)
     p_lo, a_lo = _edge_flux(rows, c, lo - 1, periodic)
     boundary = 0.5j * (p_hi - p_lo)
-    r = wilson_weight(result.scheme, result.wilson_r)
+    op = result.operator
+    r = wilson_weight(op.scheme, op.wilson_r)
     if r != 0.0:
         boundary = boundary + 0.5 * r * (a_hi - a_lo)
-    anti_c = np.einsum("nab,knb->kna", result.potential.anti_hermitian[sl], c[:, sl])
+    anti_c = np.einsum("nab,knb->kna", op.potential.anti_hermitian[sl], c[:, sl])
     return energy, boundary, _overlap(rows[:, sl], anti_c, weights)
 
 
@@ -237,16 +246,15 @@ def orthogonality_balance(result: SpectrumResult, pairs: Sequence[tuple[int, int
     gap within identity_tol means gamma0-orthogonal states, while for
     conjugate partners (E_k' = conj(E_k)) it vanishes whatever the overlap.
     """
-    grid = result.grid
-    n_states = len(result.eigenpairs)
+    op, grid, c = result.operator, result.grid, result.states
+    n_states = len(c)
     oracle = {}
     for i in sorted({i for k, kp in pairs if _pair_error(k, kp, n_states) is None
                      for i in (k, kp)}):
-        s = result.eigenpairs[i]
         oracle[i] = reduced_residual_norm(
-            s.energy, GridFunction(grid, s.plus_component),
-            GridFunction(grid, s.minus_component), result.potential,
-            result.mass, scheme=result.scheme, wilson_r=result.wilson_r)
+            result.energies[i], GridFunction(grid, c[i, :, 0]),
+            GridFunction(grid, c[i, :, 1]), op.potential, op.mass,
+            scheme=op.scheme, wilson_r=op.wilson_r)
 
     lo, hi = (0, grid.n_points - 1) if window is None else (int(window[0]), int(window[1]))
     window_error = (None if 0 <= lo < hi <= grid.n_points - 1

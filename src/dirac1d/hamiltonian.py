@@ -26,6 +26,7 @@ v = [phi_plus(all active nodes), phi_minus(all active nodes)].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,17 @@ class DiracOperator:
     mass: GridFunction
     potential: LorentzPotential
 
+    def __post_init__(self) -> None:
+        # a read-only view (no copy), so the cached hermiticity cannot go stale
+        view = np.asarray(self.matrix).view()
+        view.flags.writeable = False
+        object.__setattr__(self, "matrix", view)
+
+    @cached_property
+    def _hermiticity(self) -> float:
+        """hermiticity_of_operator, formed once per operator."""
+        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+
     @property
     def active_index(self) -> np.ndarray:
         """Grid-node indices carried by the matrix (interior for dirichlet)."""
@@ -113,8 +125,12 @@ def assemble_hamiltonian(grid: Grid1D, pot: LorentzPotential, mass: GridFunction
 
 
 def hermiticity_of_operator(op: DiracOperator) -> float:
-    """Entrywise max |H - H^dagger|; zero iff the assembled matrix is Hermitian."""
-    return float(np.max(np.abs(op.matrix - op.matrix.conj().T)))
+    """Entrywise max |H - H^dagger|; zero iff the assembled matrix is Hermitian.
+
+    Cached on the operator: a run asks for it in the report and in the
+    eigensolve, and each evaluation copies the full matrix twice.
+    """
+    return op._hermiticity
 
 
 def _shift(values: np.ndarray, offset: int, periodic: bool) -> np.ndarray:

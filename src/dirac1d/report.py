@@ -208,7 +208,7 @@ def execute(cfg: RunConfig, mode: str, strict_pt: bool = False) -> RunReport:
         identity_tol = None if d["identity_tol"] == "auto" else d["identity_tol"]
         pairs = list(d["balance_pairs"])
         if not pairs:
-            low = min(d["balance_lowest"], len(result.eigenpairs))
+            low = min(d["balance_lowest"], len(result.energies))
             pairs = [(k, kp) for k in range(low) for kp in range(k)]
         reports, failures = orthogonality_balance(
             result, pairs, window=window, identity_tol=identity_tol)

@@ -3,11 +3,12 @@
 The matrix path hands an exactly Hermitian operator to LAPACK's Hermitian
 eigensolver and any other (e.g. PT-symmetric) operator to the general one,
 and wraps either output in checked form, ordered by one rule that does not
-depend on which routine ran or on rounding.  The shooting path integrates the
-coupled first-order system from both walls with classical RK4 and drives the
-2x2 matching determinant at the midpoint to zero, which gives continuum (not
-lattice) eigenvalues.  The system is linear in the state,
-phi' = i sigma_z (E - h(x)) phi with h the local block of
+depend on which routine ran or on rounding: a SpectrumResult holding the
+operator, the energies and the kept states as one (K, n, 2) stack.  The
+shooting path integrates the coupled first-order system from both walls with
+classical RK4 and drives the 2x2 matching determinant at the midpoint to
+zero, which gives continuum (not lattice) eigenvalues.  The system is linear
+in the state, phi' = i sigma_z (E - h(x)) phi with h the local block of
 lorentz.local_blocks, so each RK4 substep is a 2x2 matrix: a trial energy
 builds all of them in batched array expressions and the midpoint states are
 their ordered products, formed as a pairwise tree.
@@ -16,6 +17,7 @@ their ordered products, formed as a pairwise tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,35 +59,37 @@ class Spinor:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Sorted eigenpairs with residuals, reality tags and solve metadata."""
+    """Sorted eigenpairs of one operator with residuals and reality tags.
 
-    eigenpairs: tuple[Spinor, ...]
+    energies is (K,); states is (K, n, 2), state k's components at every grid
+    node (zero at hard walls).  Both read-only; eigenpairs is a Spinor view.
+    """
+
+    operator: DiracOperator
+    energies: np.ndarray
+    states: np.ndarray
     residuals: np.ndarray
     classification: tuple[str, ...]
     solver_tolerance: float
-    scheme: str
-    wilson_r: float
-    mass: GridFunction
-    potential: LorentzPotential
 
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self.eigenpairs])
+    def __post_init__(self) -> None:
+        for name in ("energies", "states"):  # read-only views, no copies
+            view = np.asarray(getattr(self, name), dtype=complex).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        if self.states.shape != (len(self.energies), self.grid.n_points, 2):
+            raise GridError("states must be a (K, n_points, 2) stack of K energies")
 
     @property
     def grid(self) -> Grid1D:
-        return self.mass.grid
+        return self.operator.grid
 
-
-def _embed(op: DiracOperator, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a matrix eigenvector into full-grid components (zero at hard walls)."""
-    k = op.size // 2
-    n = op.grid.n_points
-    plus = np.zeros(n, dtype=complex)
-    minus = np.zeros(n, dtype=complex)
-    plus[op.active_index] = column[:k]
-    minus[op.active_index] = column[k:]
-    return plus, minus
+    @cached_property
+    def eigenpairs(self) -> tuple[Spinor, ...]:
+        """The states one Spinor at a time, for the per-state functions."""
+        return tuple(Spinor(grid=self.grid, plus_component=s[:, 0],
+                            minus_component=s[:, 1], energy=e)
+                     for e, s in zip(self.energies, self.states))
 
 
 def _is_real(energies: np.ndarray, tol: float) -> np.ndarray:
@@ -124,8 +128,8 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
     lowest max_pairs.  Every returned pair is residual-checked against
     LAPACK's own eigenvalue: ||H v - E v||_2 / ||v||_2 must not exceed tol,
     otherwise the solve is reported as non-converged with the offending
-    residuals listed.  Eigenvectors are returned unnormalized; normalization
-    conventions live in the diagnostics layer.
+    residuals listed.  The kept eigenvector columns land, unnormalized, in
+    one (K, n, 2) states stack; normalization lives in the diagnostics layer.
     """
     if max_pairs < 1:
         raise GridError(f"max_pairs must be positive, got {max_pairs}")
@@ -139,26 +143,23 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
     keep = _canonical_order(energies, reality_tol)[:max_pairs]
 
     vk = v[:, keep]
+    del v  # free the full eigenvector matrix before the stack is allocated
     residuals = (np.linalg.norm(h @ vk - vk * w[keep], axis=0)
                  / np.linalg.norm(vk, axis=0))
-    spinors = []
-    for col, vec in zip(keep, vk.T):
-        plus, minus = _embed(op, vec)
-        spinors.append(Spinor(grid=op.grid, plus_component=plus,
-                              minus_component=minus, energy=energies[col]))
     bad = np.nonzero(residuals > tol)[0]
     if bad.size:
         detail = ", ".join(
-            f"E={spinors[i].energy:.6g} residual={residuals[i]:.3e}" for i in bad
+            f"E={energies[keep[i]]:.6g} residual={residuals[i]:.3e}" for i in bad
         )
         raise ConvergenceError(
             f"eigensolver residuals exceed tol={tol:g} for {bad.size} pair(s): {detail}"
         )
+    # column layout [plus(active nodes), minus(active nodes)] -> (K, n, 2)
+    states = np.zeros((len(keep), op.grid.n_points, 2), dtype=complex)
+    states[:, op.active_index] = vk.T.reshape(len(keep), 2, -1).transpose(0, 2, 1)
     result = SpectrumResult(
-        eigenpairs=tuple(spinors), residuals=residuals,
-        classification=("real",) * len(spinors), solver_tolerance=float(tol),
-        scheme=op.scheme, wilson_r=op.wilson_r, mass=op.mass,
-        potential=op.potential,
+        operator=op, energies=energies[keep], states=states, residuals=residuals,
+        classification=("real",) * len(keep), solver_tolerance=float(tol),
     )
     return classify_reality(result, tol=reality_tol)
 

@@ -95,10 +95,11 @@ def reference_balance_terms(result, k: int, k_prime: int,
     overlap = sum(weights[j] * np.vdot(col_prime[j], col[j]) for j in nodes)
     term_energy = (sk.energy - np.conj(skp.energy)) * overlap
 
-    anti = result.potential.anti_hermitian
+    anti = result.operator.potential.anti_hermitian
     term_potential = sum(weights[j] * (row[j] @ anti[j] @ col[j]) for j in nodes)
 
-    wilson = result.wilson_r if result.scheme == "central_wilson" else 0.0
+    op = result.operator
+    wilson = op.wilson_r if op.scheme == "central_wilson" else 0.0
     term_boundary = 0.0j
     for sign, a in ((1.0, hi), (-1.0, lo - 1)):
         b = a + 1

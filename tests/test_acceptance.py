@@ -58,13 +58,13 @@ def test_criterion_3_confining_scalar_is_conservative(scalar_cases):
     g = gram_matrix(big)
     off = np.abs(g - np.diag(np.diag(g)))
     assert np.max(off) <= 1e-8
-    assert gamma0_hermiticity_residual(big.potential) == 0.0
+    assert gamma0_hermiticity_residual(big.operator.potential) == 0.0
 
     worst = {}
     for n in (200, 400, 800):
         res = normalize_result(scalar_cases[n].result)
         worst[n] = max(
-            float(np.max(np.abs(continuity_residual(s, res.potential).values)))
+            float(np.max(np.abs(continuity_residual(s, res.operator.potential).values)))
             for s in res.eigenpairs[:6])
     if max(worst.values()) <= 1e-12:
         # the current is conserved to rounding on every grid, so there is
@@ -91,7 +91,7 @@ def test_criterion_4_mass_induced_vector_diagnostics(pt_cases):
     res = normalize_result(big.result)
     s0 = res.eigenpairs[_ground_index(res)]
     dj1 = differentiate(current_density(s0).j1)
-    r = continuity_residual(s0, res.potential)
+    r = continuity_residual(s0, res.operator.potential)
     assert np.max(np.abs(dj1.values)) > 10.0 * np.max(np.abs(r.values))
 
     # (c) balance identity for all pairs among the lowest six
@@ -154,8 +154,8 @@ def test_criterion_6_eigenpairs_satisfy_reduced_equations(
                 s.energy,
                 GridFunction(res.grid, s.plus_component),
                 GridFunction(res.grid, s.minus_component),
-                res.potential, res.mass,
-                scheme=res.scheme, wilson_r=res.wilson_r)
+                res.operator.potential, res.operator.mass,
+                scheme=res.operator.scheme, wilson_r=res.operator.wilson_r)
             worst = max(worst, r)
         assert worst <= bound, f"worst residual {worst:.3e} > {bound:.1e}"
 

@@ -71,14 +71,20 @@ def test_spectrum_matches_lattice_dispersion(tmp_path, capsys):
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):
-    ini = write_ini(tmp_path, FREE_INI)
-    outs = []
-    for d in ("a", "b"):
-        out = tmp_path / d
-        assert main(["spectrum", str(ini), "--out", str(out)]) == 0
-        outs.append(out)
-    for name in ("spectrum.csv", "pt_check.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    cases = (
+        ("free", FREE_INI, ["spectrum"], ("spectrum.csv", "pt_check.csv")),
+        ("pt", PT_INI, ["diagnose", "--format", "both"],
+         ("spectrum.csv", "gram.csv", "balance.csv", "pt_check.csv", "report.json")),
+    )
+    for case, text, (mode, *flags), names in cases:
+        ini = write_ini(tmp_path, text, name=f"{case}.ini")
+        outs = []
+        for d in ("a", "b"):
+            out = tmp_path / case / d
+            assert main([mode, str(ini), "--out", str(out), *flags]) == 0
+            outs.append(out)
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_diagnose_balanced_but_not_conserving(tmp_path, capsys):
@@ -236,6 +242,19 @@ def test_sweep_records_failed_value_and_continues(tmp_path, capsys):
     assert (out / "000_0.1" / "spectrum.csv").exists()
 
 
+def test_sweep_values_may_start_with_a_minus(tmp_path):
+    # --values -0.01,0.01 reaches the sweep; argparse alone reads the
+    # token as an unknown option and stops with a usage error
+    ini = write_ini(tmp_path, PT_INI)
+    out = tmp_path / "out"
+    assert main(["sweep", str(ini), "--param", "mass.alpha",
+                 "--values", "-0.01,0.01", "--out", str(out)]) == 0
+    rows = read_rows(out / "sweep_summary.csv")
+    assert [r["value"] for r in rows] == ["-0.01", "0.01"]
+    assert all(r["passed"] == "true" and r["error"] == "" for r in rows)
+    assert (out / "000_-0.01" / "spectrum.csv").exists()
+
+
 def test_sweep_summary_quotes_values_and_errors(tmp_path):
     # values holding a quote or a line break, and error messages full of
     # commas, all have to survive a round trip through a standard CSV reader
@@ -285,7 +304,7 @@ def test_tol_override_can_force_convergence_failure(tmp_path, capsys):
 
 def test_flags_are_validated_and_echoed_like_config_keys(tmp_path, capsys):
     ini = write_ini(tmp_path, FREE_INI)
-    for tol in ("-1", "0", "nan"):
+    for tol in ("-1", "0", "nan", "-1e-3", "-inf"):
         assert main(["spectrum", str(ini), "--tol", tol]) == 1
         assert "solver.tol" in capsys.readouterr().err
     assert main(["spectrum", str(write_ini(tmp_path, FREE_INI + "tol = nan\n",

@@ -59,6 +59,47 @@ def test_normalize_charge_and_phase():
     assert np.max(np.abs(again.plus_component - ns.plus_component)) <= 1e-13
 
 
+def test_normalize_pivot_is_the_first_near_largest_sample():
+    # the minus component holds the largest sample, the plus component one
+    # within PIVOT_REL_TOL of it: the plus sample, first in order, is the pivot
+    g = build_grid(-2.0, 2.0, 16)
+    plus = np.full(16, 0.1 + 0.0j)
+    minus = np.full(16, 0.1 + 0.0j)
+    plus[5] = 1j
+    minus[2] = -(1.0 + 1e-12)
+    ns = normalize(Spinor(grid=g, plus_component=plus, minus_component=minus,
+                          energy=0.0))
+    assert ns.plus_component[5].imag == 0.0 and ns.plus_component[5].real > 0.0
+
+
+def test_normalize_phase_does_not_depend_on_the_input_phase(pt_cases):
+    # these states are mirror-symmetric up to a phase: each has two peaks
+    # whose magnitudes agree to rounding, and a plain argmax pivot let the
+    # rounding of e^{i theta} phi choose between them
+    result = pt_cases[200].result
+    peaks = np.sort(np.abs(result.states).reshape(len(result.states), -1), axis=1)
+    assert np.all(peaks[:, -2] >= (1.0 - 1e-10) * peaks[:, -1])
+    for s in result.eigenpairs:
+        ref = normalize(s)
+        for theta in 0.5 * np.arange(12):
+            phase = np.exp(1j * theta)
+            rotated = normalize(Spinor(grid=s.grid,
+                                       plus_component=phase * s.plus_component,
+                                       minus_component=phase * s.minus_component,
+                                       energy=s.energy))
+            assert np.max(np.abs(rotated.plus_component - ref.plus_component)) <= 1e-13
+            assert np.max(np.abs(rotated.minus_component - ref.minus_component)) <= 1e-13
+
+
+def test_normalize_result_is_normalize_of_each_state(pt_cases):
+    result = pt_cases[200].result
+    stack = normalize_result(result).states
+    for k, s in enumerate(result.eigenpairs):
+        one = normalize(s)
+        assert np.array_equal(one.plus_component, stack[k, :, 0])
+        assert np.array_equal(one.minus_component, stack[k, :, 1])
+
+
 def test_normalize_rejects_zero_state():
     with pytest.raises(GridError, match="zero-norm"):
         normalize(constant_spinor(0.0, 0.0))
@@ -79,7 +120,7 @@ def test_continuity_floors_at_rounding_for_hermitian_states(scalar_cases):
     # the residual sits at rounding level rather than at the stencil error
     result = normalize_result(scalar_cases[200].result)
     for s in result.eigenpairs[:4]:
-        r = continuity_residual(s, result.potential)
+        r = continuity_residual(s, result.operator.potential)
         assert np.max(np.abs(r.values)) <= 1e-12
 
 
@@ -88,7 +129,7 @@ def test_continuity_detects_genuine_nonconservation(pt_cases):
     ground = next(s for s in result.eigenpairs if s.energy.real > 0)
     cur = current_density(ground)
     dj1 = differentiate(cur.j1)
-    r = continuity_residual(ground, result.potential)
+    r = continuity_residual(ground, result.operator.potential)
     # the current really is not conserved: its divergence dwarfs the
     # identity residual that measures our bookkeeping error
     assert np.max(np.abs(dj1.values)) > 10.0 * np.max(np.abs(r.values))
@@ -170,14 +211,11 @@ def test_balance_rejects_bad_pairs(pt_cases):
 def test_balance_rejects_non_eigenpairs(pt_cases):
     result = pt_cases[400].result
     rng = np.random.default_rng(13)
+    states = result.states.copy()
     n = result.grid.n_points
-    fake = Spinor(grid=result.grid,
-                  plus_component=rng.normal(size=n),
-                  minus_component=rng.normal(size=n),
-                  energy=result.eigenpairs[1].energy)
-    tampered = replace(result,
-                       eigenpairs=(result.eigenpairs[0], fake)
-                       + result.eigenpairs[2:])
+    states[1, :, 0] = rng.normal(size=n)
+    states[1, :, 1] = rng.normal(size=n)
+    tampered = replace(result, states=states)
     reports, failures = orthogonality_balance(tampered, [(1, 0), (2, 0), (2, 1)])
     assert [(r.k, r.k_prime) for r in reports] == [(2, 0)]
     assert [(k, kp) for k, kp, _ in failures] == [(1, 0), (2, 1)]
@@ -311,18 +349,18 @@ def test_tampered_state_fails_each_of_its_pairs_in_execute(monkeypatch):
     def tampered(op, **kwargs):
         result = solve_spectrum(op, **kwargs)
         rng = np.random.default_rng(13)
-        n = result.grid.n_points
         seen["op"] = op
-        seen["fake"] = Spinor(grid=result.grid, plus_component=rng.normal(size=n),
-                              minus_component=rng.normal(size=n),
-                              energy=result.eigenpairs[2].energy)
-        states = result.eigenpairs
-        return replace(result, eigenpairs=states[:2] + (seen["fake"],) + states[3:])
+        states = result.states.copy()
+        n = result.grid.n_points
+        states[2, :, 0] = rng.normal(size=n)
+        states[2, :, 1] = rng.normal(size=n)
+        seen["tampered"] = replace(result, states=states)
+        return seen["tampered"]
 
     monkeypatch.setattr(report, "solve_spectrum", tampered)
     run = execute(config_from_raw(PT_RAW), "diagnose")
 
-    op, s = seen["op"], normalize(seen["fake"])
+    op, s = seen["op"], normalize(seen["tampered"].eigenpairs[2])
     res = reduced_residual_norm(s.energy, GridFunction(op.grid, s.plus_component),
                                 GridFunction(op.grid, s.minus_component),
                                 op.potential, op.mass, scheme=op.scheme,

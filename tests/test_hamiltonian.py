@@ -117,6 +117,17 @@ def test_hermiticity_defect_set_by_imaginary_potential():
         2.0 * np.max(np.abs(a.values)), abs=1e-12)
 
 
+def test_hermiticity_is_formed_once_on_a_read_only_matrix():
+    g, pot, mass = free_parts(16)
+    op = assemble_hamiltonian(g, pot, mass)
+    with pytest.raises(ValueError, match="read-only"):
+        op.matrix[0, 0] = 1.0
+    assert "_hermiticity" not in vars(op)
+    value = hermiticity_of_operator(op)
+    assert vars(op)["_hermiticity"] == value
+    assert value == float(np.max(np.abs(op.matrix - op.matrix.conj().T)))
+
+
 def test_massless_free_operator_is_hermitian():
     g = build_grid(-2.0, 2.0, 20)
     zero_mass = GridFunction.constant(g, 0.0)  # bypasses the mass validator

@@ -5,7 +5,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from dirac1d import (ConvergenceError, GridError, GridFunction,
-                     LorentzPotential, MassProfile, SpectrumResult, Spinor,
+                     LorentzPotential, MassProfile, SpectrumResult,
                      assemble_hamiltonian, build_grid, classify_reality,
                      pt_vector_potential, sample_mass, shooting_solve,
                      solve_spectrum)
@@ -109,6 +109,46 @@ def test_any_anti_hermitian_part_takes_general_solver(monkeypatch):
     assert set(result.classification) == {"real"}
 
 
+def test_states_are_the_kept_columns_on_the_full_grid(monkeypatch):
+    # the per-column embedding the stack replaced, restated as a loop: each
+    # kept column's plus and minus halves land on the active nodes, and the
+    # wall rows of a dirichlet grid stay zero
+    lapack = []
+    for name in ("eig", "eigh"):
+        def spy(matrix, _real=getattr(np.linalg, name)):
+            lapack.append(_real(matrix))
+            return lapack[-1]
+        monkeypatch.setattr(np.linalg, name, spy)
+    for op in (scalar_box_operator(n=40), free_operator(16)):
+        lapack.clear()
+        result = solve_spectrum(op, max_pairs=10)
+        (w, v), = lapack
+        energies = w.astype(complex)
+        energies.imag[solver._is_real(energies, 1e-9)] = 0.0
+        keep = solver._canonical_order(energies, 1e-9)[:10]
+        half = op.size // 2
+        expected = np.zeros((10, op.grid.n_points, 2), dtype=complex)
+        for k, col in enumerate(keep):
+            expected[k, op.active_index, 0] = v[:half, col]
+            expected[k, op.active_index, 1] = v[half:, col]
+        assert np.array_equal(result.states, expected)
+        assert np.array_equal(result.energies, energies[keep])
+        if op.grid.boundary == "dirichlet":
+            assert np.all(result.states[:, [0, -1]] == 0.0)
+
+
+def test_eigenpairs_are_a_view_of_the_read_only_stack():
+    result = solve_spectrum(scalar_box_operator(n=40), max_pairs=6)
+    assert result.eigenpairs is result.eigenpairs
+    for k, s in enumerate(result.eigenpairs):
+        assert s.energy == result.energies[k]
+        assert np.array_equal(s.plus_component, result.states[k, :, 0])
+        assert np.array_equal(s.minus_component, result.states[k, :, 1])
+    for array in (result.energies, result.states):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def test_imaginary_parts_above_reality_tol_are_kept():
     # a constant v_t = 1e-6i shifts every level by exactly 1e-6i
     g = build_grid(-8.0, 8.0, 120)
@@ -121,16 +161,13 @@ def test_imaginary_parts_above_reality_tol_are_kept():
 def synthetic_result(energies):
     g = build_grid(0.0, 1.0, 8)
     mass = sample_mass(MassProfile("constant", m0=1.0), g)
-    ones = np.ones(8, dtype=complex)
-    pairs = tuple(Spinor(grid=g, plus_component=ones,
-                         minus_component=np.zeros(8), energy=e)
-                  for e in energies)
-    return SpectrumResult(eigenpairs=pairs,
-                          residuals=np.zeros(len(pairs)),
-                          classification=("real",) * len(pairs),
-                          solver_tolerance=1e-9, scheme="central_wilson",
-                          wilson_r=1.0, mass=mass,
-                          potential=LorentzPotential.zero(g))
+    op = assemble_hamiltonian(g, LorentzPotential.zero(g), mass)
+    k = len(energies)
+    states = np.zeros((k, 8, 2), dtype=complex)
+    states[:, :, 0] = 1.0
+    return SpectrumResult(operator=op, energies=np.array(energies, dtype=complex),
+                          states=states, residuals=np.zeros(k),
+                          classification=("real",) * k, solver_tolerance=1e-9)
 
 
 def test_classify_tiny_imaginary_parts_as_real():
