@@ -20,7 +20,7 @@ from typing import Optional
 
 from .config import RunConfig, parse_config
 from .errors import ConfigError, Dirac1DError
-from .report import RunReport, _write_csv, execute, f17, write_outputs
+from .report import RunReport, execute, f17, write_csv, write_outputs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,6 +136,11 @@ def _sweep_value_token(value: str) -> str:
     return token if token else "empty"
 
 
+# the columns of sweep_summary.csv, in the order of each summary row
+_SUMMARY_COLUMNS = ("value", "passed", "min_abs_im_e", "n_complex_pairs",
+                    "identity_residual", "error")
+
+
 def _run_sweep(args) -> int:
     cfg = _config(args)
     try:
@@ -181,8 +186,8 @@ def _run_sweep(args) -> int:
 
     out_root.mkdir(parents=True, exist_ok=True)
     summary = out_root / "sweep_summary.csv"
-    _write_csv(summary, ["value", "passed", "min_abs_im_e", "n_complex_pairs",
-                         "identity_residual", "error"], summary_rows)
+    write_csv(summary, {name: [row[i] for row in summary_rows]
+                        for i, name in enumerate(_SUMMARY_COLUMNS)})
     print(f"  wrote {summary}")
     if not values:
         print("  empty sweep: no values given, nothing to run")

@@ -1,15 +1,20 @@
 """Run pipelines (spectrum / diagnose / check-pt) and deterministic writers.
 
-Each report table is a list of row dicts; the CSVs and report.json are
-written from the same rows.  Reports carry no timestamps or timing so
-repeated runs of the same configuration produce byte-identical CSV and JSON
-artifacts.  Floats are written with 17 significant digits, enough to
-round-trip doubles.
+Each report table is a list of row dicts; the writers turn it into columns
+once and format each column with one formatter picked from its value types,
+so the CSVs and report.json hold the same rows.  Reports carry no
+timestamps or timing so repeated runs of the same configuration produce
+byte-identical CSV and JSON artifacts.  The CSVs write floats as %.17g (17
+significant digits, enough to round-trip a double).  report.json is
+exactly json.dumps(indent=2, sort_keys=True) of the document: floats in
+Python's shortest round-trip repr, non-finite ones as NaN, Infinity and
+-Infinity.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -257,46 +262,130 @@ def _csv_cell(v) -> str:
     return cell
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+def _json_cell(v) -> str:
+    # the values of a table row sit at depth 3 of report.json
+    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n      ")
+
+
+_FLOATS = {float, np.float64}
+_BOOLS = {False: "false", True: "true"}
+
+
+def _column_format(values: list, float_format, cell_format):
+    """One formatter for a whole column, picked from its set of value types.
+
+    A column of only floats, only ints or only bools is formatted by kind;
+    any other column (strings, mixed kinds) keeps the per-cell rule.
+    """
+    types = set(map(type, values))
+    if types <= _FLOATS:
+        return float_format
+    if types == {int}:
+        return int.__repr__
+    if types == {bool}:
+        return _BOOLS.__getitem__
+    return cell_format
+
+
+def _csv_cells(values: list) -> list[str]:
+    # "%.17g" gives the digits of f17
+    return list(map(_column_format(values, "%.17g".__mod__, _csv_cell), values))
+
+
+def _json_cells(values: list) -> list[str]:
+    fmt = _column_format(values, float.__repr__, _json_cell)
+    if fmt is float.__repr__ and not all(map(math.isfinite, values)):
+        fmt = _json_cell  # NaN, Infinity and -Infinity, as json writes them
+    return list(map(fmt, values))
+
+
+def _columns(rows: list[dict]) -> dict[str, list]:
+    """Row dicts as {key: column}; every row has the first row's keys."""
+    return {key: [row[key] for row in rows] for key in rows[0]} if rows else {}
+
+
+def _gram_columns(g: np.ndarray) -> dict[str, list]:
+    """G as the columns k_prime, k, re, im, one row per entry G[k', k]."""
+    n_rows, n_cols = g.shape
+    return {"k_prime": np.repeat(np.arange(n_rows), n_cols).tolist(),
+            "k": np.tile(np.arange(n_cols), n_rows).tolist(),
+            "re": g.real.ravel().tolist(), "im": g.imag.ravel().tolist()}
+
+
+def _n_rows(table: dict[str, list]) -> int:
+    return len(next(iter(table.values()), ()))
+
+
+def write_csv(path: Path, table: dict[str, list]) -> None:
+    """Write a {header: column} table as CSV: the header line, then the rows."""
+    cells = [_csv_cells(column) for column in table.values()]
+    lines = [",".join(table), *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n")
 
 
+def _json_rows(table: dict[str, list]) -> str:
+    """The table as the list of row objects json.dumps(indent=2,
+    sort_keys=True) writes for a key of the top-level object."""
+    if not _n_rows(table):
+        return "[]"
+    keys = sorted(table)
+    template = "    {\n%s\n    }" % ",\n".join(
+        "      %s: %%s" % json.dumps(key).replace("%", "%%") for key in keys)
+    rows = zip(*(_json_cells(table[key]) for key in keys))
+    return "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n  ]"
+
+
+def _report_json(doc: dict, tables: dict[str, dict]) -> str:
+    """json.dumps({**doc, **tables}, indent=2, sort_keys=True) + "\n".
+
+    Each value of doc is written by json.dumps, indented one level; the
+    tables are spliced in at their sorted-key positions.
+    """
+    parts = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+             for key, value in doc.items()}
+    parts.update((key, _json_rows(table)) for key, table in tables.items())
+    return "{\n%s\n}\n" % ",\n".join(
+        f"  {json.dumps(key)}: {parts[key]}" for key in sorted(parts))
+
+
 # (table key, CSV file name) in writing order; report.json holds the same
-# row lists under the table keys
+# rows under the table keys
 _TABLES = (("spectrum", "spectrum.csv"), ("gram", "gram.csv"),
            ("balance", "balance.csv"), ("pt", "pt_check.csv"))
+_OUTPUTS = tuple(name for _, name in _TABLES) + ("report.json",)
 
 
 def write_outputs(report: RunReport, out_dir: Path, formats: str) -> list[Path]:
-    """Write spectrum/gram/balance/pt CSVs and/or report.json; returns paths."""
+    """Write spectrum/gram/balance/pt CSVs and/or report.json; returns paths.
+
+    Any of those five files that this run does not write is removed from
+    out_dir, so no artifact of an earlier run is left beside this one's.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables = {"spectrum": report.spectrum_rows, "balance": report.balance_rows,
-              "pt": report.pt_rows}
+    tables = {"spectrum": _columns(report.spectrum_rows),
+              "balance": _columns(report.balance_rows),
+              "pt": _columns(report.pt_rows)}
     if report.gram is not None:
-        g = report.gram
-        tables["gram"] = [{"k_prime": i, "k": j,
-                           "re": g[i, j].real, "im": g[i, j].imag}
-                          for i in range(g.shape[0]) for j in range(g.shape[1])]
+        tables["gram"] = _gram_columns(report.gram)
     written: list[Path] = []
 
     if formats in ("csv", "both"):
         for key, name in _TABLES:
-            rows = tables.get(key)
-            if rows:
-                cols = list(rows[0])
-                p = out_dir / name
-                _write_csv(p, cols, [[row[c] for c in cols] for row in rows])
-                written.append(p)
+            if key in tables and _n_rows(tables[key]):
+                write_csv(out_dir / name, tables[key])
+                written.append(out_dir / name)
 
     if formats in ("json", "both"):
         doc = {"mode": report.mode, "config": report.config,
                "grid": report.grid_info, "hermiticity": report.hermiticity,
                "checks": [asdict(c) for c in report.checks],
-               "notes": report.notes, "passed": report.passed, **tables}
+               "notes": report.notes, "passed": report.passed}
         p = out_dir / "report.json"
-        p.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        p.write_text(_report_json(doc, tables))
         written.append(p)
+
+    for name in _OUTPUTS:
+        if out_dir / name not in written:
+            (out_dir / name).unlink(missing_ok=True)
     return written

@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConvergenceError, GridError
 from .grid import Grid1D, GridFunction
@@ -216,6 +215,8 @@ def _coefficient_table(xs: np.ndarray, pot: LorentzPotential, mass: GridFunction
     dx = (xs[1:, None] - x) / substeps
     xa = x + np.arange(substeps) * dx
     stages = np.stack([xa, xa + 0.5 * dx, xa + dx], axis=-1)
+    # scipy is imported here, so that only a process that shoots loads it
+    from scipy.interpolate import CubicSpline
     return CubicSpline(mass.grid.nodes, local_blocks(pot, mass))(stages)
 
 

@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dirac1d
 from dirac1d.cli import main
 from helpers import dispersion_multiset, lowest_by_abs
 
@@ -319,3 +324,73 @@ def test_flags_are_validated_and_echoed_like_config_keys(tmp_path, capsys):
     echo = json.loads((out / "report.json").read_text())["config"]
     assert echo["solver"]["tol"] == 1e-6
     assert echo["output"]["formats"] == "json"
+
+
+ARTIFACTS = ("spectrum.csv", "gram.csv", "balance.csv", "pt_check.csv",
+             "report.json")
+
+
+def test_a_rerun_into_one_directory_leaves_no_stale_artifacts(tmp_path):
+    ini = write_ini(tmp_path, PT_INI)
+    out = tmp_path / "out"
+    (out / "keep").mkdir(parents=True)
+    (out / "notes.txt").write_text("not an artifact")
+    assert main(["diagnose", str(ini), "--out", str(out), "--format", "both"]) == 0
+    assert all((out / name).exists() for name in ARTIFACTS)
+    assert main(["check-pt", str(ini), "--out", str(out), "--format", "both"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "keep", "notes.txt", "pt_check.csv", "report.json"]
+    assert json.loads((out / "report.json").read_text())["mode"] == "check-pt"
+
+    out = tmp_path / "formats"
+    assert main(["diagnose", str(ini), "--out", str(out), "--format", "csv"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS[:4])
+    assert main(["diagnose", str(ini), "--out", str(out), "--format", "json"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+
+def test_report_json_with_complex_levels_is_what_json_dumps_writes(tmp_path):
+    ini = write_ini(tmp_path, textwrap.dedent("""\
+        [grid]
+        x_min = -6.0
+        x_max = 6.0
+        n_points = 121
+
+        [mass]
+        family = constant
+        m0 = 1.0
+
+        [potential]
+        v_s = abs:0.5
+        v_t = linear:0.6j
+        """))
+    out = tmp_path / "out"
+    assert main(["diagnose", str(ini), "--out", str(out), "--format", "json"]) == 0
+    text = (out / "report.json").read_text()
+    doc = json.loads(text)
+    assert any(r["classification"] == "complex_pair_member"
+               for r in doc["spectrum"])
+    assert doc["gram"] and doc["balance"]
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+
+
+def test_setup_imports_no_scipy(tmp_path):
+    # what the benchmark's setup_s times: import the CLI and parse a config;
+    # scipy is left to the shooter, the only code that uses it
+    ini = write_ini(tmp_path, PT_INI)
+    src = str(Path(dirac1d.__file__).resolve().parents[1])
+    code = textwrap.dedent(f"""\
+        import sys
+        import dirac1d
+        import dirac1d.cli
+        dirac1d.config.parse_config({str(ini)!r})
+        print(sorted(m for m in sys.modules
+                     if m == "scipy" or m.startswith("scipy.")))
+        """)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
