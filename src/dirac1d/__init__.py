@@ -3,9 +3,10 @@ Lorentz-structure potentials, including PT-symmetric imaginary vector
 couplings generated by the mass profile itself."""
 
 from .config import RunConfig, config_from_raw, parse_config
-from .diagnostics import (BalanceReport, CurrentDensity, adjoint_row,
-                          continuity_residual, current_density, gram_matrix,
-                          normalize, normalize_result, orthogonality_balance)
+from .diagnostics import (BalanceReport, BalanceTable, CurrentDensity,
+                          adjoint_row, continuity_residual, current_density,
+                          gram_matrix, normalize, normalize_result,
+                          orthogonality_balance)
 from .errors import (ConfigError, ConvergenceError, Dirac1DError, GridError,
                      MassError)
 from .grid import (Grid1D, GridFunction, build_grid, differentiate, integrate)
@@ -23,7 +24,7 @@ from .solver import (ShootingResult, SpectrumResult, Spinor, classify_reality,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceReport", "ConfigError", "ConvergenceError", "CurrentDensity",
+    "BalanceReport", "BalanceTable", "ConfigError", "ConvergenceError", "CurrentDensity",
     "Dirac1DError", "DiracOperator", "GAMMA0", "GAMMA1", "GAMMA5", "Grid1D",
     "GridError", "GridFunction", "LorentzPotential", "MassError", "MassProfile",
     "PTSymmetryReport", "RunConfig", "RunReport",

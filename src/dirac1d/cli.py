@@ -20,7 +20,7 @@ from typing import Optional
 
 from .config import RunConfig, parse_config
 from .errors import ConfigError, Dirac1DError
-from .report import RunReport, execute, f17, write_csv, write_outputs
+from .report import OUTPUTS, RunReport, execute, f17, write_csv, write_outputs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,6 +141,24 @@ _SUMMARY_COLUMNS = ("value", "passed", "min_abs_im_e", "n_complex_pairs",
                     "identity_residual", "error")
 
 
+# a run directory of a sweep: NNN_<value token>
+_RUN_DIR = re.compile(r"\d{3,}_[A-Za-z0-9.+_-]+")
+
+
+def _remove_stale_runs(out_root: Path, written: set[Path]) -> None:
+    """Remove each run directory in out_root that this sweep did not write,
+    when it holds nothing but files named among write_outputs' artifacts."""
+    for run_dir in out_root.iterdir():
+        if (run_dir in written or not run_dir.is_dir()
+                or not _RUN_DIR.fullmatch(run_dir.name)):
+            continue
+        entries = list(run_dir.iterdir())
+        if all(p.is_file() and p.name in OUTPUTS for p in entries):
+            for p in entries:
+                p.unlink()
+            run_dir.rmdir()
+
+
 def _run_sweep(args) -> int:
     cfg = _config(args)
     try:
@@ -156,6 +174,7 @@ def _run_sweep(args) -> int:
     formats = cfg["output"]["formats"]
 
     summary_rows = []
+    run_dirs = set()
     any_failed = False
     for idx, value in enumerate(values):
         # a failing run is recorded in the summary and the sweep moves on
@@ -170,12 +189,14 @@ def _run_sweep(args) -> int:
             continue
         sub_dir = out_root / f"{idx:03d}_{_sweep_value_token(value)}"
         write_outputs(report, sub_dir, formats)
+        run_dirs.add(sub_dir)
         min_abs_im = min((abs(r["energy_im"]) for r in report.spectrum_rows),
                          default=float("nan"))
         n_pairs = sum(1 for r in report.spectrum_rows
                       if r["classification"] == "complex_pair_member") // 2
-        max_ident = max((r["identity_residual"] for r in report.balance_rows),
-                        default=float("nan"))
+        residuals = ([] if report.balance is None
+                     else report.balance.identity_residual.tolist())
+        max_ident = max(residuals, default=float("nan"))
         summary_rows.append([value, report.passed, min_abs_im, n_pairs,
                              max_ident, ""])
         status = "PASS" if report.passed else "FAIL"
@@ -185,6 +206,7 @@ def _run_sweep(args) -> int:
             any_failed = True
 
     out_root.mkdir(parents=True, exist_ok=True)
+    _remove_stale_runs(out_root, run_dirs)
     summary = out_root / "sweep_summary.csv"
     write_csv(summary, {name: [row[i] for row in summary_rows]
                         for i, name in enumerate(_SUMMARY_COLUMNS)})

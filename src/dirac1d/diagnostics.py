@@ -17,13 +17,16 @@ orthogonality in the plain gamma0 inner product is lost, which is exactly
 what the balance report quantifies.
 
 Normalization, the Gram matrix and the balance terms work on a result's whole
-(K, n, 2) state stack at once; the per-state functions take one Spinor.
+(K, n, 2) state stack at once; the per-state functions take one Spinor.  The
+balance identity of all pairs comes back as one BalanceTable of per-pair
+columns, gathered from the K x K term matrices; BalanceReport is its per-pair
+view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -217,6 +220,64 @@ class BalanceReport:
     window: Optional[tuple[int, int]]
 
 
+# the per-pair arrays of a BalanceTable, in field order
+_COLUMNS = ("k", "k_prime", "term_energy", "term_boundary", "term_potential",
+            "identity_residual", "orthogonality_gap", "identity_ok",
+            "orthogonality_restored")
+
+
+@dataclass(frozen=True, eq=False)
+class BalanceTable:
+    """The balance identity of every evaluated pair, as read-only columns.
+
+    Entry i of each array belongs to pair (k[i], k_prime[i]); identity_tol
+    and window are shared by all pairs.  table[i] and iteration give one
+    BalanceReport per pair, a view over the same arrays.
+    """
+
+    k: np.ndarray
+    k_prime: np.ndarray
+    term_energy: np.ndarray
+    term_boundary: np.ndarray
+    term_potential: np.ndarray
+    identity_residual: np.ndarray
+    orthogonality_gap: np.ndarray
+    identity_ok: np.ndarray
+    orthogonality_restored: np.ndarray
+    identity_tol: float
+    window: Optional[tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        for name in _COLUMNS:  # read-only views, no copies
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, i: int) -> BalanceReport:
+        return BalanceReport(
+            k=int(self.k[i]), k_prime=int(self.k_prime[i]),
+            term_energy=complex(self.term_energy[i]),
+            term_boundary=complex(self.term_boundary[i]),
+            term_potential=complex(self.term_potential[i]),
+            identity_residual=float(self.identity_residual[i]),
+            identity_tol=self.identity_tol,
+            identity_ok=bool(self.identity_ok[i]),
+            orthogonality_gap=float(self.orthogonality_gap[i]),
+            orthogonality_restored=bool(self.orthogonality_restored[i]),
+            window=self.window)
+
+    def __iter__(self) -> Iterator[BalanceReport]:
+        return map(self.__getitem__, range(len(self)))
+
+
+def _magnitude(z: np.ndarray) -> np.ndarray:
+    # hypot is what abs(complex) computes; np.abs rounds differently
+    return np.hypot(z.real, z.imag)
+
+
 def _pair_error(k: int, k_prime: int, n_states: int) -> Optional[str]:
     if k == k_prime:
         return "balance identity needs two distinct states (k == k_prime)"
@@ -228,10 +289,10 @@ def _pair_error(k: int, k_prime: int, n_states: int) -> Optional[str]:
 def orthogonality_balance(result: SpectrumResult, pairs: Sequence[tuple[int, int]],
                           window: Optional[tuple[int, int]] = None,
                           identity_tol: Optional[float] = None
-                          ) -> tuple[list[BalanceReport], list[tuple[int, int, str]]]:
+                          ) -> tuple[BalanceTable, list[tuple[int, int, str]]]:
     """Evaluate the balance identity for every ordered pair (k, k_prime).
 
-    Returns the reports of the evaluated pairs and (k, k_prime, reason) for
+    Returns the table of the evaluated pairs and (k, k_prime, reason) for
     each refused one, both in the order of pairs.  A pair is refused when
     its states are not distinct or out of range, when either state fails
     the coupled-equation oracle (residual norm within ORACLE_FACTOR * solver
@@ -245,47 +306,57 @@ def orthogonality_balance(result: SpectrumResult, pairs: Sequence[tuple[int, int
     |E_k - conj(E_k')| |<k'|k>| up to rounding: for distinct real levels a
     gap within identity_tol means gamma0-orthogonal states, while for
     conjugate partners (E_k' = conj(E_k)) it vanishes whatever the overlap.
+    Pair indices that are not integers raise TypeError.
     """
     op, grid, c = result.operator, result.grid, result.states
     n_states = len(c)
-    oracle = {}
-    for i in sorted({i for k, kp in pairs if _pair_error(k, kp, n_states) is None
-                     for i in (k, kp)}):
+    index = np.asarray(pairs).reshape(len(pairs), 2)
+    if len(index) and index.dtype.kind != "i":
+        raise TypeError(f"pair indices must be integers, not {index.dtype}")
+    k, kp = index.astype(int).T
+    valid = (k != kp) & (k >= 0) & (k < n_states) & (kp >= 0) & (kp < n_states)
+    oracle = np.zeros(n_states)
+    for i in np.unique(np.concatenate([k[valid], kp[valid]])).tolist():
         oracle[i] = reduced_residual_norm(
             result.energies[i], GridFunction(grid, c[i, :, 0]),
             GridFunction(grid, c[i, :, 1]), op.potential, op.mass,
             scheme=op.scheme, wilson_r=op.wilson_r)
+    fails = np.flatnonzero(oracle > ORACLE_FACTOR * result.solver_tolerance)
+    k_fails, kp_fails = valid & np.isin(k, fails), valid & np.isin(kp, fails)
 
     lo, hi = (0, grid.n_points - 1) if window is None else (int(window[0]), int(window[1]))
     window_error = (None if 0 <= lo < hi <= grid.n_points - 1
                     else f"window ({lo}, {hi}) is not a valid index range")
-    if oracle and window_error is None:
+    ok = valid & ~k_fails & ~kp_fails & (window_error is None)
+
+    failures = []
+    for j in np.flatnonzero(~ok).tolist():
+        kj, kpj = pairs[j]
+        error = _pair_error(kj, kpj, n_states)
+        for label, i, failed in (("k", kj, k_fails), ("k_prime", kpj, kp_fails)):
+            if error is None and failed[j]:
+                error = (f"state {label} fails the coupled-equation oracle "
+                         f"(residual {oracle[i]:.3e} > {ORACLE_FACTOR:g} x tol); "
+                         "balance identity is only defined for eigenpairs")
+        failures.append((kj, kpj, error or window_error))
+
+    k, kp = k[ok], kp[ok]
+    if len(k):
         # rectangle weights on a window: the discrete identity closes exactly
         # in plain h-weighted sums, edge halving would reopen it by O(h)
         weights = (grid.quadrature_weights if window is None
                    else np.full(hi - lo + 1, grid.h))
-        terms = _balance_terms(result, lo, hi, weights)
+        te, tb, tp = (t[kp, k] for t in _balance_terms(result, lo, hi, weights))
+    else:
+        te = tb = tp = np.zeros(0, dtype=complex)
     tol = identity_tol if identity_tol is not None else AUTO_IDENTITY_TOL
-
-    reports, failures = [], []
-    for k, kp in pairs:
-        error = _pair_error(k, kp, n_states)
-        for label, i in (("k", k), ("k_prime", kp)):
-            if error is None and oracle[i] > ORACLE_FACTOR * result.solver_tolerance:
-                error = (f"state {label} fails the coupled-equation oracle "
-                         f"(residual {oracle[i]:.3e} > {ORACLE_FACTOR:g} x tol); "
-                         "balance identity is only defined for eigenpairs")
-        if error or window_error:
-            failures.append((k, kp, error or window_error))
-            continue
-        te, tb, tp = (complex(t[kp, k]) for t in terms)
-        residual = abs(te + tb - tp)
-        # by the identity, tb - tp = -(E_k - conj(E_k')) <k'|k> up to rounding
-        gap = abs(tb - tp)
-        reports.append(BalanceReport(
-            k=k, k_prime=kp, term_energy=te, term_boundary=tb, term_potential=tp,
-            identity_residual=residual, identity_tol=tol,
-            identity_ok=residual <= tol * max(1.0, abs(te), abs(tb), abs(tp)),
-            orthogonality_gap=gap, orthogonality_restored=gap <= tol,
-            window=window))
-    return reports, failures
+    residual = _magnitude(te + tb - tp)
+    # by the identity, tb - tp = -(E_k - conj(E_k')) <k'|k> up to rounding
+    gap = _magnitude(tb - tp)
+    scale = np.maximum(np.maximum(1.0, _magnitude(te)),
+                       np.maximum(_magnitude(tb), _magnitude(tp)))
+    return BalanceTable(
+        k=k, k_prime=kp, term_energy=te, term_boundary=tb, term_potential=tp,
+        identity_residual=residual, orthogonality_gap=gap,
+        identity_ok=residual <= tol * scale, orthogonality_restored=gap <= tol,
+        identity_tol=tol, window=window), failures

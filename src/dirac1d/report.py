@@ -1,8 +1,11 @@
 """Run pipelines (spectrum / diagnose / check-pt) and deterministic writers.
 
-Each report table is a list of row dicts; the writers turn it into columns
-once and format each column with one formatter picked from its value types,
-so the CSVs and report.json hold the same rows.  Reports carry no
+The writers take each report table as columns: the spectrum and PT row
+dicts are turned into columns once, while the Gram and balance tables are
+numpy columns taken straight from the matrix and the BalanceTable.  Each
+column has one formatter, picked from a numpy column's dtype or a list
+column's value types, and a float column formats each distinct bit pattern
+once; the CSVs and report.json hold the same rows.  Reports carry no
 timestamps or timing so repeated runs of the same configuration produce
 byte-identical CSV and JSON artifacts.  The CSVs write floats as %.17g (17
 significant digits, enough to round-trip a double).  report.json is
@@ -14,7 +17,6 @@ Python's shortest round-trip repr, non-finite ones as NaN, Infinity and
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -23,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .config import CHANNELS, RunConfig
-from .diagnostics import (BalanceReport, continuity_residual, gram_matrix,
+from .diagnostics import (BalanceTable, continuity_residual, gram_matrix,
                           normalize_result, orthogonality_balance)
 from .errors import ConvergenceError, Dirac1DError
 from .hamiltonian import assemble_hamiltonian, hermiticity_of_operator
@@ -53,7 +55,7 @@ class RunReport:
     pt_rows: list = field(default_factory=list)
     hermiticity: dict = field(default_factory=dict)
     gram: Optional[np.ndarray] = None
-    balance_rows: list = field(default_factory=list)
+    balance: Optional[BalanceTable] = None
     checks: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
@@ -64,24 +66,6 @@ class RunReport:
 
 def _node_index(grid, x: float) -> int:
     return int(np.argmin(np.abs(grid.nodes - x)))
-
-
-def _balance_row(rep: BalanceReport) -> dict:
-    return {
-        "k": rep.k,
-        "k_prime": rep.k_prime,
-        "term_energy_re": rep.term_energy.real,
-        "term_energy_im": rep.term_energy.imag,
-        "term_boundary_re": rep.term_boundary.real,
-        "term_boundary_im": rep.term_boundary.imag,
-        "term_potential_re": rep.term_potential.real,
-        "term_potential_im": rep.term_potential.imag,
-        "identity_residual": rep.identity_residual,
-        "identity_tol": rep.identity_tol,
-        "identity_ok": rep.identity_ok,
-        "orthogonality_gap": rep.orthogonality_gap,
-        "orthogonality_restored": rep.orthogonality_restored,
-    }
 
 
 def execute(cfg: RunConfig, mode: str, strict_pt: bool = False) -> RunReport:
@@ -215,21 +199,21 @@ def execute(cfg: RunConfig, mode: str, strict_pt: bool = False) -> RunReport:
         if not pairs:
             low = min(d["balance_lowest"], len(result.energies))
             pairs = [(k, kp) for k in range(low) for kp in range(k)]
-        reports, failures = orthogonality_balance(
+        table, failures = orthogonality_balance(
             result, pairs, window=window, identity_tol=identity_tol)
         report.checks.extend(
             CheckOutcome("balance_identity", False, f"pair ({k},{kp}): {why}")
             for k, kp, why in failures)
-        report.balance_rows = [_balance_row(r) for r in reports]
-        if reports:
-            bad = [r for r in reports if not r.identity_ok]
+        report.balance = table
+        if len(table):
+            # Python's max, as over the per-pair residuals: NaN reads the same
+            bad = table.identity_residual[~table.identity_ok].tolist()
             report.checks.append(CheckOutcome(
                 "balance_identity", not bad,
-                f"{len(reports)} pair(s), worst residual "
-                f"{max(r.identity_residual for r in reports):.3e}"
+                f"{len(table)} pair(s), worst residual "
+                f"{max(table.identity_residual.tolist()):.3e}"
                 if not bad else
-                f"{len(bad)} pair(s) exceed tolerance, worst "
-                f"{max(r.identity_residual for r in bad):.3e}"))
+                f"{len(bad)} pair(s) exceed tolerance, worst {max(bad):.3e}"))
 
         # current conservation is only an exit-relevant check for Hermitian
         # potentials; PT runs legitimately violate it and just report values
@@ -271,32 +255,61 @@ _FLOATS = {float, np.float64}
 _BOOLS = {False: "false", True: "true"}
 
 
-def _column_format(values: list, float_format, cell_format):
-    """One formatter for a whole column, picked from its set of value types.
+def _distinct_cells(column, format_floats) -> list[str]:
+    """The column's floats formatted by format_floats, which is handed each
+    distinct bit pattern once.
 
-    A column of only floats, only ints or only bools is formatted by kind;
-    any other column (strings, mixed kinds) keeps the per-cell rule.
+    Keyed on bits, not values: 0.0 == -0.0 but the two are written apart.
     """
-    types = set(map(type, values))
-    if types <= _FLOATS:
-        return float_format
-    if types == {int}:
-        return int.__repr__
-    if types == {bool}:
-        return _BOOLS.__getitem__
-    return cell_format
+    bits, inverse = np.unique(np.ascontiguousarray(column, dtype=np.float64)
+                              .view(np.uint64), return_inverse=True)
+    cells = np.array(format_floats(bits.view(np.float64)), dtype=object)
+    return cells[inverse].tolist()
 
 
-def _csv_cells(values: list) -> list[str]:
+def _cells(column, format_floats, cell_format) -> list[str]:
+    """The column's cells, formatted by kind.
+
+    A numpy column's kind is its dtype; a list column of only floats, only
+    ints or only bools is formatted by kind, and any other list column
+    (strings, mixed kinds) keeps the per-cell rule.
+    """
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        if kind != "f":
+            column = column.tolist()
+    else:
+        types = set(map(type, column))
+        kind = ("f" if types <= _FLOATS else "i" if types == {int}
+                else "b" if types == {bool} else None)
+    if kind == "f":
+        return _distinct_cells(column, format_floats)
+    if kind == "i":
+        return list(map(int.__repr__, column))
+    if kind == "b":
+        return list(map(_BOOLS.__getitem__, column))
+    return list(map(cell_format, column))
+
+
+def _csv_floats(values: np.ndarray) -> list[str]:
     # "%.17g" gives the digits of f17
-    return list(map(_column_format(values, "%.17g".__mod__, _csv_cell), values))
+    return list(map("%.17g".__mod__, values.tolist()))
 
 
-def _json_cells(values: list) -> list[str]:
-    fmt = _column_format(values, float.__repr__, _json_cell)
-    if fmt is float.__repr__ and not all(map(math.isfinite, values)):
-        fmt = _json_cell  # NaN, Infinity and -Infinity, as json writes them
-    return list(map(fmt, values))
+def _csv_cells(column) -> list[str]:
+    return _cells(column, _csv_floats, _csv_cell)
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """float.__repr__, with NaN, Infinity and -Infinity as json writes them."""
+    cells = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        cells[i] = json.dumps(float(values[i]))
+    return cells
+
+
+def _json_cells(column) -> list[str]:
+    return _cells(column, _json_floats, _json_cell)
 
 
 def _columns(rows: list[dict]) -> dict[str, list]:
@@ -304,12 +317,28 @@ def _columns(rows: list[dict]) -> dict[str, list]:
     return {key: [row[key] for row in rows] for key in rows[0]} if rows else {}
 
 
-def _gram_columns(g: np.ndarray) -> dict[str, list]:
+def _gram_columns(g: np.ndarray) -> dict[str, np.ndarray]:
     """G as the columns k_prime, k, re, im, one row per entry G[k', k]."""
     n_rows, n_cols = g.shape
-    return {"k_prime": np.repeat(np.arange(n_rows), n_cols).tolist(),
-            "k": np.tile(np.arange(n_cols), n_rows).tolist(),
-            "re": g.real.ravel().tolist(), "im": g.imag.ravel().tolist()}
+    return {"k_prime": np.repeat(np.arange(n_rows), n_cols),
+            "k": np.tile(np.arange(n_cols), n_rows),
+            "re": g.real.ravel(), "im": g.imag.ravel()}
+
+
+def _balance_columns(t: BalanceTable) -> dict[str, np.ndarray]:
+    """The balance table as its CSV/JSON columns, one row per pair."""
+    return {"k": t.k, "k_prime": t.k_prime,
+            "term_energy_re": t.term_energy.real,
+            "term_energy_im": t.term_energy.imag,
+            "term_boundary_re": t.term_boundary.real,
+            "term_boundary_im": t.term_boundary.imag,
+            "term_potential_re": t.term_potential.real,
+            "term_potential_im": t.term_potential.imag,
+            "identity_residual": t.identity_residual,
+            "identity_tol": np.full(len(t), t.identity_tol),
+            "identity_ok": t.identity_ok,
+            "orthogonality_gap": t.orthogonality_gap,
+            "orthogonality_restored": t.orthogonality_restored}
 
 
 def _n_rows(table: dict[str, list]) -> int:
@@ -352,7 +381,7 @@ def _report_json(doc: dict, tables: dict[str, dict]) -> str:
 # rows under the table keys
 _TABLES = (("spectrum", "spectrum.csv"), ("gram", "gram.csv"),
            ("balance", "balance.csv"), ("pt", "pt_check.csv"))
-_OUTPUTS = tuple(name for _, name in _TABLES) + ("report.json",)
+OUTPUTS = tuple(name for _, name in _TABLES) + ("report.json",)
 
 
 def write_outputs(report: RunReport, out_dir: Path, formats: str) -> list[Path]:
@@ -364,7 +393,8 @@ def write_outputs(report: RunReport, out_dir: Path, formats: str) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = {"spectrum": _columns(report.spectrum_rows),
-              "balance": _columns(report.balance_rows),
+              "balance": ({} if report.balance is None
+                          else _balance_columns(report.balance)),
               "pt": _columns(report.pt_rows)}
     if report.gram is not None:
         tables["gram"] = _gram_columns(report.gram)
@@ -385,7 +415,7 @@ def write_outputs(report: RunReport, out_dir: Path, formats: str) -> list[Path]:
         p.write_text(_report_json(doc, tables))
         written.append(p)
 
-    for name in _OUTPUTS:
+    for name in OUTPUTS:
         if out_dir / name not in written:
             (out_dir / name).unlink(missing_ok=True)
     return written

@@ -260,6 +260,32 @@ def test_sweep_values_may_start_with_a_minus(tmp_path):
     assert (out / "000_-0.01" / "spectrum.csv").exists()
 
 
+def test_a_second_sweep_into_one_directory_removes_the_first_runs(tmp_path):
+    ini = write_ini(tmp_path, PT_INI)
+    out = tmp_path / "out"
+    assert main(["sweep", str(ini), "--param", "mass.alpha",
+                 "--values", "0.1,0.2", "--out", str(out)]) == 0
+    assert (out / "001_0.2" / "balance.csv").exists()
+    # run directories holding anything but artifacts are the user's
+    (out / "007_keep").mkdir()
+    (out / "007_keep" / "notes.txt").write_text("mine")
+    (out / "001_0.2" / "notes.txt").write_text("mine too")
+    assert main(["sweep", str(ini), "--param", "mass.alpha",
+                 "--values", "0.3", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "000_0.3", "001_0.2", "007_keep", "sweep_summary.csv"]
+    assert sorted(p.name for p in (out / "001_0.2").iterdir()) == [
+        "balance.csv", "gram.csv", "notes.txt", "pt_check.csv", "spectrum.csv"]
+    assert (out / "007_keep" / "notes.txt").read_text() == "mine"
+    assert [r["value"] for r in read_rows(out / "sweep_summary.csv")] == ["0.3"]
+
+    (out / "001_0.2" / "notes.txt").unlink()
+    assert main(["sweep", str(ini), "--param", "mass.alpha",
+                 "--values", "0.3", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "000_0.3", "007_keep", "sweep_summary.csv"]
+
+
 def test_sweep_summary_quotes_values_and_errors(tmp_path):
     # values holding a quote or a line break, and error messages full of
     # commas, all have to survive a round trip through a standard CSV reader

@@ -204,8 +204,10 @@ def test_balance_rejects_bad_pairs(pt_cases):
     assert "distinct" in failures[0][2]
     assert failures[1][2] == "pair indices (0, 99) out of range 0..11"
     reports, failures = orthogonality_balance(result, [(0, 1)], window=(300, 100))
-    assert reports == []
+    assert len(reports) == 0
     assert failures == [(0, 1, "window (300, 100) is not a valid index range")]
+    with pytest.raises(TypeError, match="integers"):
+        orthogonality_balance(result, [(1.0, 0)])
 
 
 def test_balance_rejects_non_eigenpairs(pt_cases):
@@ -256,6 +258,22 @@ def _all_pairs(result):
     return [(k, kp) for k in range(k_max) for kp in range(k_max) if k != kp]
 
 
+def _assert_columns_follow_the_scalar_rule(table):
+    # the per-pair rule in Python complex arithmetic; the columns must carry
+    # its bits, which np.abs (not abs(complex)) would change in the last place
+    tol = table.identity_tol
+    for i in range(len(table)):
+        te, tb, tp = (complex(t[i]) for t in (table.term_energy,
+                                              table.term_boundary,
+                                              table.term_potential))
+        residual, gap = abs(te + tb - tp), abs(tb - tp)
+        ok = residual <= tol * max(1.0, abs(te), abs(tb), abs(tp))
+        assert float(table.identity_residual[i]).hex() == residual.hex(), i
+        assert float(table.orthogonality_gap[i]).hex() == gap.hex(), i
+        assert table.identity_ok[i] == ok, i
+        assert table.orthogonality_restored[i] == (gap <= tol), i
+
+
 def test_balance_closes_at_rounding_for_complex_levels():
     # E_k' enters the gamma0-adjoint equation conjugated: with the plain
     # E_k - E_k' the worst residual here is 1.46, with the conjugate the
@@ -269,6 +287,7 @@ def test_balance_closes_at_rounding_for_complex_levels():
         scale = max(1.0, abs(rep.term_energy), abs(rep.term_boundary),
                     abs(rep.term_potential))
         assert rep.identity_residual <= 1e-12 * scale, (rep.k, rep.k_prime)
+    _assert_columns_follow_the_scalar_rule(reports)
 
 
 def test_auto_identity_tol_is_rounding_scaled(pt_cases):
@@ -295,6 +314,7 @@ def _assert_matches_reference(result, window=None):
         want = reference_balance_terms(result, rep.k, rep.k_prime, window)
         scale = max(1.0, *(abs(t) for t in want))
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * scale
+    _assert_columns_follow_the_scalar_rule(reports)
     return reports
 
 
@@ -318,6 +338,21 @@ def test_balance_matrix_form_matches_reference_central_scheme():
                             max_pairs=8, v_s=lambda x: 0.5 * np.abs(x),
                             v_sp=lambda x: 0.2 + 0 * x)
     _assert_matches_reference(result, window=(25, 66))
+
+
+def test_balance_table_gathers_pairs_in_order(pt_cases):
+    result = normalize_result(pt_cases[400].result)
+    pairs = [(3, 1), (0, 2), (5, 4), (1, 0)]
+    table, _ = orthogonality_balance(result, pairs)
+    assert list(zip(table.k.tolist(), table.k_prime.tolist())) == pairs
+    for (k, kp), rep in zip(pairs, table):
+        want = reference_balance_terms(result, k, kp)
+        got = (rep.term_energy, rep.term_boundary, rep.term_potential)
+        scale = max(1.0, *(abs(t) for t in want))
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * scale
+    assert table[-1] == list(table)[3]
+    assert (table[2].k, table[2].k_prime) == (5, 4)
+    assert not table.identity_residual.flags.writeable
 
 
 def test_balance_runs_the_oracle_once_per_state(pt_cases, monkeypatch):

@@ -3,7 +3,9 @@
 report.json must equal json.dumps(doc, indent=2, sort_keys=True) of the
 row-dict document, and each CSV must equal what the per-cell rule below
 writes: 17 significant digits for floats, true/false for booleans, str()
-for the rest, quoted when it holds a comma, a quote or a line break.
+for the rest, quoted when it holds a comma, a quote or a line break.  The
+balance rows of the reference document are read one pair at a time from
+the BalanceTable's per-pair view.
 """
 
 import json
@@ -11,6 +13,8 @@ import math
 
 import numpy as np
 
+from dirac1d import config_from_raw, execute
+from dirac1d.diagnostics import BalanceTable
 from dirac1d.report import CheckOutcome, RunReport, write_csv, write_outputs
 
 ODD_ROW = {
@@ -48,13 +52,32 @@ def reference_gram_rows(g: np.ndarray) -> list[dict]:
             for i in range(g.shape[0]) for j in range(g.shape[1])]
 
 
+def reference_balance_rows(table) -> list[dict]:
+    """One row per pair, read from the table's per-pair BalanceReport view."""
+    if table is None:
+        return []
+    return [{"k": rep.k, "k_prime": rep.k_prime,
+             "term_energy_re": rep.term_energy.real,
+             "term_energy_im": rep.term_energy.imag,
+             "term_boundary_re": rep.term_boundary.real,
+             "term_boundary_im": rep.term_boundary.imag,
+             "term_potential_re": rep.term_potential.real,
+             "term_potential_im": rep.term_potential.imag,
+             "identity_residual": rep.identity_residual,
+             "identity_tol": rep.identity_tol, "identity_ok": rep.identity_ok,
+             "orthogonality_gap": rep.orthogonality_gap,
+             "orthogonality_restored": rep.orthogonality_restored}
+            for rep in table]
+
+
 def reference_json(report: RunReport) -> str:
     doc = {"mode": report.mode, "config": report.config,
            "grid": report.grid_info, "hermiticity": report.hermiticity,
            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                       for c in report.checks],
            "notes": report.notes, "passed": report.passed,
-           "spectrum": report.spectrum_rows, "balance": report.balance_rows,
+           "spectrum": report.spectrum_rows,
+           "balance": reference_balance_rows(report.balance),
            "pt": report.pt_rows}
     if report.gram is not None:
         doc["gram"] = reference_gram_rows(report.gram)
@@ -122,3 +145,54 @@ def test_write_csv_matches_the_per_cell_rule_on_a_sweep_summary(tmp_path):
     assert path.read_text() == reference_csv(rows)
     write_csv(path, {key: [] for key in rows[0]})
     assert path.read_text() == ",".join(rows[0]) + "\n"
+
+
+# every float whose bits a value-keyed dedupe would merge or split wrongly:
+# 0.0 == -0.0 but the two are written apart, and nan != nan
+REPEATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, np.float64(0.1),
+           -0.0, 0.0, math.inf, math.nan, 5e-324, -math.inf, 0.1, -0.0,
+           np.float64(-0.0), 0.0]
+
+
+def test_repeated_odd_floats_are_written_per_cell(tmp_path):
+    rows = [{"x": v, "index": i} for i, v in enumerate(REPEATS)]
+    report = sample_report(spectrum_rows=rows)
+    write_outputs(report, tmp_path, "both")
+    assert (tmp_path / "spectrum.csv").read_text() == reference_csv(rows)
+    assert (tmp_path / "report.json").read_text() == reference_json(report)
+
+
+def test_balance_table_columns_write_what_the_per_pair_rows_write(tmp_path):
+    x = np.array(REPEATS, dtype=float)
+    n = len(x)
+    term_energy = x.astype(complex)
+    term_energy.imag = x[::-1]  # x + 1j * x would turn inf into nan
+    table = BalanceTable(
+        k=np.arange(n), k_prime=np.arange(n)[::-1],
+        term_energy=term_energy, term_boundary=np.zeros(n, dtype=complex),
+        term_potential=-x + 0j, identity_residual=x,
+        orthogonality_gap=x[::-1], identity_ok=np.isfinite(x),
+        orthogonality_restored=x == 0.0, identity_tol=2.5e-12, window=None)
+    report = sample_report(balance=table)
+    write_outputs(report, tmp_path, "both")
+    rows = reference_balance_rows(table)
+    assert (tmp_path / "balance.csv").read_text() == reference_csv(rows)
+    text = (tmp_path / "report.json").read_text()
+    assert text == reference_json(report)
+    assert '"identity_residual": -0.0' in text
+    assert '"identity_residual": NaN' in text
+
+
+PT_RAW = {"grid": {"x_min": "-6.0", "x_max": "6.0", "n_points": "100"},
+          "mass": {"family": "quadratic_even", "m0": "1.0", "alpha": "0.1"},
+          "potential": {"v_t": "pt_from_mass"},
+          "diagnostics": {"balance_lowest": "8"}}
+
+
+def test_diagnose_artifacts_match_the_per_pair_reference(tmp_path):
+    report = execute(config_from_raw(PT_RAW), "diagnose")
+    assert len(report.balance) == 28
+    write_outputs(report, tmp_path, "both")
+    rows = reference_balance_rows(report.balance)
+    assert (tmp_path / "balance.csv").read_text() == reference_csv(rows)
+    assert (tmp_path / "report.json").read_text() == reference_json(report)
