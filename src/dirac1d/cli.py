@@ -106,10 +106,11 @@ def _config(args) -> RunConfig:
 
 
 def _print_report(report: RunReport, written) -> None:
-    for row in report.spectrum_rows:
-        print(f"  E[{row['index']}] = {f17(row['energy_re'])} "
-              f"{'+' if row['energy_im'] >= 0 else '-'} "
-              f"{f17(abs(row['energy_im']))}i  ({row['classification']})")
+    s = report.spectrum
+    for i, re, im, tag in zip(*(s.get(key, ()) for key in (
+            "index", "energy_re", "energy_im", "classification"))):
+        print(f"  E[{i}] = {f17(re)} {'+' if im >= 0 else '-'} "
+              f"{f17(abs(im))}i  ({tag})")
     for note in report.notes:
         print(f"  note: {note}")
     for chk in report.checks:
@@ -136,11 +137,6 @@ def _sweep_value_token(value: str) -> str:
     return token if token else "empty"
 
 
-# the columns of sweep_summary.csv, in the order of each summary row
-_SUMMARY_COLUMNS = ("value", "passed", "min_abs_im_e", "n_complex_pairs",
-                    "identity_residual", "error")
-
-
 # a run directory of a sweep: NNN_<value token>
 _RUN_DIR = re.compile(r"\d{3,}_[A-Za-z0-9.+_-]+")
 
@@ -159,6 +155,11 @@ def _remove_stale_runs(out_root: Path, written: set[Path]) -> None:
             run_dir.rmdir()
 
 
+def _append(columns: dict[str, list], **cells) -> None:
+    for key, cell in cells.items():
+        columns[key].append(cell)
+
+
 def _run_sweep(args) -> int:
     cfg = _config(args)
     try:
@@ -173,7 +174,9 @@ def _run_sweep(args) -> int:
     out_root = _out_dir(args, cfg)
     formats = cfg["output"]["formats"]
 
-    summary_rows = []
+    # the columns of sweep_summary.csv, one entry per value
+    summary = {"value": values, "passed": [], "min_abs_im_e": [],
+               "n_complex_pairs": [], "identity_residual": [], "error": []}
     run_dirs = set()
     any_failed = False
     for idx, value in enumerate(values):
@@ -182,23 +185,25 @@ def _run_sweep(args) -> int:
             report = execute(cfg.replace({args.param: value}), "diagnose",
                              strict_pt=args.strict_pt)
         except Dirac1DError as exc:
-            summary_rows.append([value, False, float("nan"), 0,
-                                 float("nan"), str(exc)])
+            _append(summary, passed=False, min_abs_im_e=float("nan"),
+                    n_complex_pairs=0, identity_residual=float("nan"),
+                    error=str(exc))
             print(f"  {args.param}={value}: ERROR ({exc})")
             any_failed = True
             continue
         sub_dir = out_root / f"{idx:03d}_{_sweep_value_token(value)}"
         write_outputs(report, sub_dir, formats)
         run_dirs.add(sub_dir)
-        min_abs_im = min((abs(r["energy_im"]) for r in report.spectrum_rows),
+        spectrum = report.spectrum
+        min_abs_im = min(map(abs, spectrum.get("energy_im", ())),
                          default=float("nan"))
-        n_pairs = sum(1 for r in report.spectrum_rows
-                      if r["classification"] == "complex_pair_member") // 2
+        n_pairs = list(spectrum.get("classification", ())).count(
+            "complex_pair_member") // 2
         residuals = ([] if report.balance is None
                      else report.balance.identity_residual.tolist())
         max_ident = max(residuals, default=float("nan"))
-        summary_rows.append([value, report.passed, min_abs_im, n_pairs,
-                             max_ident, ""])
+        _append(summary, passed=report.passed, min_abs_im_e=min_abs_im,
+                n_complex_pairs=n_pairs, identity_residual=max_ident, error="")
         status = "PASS" if report.passed else "FAIL"
         print(f"  {args.param}={value}: {status} "
               f"({n_pairs} complex pair(s), min |Im E| {min_abs_im:.3e})")
@@ -207,10 +212,9 @@ def _run_sweep(args) -> int:
 
     out_root.mkdir(parents=True, exist_ok=True)
     _remove_stale_runs(out_root, run_dirs)
-    summary = out_root / "sweep_summary.csv"
-    write_csv(summary, {name: [row[i] for row in summary_rows]
-                        for i, name in enumerate(_SUMMARY_COLUMNS)})
-    print(f"  wrote {summary}")
+    path = out_root / "sweep_summary.csv"
+    write_csv(path, summary)
+    print(f"  wrote {path}")
     if not values:
         print("  empty sweep: no values given, nothing to run")
     return 2 if any_failed else 0

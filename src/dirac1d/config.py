@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import Grid1D, GridFunction, build_grid
+from .hamiltonian import OPERATOR_SCHEMES
 from .lorentz import (MASS_FAMILIES, LorentzPotential, MassProfile,
                       pt_vector_potential, sample_mass)
 
@@ -41,7 +42,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, Optional[str]]]] = {
     },
     "potential": {name: ("channel", "zero") for name in CHANNELS},
     "solver": {
-        "scheme": ("choice:central|central_wilson", "central_wilson"),
+        "scheme": ("choice:" + "|".join(OPERATOR_SCHEMES), "central_wilson"),
         "wilson_r": ("float", "1.0"),
         "tol": ("float", "1e-9"),
         "max_pairs": ("int", "12"),
@@ -235,6 +236,13 @@ def _validate_semantics(cfg: RunConfig) -> None:
             raise ConfigError(
                 f"diagnostics.window [{lo}, {hi}] exceeds the domain "
                 f"[{grid.x_min}, {grid.x_max}]"
+            )
+        node = grid.nearest_node(lo)
+        if grid.nearest_node(hi) == node:
+            raise ConfigError(
+                f"diagnostics.window [{lo}, {hi}] collapses onto node {node} "
+                f"(x = {grid.nodes[node]:g}); both ends have it as their "
+                "nearest node, and the balance window needs two"
             )
     if cfg.values["solver"]["tol"] <= 0:
         raise ConfigError("solver.tol must be positive")

@@ -16,8 +16,9 @@ potential generated by a position-dependent mass) feeds the third term and
 orthogonality in the plain gamma0 inner product is lost, which is exactly
 what the balance report quantifies.
 
-Normalization, the Gram matrix and the balance terms work on a result's whole
-(K, n, 2) state stack at once; the per-state functions take one Spinor.  The
+Normalization, the continuity residual, the Gram matrix and the balance terms
+work on a result's whole (K, n, 2) state stack at once; the per-state
+functions (normalize, current_density, adjoint_row) take one Spinor.  The
 balance identity of all pairs comes back as one BalanceTable of per-pair
 columns, gathered from the K x K term matrices; BalanceReport is its per-pair
 view.
@@ -31,9 +32,9 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import GridError
-from .grid import GridFunction, differentiate
+from .grid import GridFunction, central_difference
 from .hamiltonian import reduced_residual_norm, wilson_weight
-from .lorentz import GAMMA0, GAMMA1, LorentzPotential
+from .lorentz import GAMMA0, GAMMA1
 from .solver import SpectrumResult, Spinor
 
 # a state enters the balance identity only when its coupled-equation residual
@@ -57,14 +58,14 @@ def _components(phi: Spinor) -> np.ndarray:
     return np.stack([phi.plus_component, phi.minus_component], axis=1)
 
 
-def _adjoint(phi: Spinor) -> np.ndarray:
-    """phibar = phi^dagger gamma0 as an (n, 2) array of row spinors."""
-    return np.conj(_components(phi)) @ GAMMA0
+def _densities(c: np.ndarray) -> np.ndarray:
+    """|phi_plus|^2 and |phi_minus|^2 of (..., 2) components, on the last axis."""
+    return c.real ** 2 + c.imag ** 2
 
 
 def adjoint_row(phi: Spinor) -> tuple[GridFunction, GridFunction]:
     """The adjoint row spinor phibar = phi^dagger gamma0, componentwise."""
-    row = _adjoint(phi)
+    row = np.conj(_components(phi)) @ GAMMA0
     return GridFunction(phi.grid, row[:, 0]), GridFunction(phi.grid, row[:, 1])
 
 
@@ -82,19 +83,17 @@ def current_density(phi: Spinor) -> CurrentDensity:
     In the fixed representation j0 = |phi_plus|^2 + |phi_minus|^2 and
     j1 = |phi_plus|^2 - |phi_minus|^2.
     """
-    p, m = phi.plus_component, phi.minus_component
-    plus = p.real ** 2 + p.imag ** 2
-    minus = m.real ** 2 + m.imag ** 2
-    return CurrentDensity(j0=GridFunction(phi.grid, plus + minus),
-                          j1=GridFunction(phi.grid, plus - minus))
+    d = _densities(_components(phi))
+    return CurrentDensity(j0=GridFunction(phi.grid, d[:, 0] + d[:, 1]),
+                          j1=GridFunction(phi.grid, d[:, 0] - d[:, 1]))
 
 
 def _normalized(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """A (K, n, 2) stack with each state normalized as normalize describes."""
     k = len(states)
     # summed in complex arithmetic, as grid.integrate sums j0, to the same bits
-    charge = np.sum(weights * np.sum(states.real ** 2 + states.imag ** 2,
-                                     axis=2).astype(complex), axis=1).real
+    charge = np.sum(weights * np.sum(_densities(states), axis=2).astype(complex),
+                    axis=1).real
     if np.any(charge <= 1e-300):
         raise GridError("cannot normalize a zero-norm spinor")
     flat = states.transpose(0, 2, 1).reshape(k, -1)
@@ -126,20 +125,24 @@ def normalize_result(result: SpectrumResult) -> SpectrumResult:
                                               result.grid.quadrature_weights))
 
 
-def continuity_residual(phi: Spinor, pot: LorentzPotential) -> GridFunction:
-    """Stationary continuity check R(x), identically zero when current is conserved.
+def continuity_residual(result: SpectrumResult) -> np.ndarray:
+    """Stationary continuity check R_k(x) of every kept state, as (K, n).
 
         R = 2 Im(E) j0 + d(j1)/dx + i phibar (V - gamma0 V^dag gamma0) phi
 
-    The derivative is the central difference, so for discrete eigenstates R
-    floors at its truncation error, not at zero.
+    R vanishes where the current is conserved.  The derivative is the central
+    difference, so for discrete eigenstates R floors at its truncation
+    error, not at zero.
     """
-    cur = current_density(phi)
-    dj1 = differentiate(cur.j1)
-    anti = np.einsum("na,nab,nb->n", _adjoint(phi), pot.anti_hermitian,
-                     _components(phi))
-    r = 2.0 * phi.energy.imag * cur.j0.values + dj1.values + 1.0j * anti
-    return GridFunction(phi.grid, r)
+    c = result.states
+    d = _densities(c)
+    # j1 goes complex before the stencil: numpy's complex division by 2h
+    # rounds differently from the real one
+    dj1 = central_difference((d[..., 0] - d[..., 1]).astype(complex), result.grid)
+    anti = np.einsum("kna,nab,knb->kn", np.conj(c) @ GAMMA0,
+                     result.operator.potential.anti_hermitian, c)
+    return (2.0 * result.energies.imag[:, None] * (d[..., 0] + d[..., 1])
+            + dj1 + 1.0j * anti)
 
 
 def _overlap(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:

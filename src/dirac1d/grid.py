@@ -72,6 +72,10 @@ class Grid1D:
         w.flags.writeable = False
         return w
 
+    def nearest_node(self, x: float) -> int:
+        """Index of the node closest to x; the lower one on a tie."""
+        return int(np.argmin(np.abs(self.nodes - x)))
+
     def is_symmetric(self) -> bool:
         """True when the domain is symmetric about the origin (x_min = -x_max)."""
         return abs(self.x_min + self.x_max) <= SYMMETRY_REL_TOL * (self.x_max - self.x_min)
@@ -112,21 +116,25 @@ class GridFunction:
         return cls(grid, np.full(grid.n_points, complex(value)))
 
 
-def differentiate(f: GridFunction) -> GridFunction:
-    """Central-difference derivative of a grid function.
+def central_difference(v: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Central-difference derivative of samples v on grid, along the last axis.
 
     Periodic grids wrap; dirichlet grids use second-order one-sided stencils
     at the two endpoints.
     """
-    v = f.values
-    h = f.grid.h
-    if f.grid.boundary == "periodic":
-        return GridFunction(f.grid, (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h))
+    h = grid.h
+    if grid.boundary == "periodic":
+        return (np.roll(v, -1, axis=-1) - np.roll(v, 1, axis=-1)) / (2.0 * h)
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return GridFunction(f.grid, out)
+    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+    out[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
+    out[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
+    return out
+
+
+def differentiate(f: GridFunction) -> GridFunction:
+    """Central-difference derivative of a grid function (central_difference)."""
+    return GridFunction(f.grid, central_difference(f.values, f.grid))
 
 
 def integrate(f: GridFunction) -> complex:

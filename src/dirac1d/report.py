@@ -1,17 +1,17 @@
 """Run pipelines (spectrum / diagnose / check-pt) and deterministic writers.
 
-The writers take each report table as columns: the spectrum and PT row
-dicts are turned into columns once, while the Gram and balance tables are
-numpy columns taken straight from the matrix and the BalanceTable.  Each
-column has one formatter, picked from a numpy column's dtype or a list
-column's value types, and a float column formats each distinct bit pattern
-once; the CSVs and report.json hold the same rows.  Reports carry no
-timestamps or timing so repeated runs of the same configuration produce
-byte-identical CSV and JSON artifacts.  The CSVs write floats as %.17g (17
-significant digits, enough to round-trip a double).  report.json is
-exactly json.dumps(indent=2, sort_keys=True) of the document: floats in
-Python's shortest round-trip repr, non-finite ones as NaN, Infinity and
--Infinity.
+Every report table is a {header: column} dict: the spectrum table is built
+from the result's (K, n, 2) state stack, the PT table from the channel
+checks, and the Gram and balance tables from the matrix and the
+BalanceTable.  The writers pick each column's formatter from its numpy
+dtype kind alone (floats, ints, bools, else text), and a float column
+formats each distinct bit pattern once; the CSVs and report.json hold the
+same rows.  Reports carry no timestamps or timing so repeated runs of the
+same configuration produce byte-identical CSV and JSON artifacts.  The
+CSVs write floats as %.17g (17 significant digits, enough to round-trip a
+double).  report.json is exactly json.dumps(indent=2, sort_keys=True) of
+the document: floats in Python's shortest round-trip repr, non-finite ones
+as NaN, Infinity and -Infinity.
 """
 
 from __future__ import annotations
@@ -48,11 +48,15 @@ class CheckOutcome:
 
 @dataclass
 class RunReport:
+    """One run's tables and checks; spectrum and pt are {header: column}
+    tables, gram the matrix and balance the BalanceTable they are written
+    from."""
+
     mode: str
     config: dict
     grid_info: dict = field(default_factory=dict)
-    spectrum_rows: list = field(default_factory=list)
-    pt_rows: list = field(default_factory=list)
+    spectrum: dict = field(default_factory=dict)
+    pt: dict = field(default_factory=dict)
     hermiticity: dict = field(default_factory=dict)
     gram: Optional[np.ndarray] = None
     balance: Optional[BalanceTable] = None
@@ -62,10 +66,6 @@ class RunReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def _node_index(grid, x: float) -> int:
-    return int(np.argmin(np.abs(grid.nodes - x)))
 
 
 def execute(cfg: RunConfig, mode: str, strict_pt: bool = False) -> RunReport:
@@ -96,16 +96,16 @@ def execute(cfg: RunConfig, mode: str, strict_pt: bool = False) -> RunReport:
     # PT symmetry of each channel (informational; gating below)
     declared_pt = cfg.pt_channels()
     if grid.is_symmetric():
-        sampled = [(c, getattr(potential, c)) for c in CHANNELS] + [("mass", mass)]
-        for name, f in sampled:
-            pt = check_pt_symmetry(f, tol=pt_tol)
-            report.pt_rows.append({
-                "channel": name,
-                "declared_pt": name in declared_pt,
-                "residual": pt.residual,
-                "symmetric": pt.symmetric,
-                "tol": pt.tol,
-            })
+        names = CHANNELS + ("mass",)
+        checks = [check_pt_symmetry(f, tol=pt_tol) for f in
+                  [getattr(potential, c) for c in CHANNELS] + [mass]]
+        report.pt = {
+            "channel": names,
+            "declared_pt": np.array([name in declared_pt for name in names]),
+            "residual": np.array([pt.residual for pt in checks]),
+            "symmetric": np.array([pt.symmetric for pt in checks]),
+            "tol": np.array([pt.tol for pt in checks]),
+        }
     else:
         report.notes.append(
             "grid is not symmetric about the origin; PT checks skipped"
@@ -118,16 +118,15 @@ def execute(cfg: RunConfig, mode: str, strict_pt: bool = False) -> RunReport:
                 "pt_symmetry", False,
                 "grid not symmetric about the origin; PT symmetry undefined"))
         elif declared_pt:
-            bad = [r for r in report.pt_rows
-                   if r["declared_pt"] and not r["symmetric"]]
+            pt = report.pt
+            bad = np.flatnonzero(pt["declared_pt"] & ~pt["symmetric"]).tolist()
             if bad:
                 detail = "; ".join(
-                    f"{r['channel']} residual {r['residual']:.3e} > {r['tol']:g}"
-                    for r in bad)
+                    f"{pt['channel'][i]} residual {pt['residual'][i]:.3e} "
+                    f"> {pt['tol'][i]:g}" for i in bad)
                 report.checks.append(CheckOutcome("pt_symmetry", False, detail))
             else:
-                worst = max(r["residual"] for r in report.pt_rows
-                            if r["declared_pt"])
+                worst = max(pt["residual"][pt["declared_pt"]].tolist())
                 report.checks.append(CheckOutcome(
                     "pt_symmetry", True,
                     f"all declared channels within {pt_tol:g} "
@@ -166,34 +165,29 @@ def execute(cfg: RunConfig, mode: str, strict_pt: bool = False) -> RunReport:
     if mode == "diagnose":
         result = normalize_result(result)
 
-    near_wall = (1, grid.n_points - 2) if grid.boundary == "dirichlet" else None
-    for i, s in enumerate(result.eigenpairs):
-        row = {
-            "index": i,
-            "energy_re": s.energy.real,
-            "energy_im": s.energy.imag,
-            "residual": float(result.residuals[i]),
-            "classification": result.classification[i],
-        }
-        if mode == "diagnose":
-            if near_wall:
-                amp = max(abs(s.plus_component[j]) + abs(s.minus_component[j])
-                          for j in near_wall)
-            else:
-                amp = 0.0
-            row["tail_amplitude"] = amp
-            r = continuity_residual(s, potential)
-            row["continuity_max"] = float(np.max(np.abs(r.values)))
-        report.spectrum_rows.append(row)
+    e = result.energies
+    report.spectrum = {"index": np.arange(len(e)), "energy_re": e.real,
+                       "energy_im": e.imag, "residual": result.residuals,
+                       "classification": result.classification}
 
     if mode == "diagnose":
+        if grid.boundary == "dirichlet":
+            # |phi_plus| + |phi_minus| at the nodes next to the two walls;
+            # hypot is what abs(complex) computes, np.abs rounds differently
+            a = np.hypot(result.states.real, result.states.imag).sum(axis=2)
+            tail = np.maximum(a[:, 1], a[:, -2])
+        else:
+            tail = np.zeros(len(e))
+        report.spectrum["tail_amplitude"] = tail
+        report.spectrum["continuity_max"] = np.abs(
+            continuity_residual(result)).max(axis=1)
         report.gram = gram_matrix(result)
 
         d = cfg["diagnostics"]
         window = None
         if d["window"] is not None:
-            window = (_node_index(grid, d["window"][0]),
-                      _node_index(grid, d["window"][1]))
+            window = (grid.nearest_node(d["window"][0]),
+                      grid.nearest_node(d["window"][1]))
         identity_tol = None if d["identity_tol"] == "auto" else d["identity_tol"]
         pairs = list(d["balance_pairs"])
         if not pairs:
@@ -219,8 +213,7 @@ def execute(cfg: RunConfig, mode: str, strict_pt: bool = False) -> RunReport:
         # potentials; PT runs legitimately violate it and just report values
         if report.hermiticity["gamma0_potential"] <= 1e-14:
             scale = 100.0 * grid.h ** 2
-            worst = max((row["continuity_max"] for row in report.spectrum_rows),
-                        default=0.0)
+            worst = max(report.spectrum["continuity_max"].tolist(), default=0.0)
             report.checks.append(CheckOutcome(
                 "continuity_conserved", worst <= scale,
                 f"max residual {worst:.3e} vs bound {scale:.3e}"))
@@ -236,22 +229,12 @@ _CSV_QUOTE = re.compile(r'[,"\r\n]')
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return f17(v)
     cell = str(v)
     if _CSV_QUOTE.search(cell):
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
 
-def _json_cell(v) -> str:
-    # the values of a table row sit at depth 3 of report.json
-    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n      ")
-
-
-_FLOATS = {float, np.float64}
 _BOOLS = {False: "false", True: "true"}
 
 
@@ -267,28 +250,19 @@ def _distinct_cells(column, format_floats) -> list[str]:
     return cells[inverse].tolist()
 
 
-def _cells(column, format_floats, cell_format) -> list[str]:
-    """The column's cells, formatted by kind.
-
-    A numpy column's kind is its dtype; a list column of only floats, only
-    ints or only bools is formatted by kind, and any other list column
-    (strings, mixed kinds) keeps the per-cell rule.
-    """
-    if isinstance(column, np.ndarray):
-        kind = column.dtype.kind
-        if kind != "f":
-            column = column.tolist()
-    else:
-        types = set(map(type, column))
-        kind = ("f" if types <= _FLOATS else "i" if types == {int}
-                else "b" if types == {bool} else None)
+def _cells(column, format_floats, format_text) -> list[str]:
+    """The column's cells, formatted by its numpy dtype kind: floats by
+    format_floats, ints by int.__repr__, bools as true/false, and anything
+    else, one cell at a time, by format_text."""
+    values = np.asarray(column)
+    kind = values.dtype.kind
     if kind == "f":
-        return _distinct_cells(column, format_floats)
-    if kind == "i":
-        return list(map(int.__repr__, column))
+        return _distinct_cells(values, format_floats)
+    if kind in "iu":
+        return list(map(int.__repr__, values.tolist()))
     if kind == "b":
-        return list(map(_BOOLS.__getitem__, column))
-    return list(map(cell_format, column))
+        return list(map(_BOOLS.__getitem__, values.tolist()))
+    return list(map(format_text, column))
 
 
 def _csv_floats(values: np.ndarray) -> list[str]:
@@ -309,12 +283,7 @@ def _json_floats(values: np.ndarray) -> list[str]:
 
 
 def _json_cells(column) -> list[str]:
-    return _cells(column, _json_floats, _json_cell)
-
-
-def _columns(rows: list[dict]) -> dict[str, list]:
-    """Row dicts as {key: column}; every row has the first row's keys."""
-    return {key: [row[key] for row in rows] for key in rows[0]} if rows else {}
+    return _cells(column, _json_floats, json.dumps)
 
 
 def _gram_columns(g: np.ndarray) -> dict[str, np.ndarray]:
@@ -392,10 +361,10 @@ def write_outputs(report: RunReport, out_dir: Path, formats: str) -> list[Path]:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables = {"spectrum": _columns(report.spectrum_rows),
+    tables = {"spectrum": report.spectrum,
               "balance": ({} if report.balance is None
                           else _balance_columns(report.balance)),
-              "pt": _columns(report.pt_rows)}
+              "pt": report.pt}
     if report.gram is not None:
         tables["gram"] = _gram_columns(report.gram)
     written: list[Path] = []

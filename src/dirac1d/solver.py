@@ -85,7 +85,9 @@ class SpectrumResult:
 
     @cached_property
     def eigenpairs(self) -> tuple[Spinor, ...]:
-        """The states one Spinor at a time, for the per-state functions."""
+        """The states one Spinor at a time, for the per-state functions
+        (normalize, current_density) and for perfbench's tracer, which counts
+        the kept pairs with it; the report pipeline reads states directly."""
         return tuple(Spinor(grid=self.grid, plus_component=s[:, 0],
                             minus_component=s[:, 1], energy=e)
                      for e, s in zip(self.energies, self.states))

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dirac1d import GAMMA0, GAMMA1
+from dirac1d import GAMMA0, GAMMA1, current_density, differentiate
 
 
 def dispersion_multiset(n: int, h: float, m: float, wilson_r: float) -> np.ndarray:
@@ -111,6 +111,38 @@ def reference_balance_terms(result, k: int, k_prime: int,
         a_anti = row[a] @ col[b] - row[b] @ col[a]
         term_boundary += sign * (0.5j * p_sym + 0.5 * wilson * a_anti)
     return complex(term_energy), complex(term_boundary), complex(term_potential)
+
+
+SPECTRUM_COLUMNS = ("index", "energy_re", "energy_im", "residual",
+                    "classification", "tail_amplitude", "continuity_max")
+
+
+def reference_spectrum_columns(result) -> dict[str, np.ndarray]:
+    """The diagnose spectrum table of a normalized result, one state at a time.
+
+    The per-state loop the column form replaced, kept apart from it so the
+    two can be checked against each other bit for bit: the current from
+    current_density, its derivative from differentiate, the anti-Hermitian
+    bilinear by a per-state einsum, the continuity maximum by np.abs over
+    the state's residual, and tail_amplitude from abs(complex) at the two
+    nodes next to the walls (0 on periodic grids).
+    """
+    grid = result.grid
+    anti = result.operator.potential.anti_hermitian
+    near_wall = (1, grid.n_points - 2) if grid.boundary == "dirichlet" else ()
+    rows = []
+    for i, s in enumerate(result.eigenpairs):
+        col = np.stack([s.plus_component, s.minus_component], axis=1)
+        cur = current_density(s)
+        bilinear = np.einsum("na,nab,nb->n", np.conj(col) @ GAMMA0, anti, col)
+        r = (2.0 * s.energy.imag * cur.j0.values
+             + differentiate(cur.j1).values + 1.0j * bilinear)
+        tail = max((abs(s.plus_component[j]) + abs(s.minus_component[j])
+                    for j in near_wall), default=0.0)
+        rows.append((i, s.energy.real, s.energy.imag, float(result.residuals[i]),
+                     result.classification[i], tail, float(np.max(np.abs(r)))))
+    return {key: np.array(column)
+            for key, column in zip(SPECTRUM_COLUMNS, zip(*rows))}
 
 
 def reference_rhs(y: np.ndarray, energy: complex, block) -> np.ndarray:

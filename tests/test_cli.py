@@ -325,6 +325,16 @@ def test_usage_and_config_errors_exit_one(tmp_path, capsys):
     assert "section.key" in capsys.readouterr().err
 
 
+def test_a_window_on_one_node_exits_one_before_any_run(tmp_path, capsys):
+    narrow = PT_INI.replace("n_points = 100", "n_points = 61") + (
+        "\n[diagnostics]\nwindow = -0.05:0.05\n")
+    out = tmp_path / "out"
+    assert main(["diagnose", str(write_ini(tmp_path, narrow)),
+                 "--out", str(out)]) == 1
+    assert "collapses onto node 30" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tol_override_can_force_convergence_failure(tmp_path, capsys):
     ini = write_ini(tmp_path, FREE_INI)
     out = tmp_path / "out"

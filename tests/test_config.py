@@ -5,6 +5,8 @@ import pytest
 
 from dirac1d import (ConfigError, Dirac1DError, execute, parse_config,
                      write_outputs)
+from dirac1d.config import _SCHEMA
+from dirac1d.hamiltonian import OPERATOR_SCHEMES
 
 MINIMAL = """\
 [grid]
@@ -171,6 +173,27 @@ def test_window_validation(tmp_path):
     malformed = MINIMAL + "\n[diagnostics]\nbalance_pairs = 1-0\n"
     with pytest.raises(ConfigError, match="pair"):
         parse_config(write(tmp_path, malformed))
+
+
+def test_window_collapsing_onto_one_node_is_rejected(tmp_path):
+    # h = 1/6: both ends of the window are nearest to node 30 (x = 0), which
+    # balance_identity used to refuse pair by pair at run time
+    grid = MINIMAL.replace("n_points = 64", "n_points = 61")
+    narrow = grid + "\n[diagnostics]\nwindow = -0.01:0.01\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(write(tmp_path, narrow))
+    assert "[-0.01, 0.01]" in str(err.value) and "node 30" in str(err.value)
+    # a window as narrow that spans two nodes still parses
+    two_nodes = grid + "\n[diagnostics]\nwindow = -0.1:0.1\n"
+    assert parse_config(write(tmp_path, two_nodes))["diagnostics"]["window"] == (
+        -0.1, 0.1)
+
+
+def test_scheme_choices_are_the_operator_schemes(tmp_path):
+    for scheme in OPERATOR_SCHEMES:
+        text = MINIMAL + f"\n[solver]\nscheme = {scheme}\n"
+        assert parse_config(write(tmp_path, text))["solver"]["scheme"] == scheme
+    assert _SCHEMA["solver"]["scheme"][0] == "choice:" + "|".join(OPERATOR_SCHEMES)
 
 
 def test_solver_bounds(tmp_path):

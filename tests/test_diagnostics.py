@@ -7,9 +7,10 @@ import pytest
 
 from dirac1d import diagnostics, report
 from dirac1d import (GridError, GridFunction, LorentzPotential, MassProfile,
-                     Spinor, adjoint_row, assemble_hamiltonian, build_grid,
-                     continuity_residual, current_density, differentiate,
-                     gram_matrix, integrate, normalize, normalize_result,
+                     SpectrumResult, Spinor, adjoint_row, assemble_hamiltonian,
+                     build_grid, continuity_residual, current_density,
+                     differentiate, gram_matrix, integrate, normalize,
+                     normalize_result,
                      config_from_raw, execute, orthogonality_balance,
                      reduced_residual_norm, sample_mass, solve_spectrum)
 from helpers import reference_balance_terms
@@ -108,10 +109,14 @@ def test_normalize_rejects_zero_state():
 def test_continuity_vanishes_for_exact_rest_state():
     n = 40
     g = build_grid(-np.pi, np.pi, n, boundary="periodic")
-    s = Spinor(grid=g, plus_component=np.ones(n), minus_component=np.ones(n),
-               energy=1.0)
-    r = continuity_residual(s, LorentzPotential.zero(g))
-    assert np.max(np.abs(r.values)) <= 1e-14
+    op = assemble_hamiltonian(g, LorentzPotential.zero(g),
+                              sample_mass(MassProfile("constant", m0=1.0), g))
+    rest = SpectrumResult(operator=op, energies=np.array([1.0]),
+                          states=np.ones((1, n, 2)), residuals=np.zeros(1),
+                          classification=("real",), solver_tolerance=1e-9)
+    r = continuity_residual(rest)
+    assert r.shape == (1, n)
+    assert np.max(np.abs(r[0])) <= 1e-14
 
 
 def test_continuity_floors_at_rounding_for_hermitian_states(scalar_cases):
@@ -119,20 +124,19 @@ def test_continuity_floors_at_rounding_for_hermitian_states(scalar_cases):
     # carry |phi_plus| = |phi_minus| nodewise, so j1 vanishes identically and
     # the residual sits at rounding level rather than at the stencil error
     result = normalize_result(scalar_cases[200].result)
-    for s in result.eigenpairs[:4]:
-        r = continuity_residual(s, result.operator.potential)
-        assert np.max(np.abs(r.values)) <= 1e-12
+    for r in continuity_residual(result)[:4]:
+        assert np.max(np.abs(r)) <= 1e-12
 
 
 def test_continuity_detects_genuine_nonconservation(pt_cases):
     result = normalize_result(pt_cases[400].result)
-    ground = next(s for s in result.eigenpairs if s.energy.real > 0)
-    cur = current_density(ground)
+    k = next(k for k, e in enumerate(result.energies) if e.real > 0)
+    cur = current_density(result.eigenpairs[k])
     dj1 = differentiate(cur.j1)
-    r = continuity_residual(ground, result.operator.potential)
+    r = continuity_residual(result)[k]
     # the current really is not conserved: its divergence dwarfs the
     # identity residual that measures our bookkeeping error
-    assert np.max(np.abs(dj1.values)) > 10.0 * np.max(np.abs(r.values))
+    assert np.max(np.abs(dj1.values)) > 10.0 * np.max(np.abs(r))
     assert np.max(np.abs(dj1.values)) > 1e-3
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dirac1d import GridError, GridFunction, build_grid, differentiate, integrate
+from dirac1d.grid import central_difference
 
 
 def test_periodic_spacing_excludes_right_endpoint():
@@ -107,6 +108,23 @@ def test_differentiate_is_linear():
         lhs = differentiate(GridFunction(g, a * f.values + b * gfun.values))
         rhs = a * differentiate(f).values + b * differentiate(gfun).values
         assert np.max(np.abs(lhs.values - rhs)) <= 1e-12
+
+
+def test_central_difference_of_a_stack_is_differentiate_of_each_row():
+    rng = np.random.default_rng(11)
+    for boundary in ("dirichlet", "periodic"):
+        g = build_grid(-1.0, 1.0, 40, boundary=boundary)
+        stack = rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))
+        rows = [differentiate(GridFunction(g, row)).values for row in stack]
+        assert np.array_equal(central_difference(stack, g), np.array(rows))
+
+
+def test_nearest_node():
+    g = build_grid(-1.0, 1.0, 21)  # h = 0.1
+    assert [g.nearest_node(x) for x in (-5.0, -1.0, -0.04, 0.26, 1.0, 3.0)] == [
+        0, 0, 10, 13, 20, 20]
+    # h = 1 exactly: 4.5 is as near node 4 as node 5, and the lower one wins
+    assert build_grid(0.0, 8.0, 9).nearest_node(4.5) == 4
 
 
 def test_integrate_constant_is_exact():

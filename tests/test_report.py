@@ -5,29 +5,39 @@ row-dict document, and each CSV must equal what the per-cell rule below
 writes: 17 significant digits for floats, true/false for booleans, str()
 for the rest, quoted when it holds a comma, a quote or a line break.  The
 balance rows of the reference document are read one pair at a time from
-the BalanceTable's per-pair view.
+the BalanceTable's per-pair view, and the spectrum table's columns are
+checked bit for bit against a per-state computation.
 """
 
 import json
 import math
 
 import numpy as np
+import pytest
 
+import dirac1d.report as pipeline
 from dirac1d import config_from_raw, execute
 from dirac1d.diagnostics import BalanceTable
 from dirac1d.report import CheckOutcome, RunReport, write_csv, write_outputs
+from helpers import reference_spectrum_columns
 
 ODD_ROW = {
     "nan": math.nan, "inf": math.inf, "minus_inf": -math.inf,
     "minus_zero": -0.0, "subnormal": 5e-324, "flag": True, "count": 7,
     "text": 'say "hi", then stop: ü', "n64": np.float64(0.1),
-    "pair": [1, {"b": 2.5, "a": None}],
 }
 
-MIXED_ROWS = [
-    {"mixed": 2 ** 64 + 1, "floats": 0.5},
-    {"mixed": 0.25, "floats": np.float64(1.0) / 3.0},
-]
+
+def columns(rows: list[dict]) -> dict[str, list]:
+    """Row dicts as the {header: column} table the writers take."""
+    return {key: [row[key] for row in rows] for key in rows[0]}
+
+
+def rows_of(table: dict) -> list[dict]:
+    """A {header: column} table as row dicts of plain Python values."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c)
+            for c in table.values()]
+    return [dict(zip(table, row)) for row in zip(*cols)]
 
 
 def reference_csv(rows: list[dict]) -> str:
@@ -76,9 +86,9 @@ def reference_json(report: RunReport) -> str:
            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                       for c in report.checks],
            "notes": report.notes, "passed": report.passed,
-           "spectrum": report.spectrum_rows,
+           "spectrum": rows_of(report.spectrum),
            "balance": reference_balance_rows(report.balance),
-           "pt": report.pt_rows}
+           "pt": rows_of(report.pt)}
     if report.gram is not None:
         doc["gram"] = reference_gram_rows(report.gram)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -99,7 +109,7 @@ def sample_report(**tables) -> RunReport:
 def test_one_row_of_odd_values_matches_the_per_cell_rules(tmp_path):
     g = np.array([[1.0 + 0.0j, 6.938999783025634e-18 - 2e-17j],
                   [-0.0 + 1e-300j, 0.5 + 0.25j]])
-    report = sample_report(spectrum_rows=[ODD_ROW], gram=g)
+    report = sample_report(spectrum=columns([ODD_ROW]), gram=g)
     written = write_outputs(report, tmp_path, "both")
     assert [p.name for p in written] == ["spectrum.csv", "gram.csv", "report.json"]
     assert (tmp_path / "spectrum.csv").read_text() == reference_csv([ODD_ROW])
@@ -114,23 +124,13 @@ def test_one_row_of_odd_values_matches_the_per_cell_rules(tmp_path):
 
 
 def test_empty_table_is_an_empty_list_and_no_csv(tmp_path):
-    report = sample_report(spectrum_rows=[ODD_ROW], gram=np.zeros((0, 0)))
+    report = sample_report(spectrum=columns([ODD_ROW]), gram=np.zeros((0, 0)))
     assert [p.name for p in write_outputs(report, tmp_path, "both")] == [
         "spectrum.csv", "report.json"]
     text = (tmp_path / "report.json").read_text()
     assert text == reference_json(report)
     doc = json.loads(text)
     assert doc["balance"] == [] and doc["gram"] == [] and doc["pt"] == []
-
-
-def test_mixed_int_and_float_column_takes_the_per_cell_path(tmp_path):
-    report = sample_report(pt_rows=MIXED_ROWS)
-    write_outputs(report, tmp_path, "both")
-    csv_text = (tmp_path / "pt_check.csv").read_text()
-    assert csv_text == reference_csv(MIXED_ROWS)
-    # "%.17g" would write the int in exponent form
-    assert csv_text.splitlines()[1].startswith("18446744073709551617,")
-    assert (tmp_path / "report.json").read_text() == reference_json(report)
 
 
 def test_write_csv_matches_the_per_cell_rule_on_a_sweep_summary(tmp_path):
@@ -156,7 +156,7 @@ REPEATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, np.float64(0.1),
 
 def test_repeated_odd_floats_are_written_per_cell(tmp_path):
     rows = [{"x": v, "index": i} for i, v in enumerate(REPEATS)]
-    report = sample_report(spectrum_rows=rows)
+    report = sample_report(spectrum=columns(rows))
     write_outputs(report, tmp_path, "both")
     assert (tmp_path / "spectrum.csv").read_text() == reference_csv(rows)
     assert (tmp_path / "report.json").read_text() == reference_json(report)
@@ -196,3 +196,54 @@ def test_diagnose_artifacts_match_the_per_pair_reference(tmp_path):
     rows = reference_balance_rows(report.balance)
     assert (tmp_path / "balance.csv").read_text() == reference_csv(rows)
     assert (tmp_path / "report.json").read_text() == reference_json(report)
+    for table, name in ((report.spectrum, "spectrum.csv"),
+                        (report.pt, "pt_check.csv")):
+        assert (tmp_path / name).read_text() == reference_csv(rows_of(table))
+
+
+def _raw(x_max, n_points, mass, potential, boundary="dirichlet", max_pairs=12):
+    return {"grid": {"x_min": str(-x_max), "x_max": str(x_max),
+                     "n_points": str(n_points), "boundary": boundary},
+            "mass": mass, "potential": potential,
+            "solver": {"max_pairs": str(max_pairs)},
+            "diagnostics": {"balance_lowest": "2"}}
+
+
+SPECTRUM_CASES = {
+    # many_states_diagnose at seed 0, 100 of 396 levels
+    "many_states": _raw(12.0, 200, {"family": "constant"},
+                        {"v_s": "abs:0.5204197668528069"}, max_pairs=100),
+    "readme_pt": _raw(10.0, 200, {"family": "quadratic_even", "alpha": "0.1"},
+                      {"v_t": "pt_from_mass"}),
+    "complex_levels": _raw(6.0, 121, {"family": "constant"},
+                           {"v_s": "abs:0.5", "v_t": "linear:0.6j"},
+                           max_pairs=20),
+    "periodic": _raw(5.0, 96, {"family": "constant"},
+                     {"v_t": "linear:0.3j", "v_sp": "constant:0.1",
+                      "v_s": "abs:0.4", "v_p": "quadratic:0.05"},
+                     boundary="periodic"),
+}
+
+
+@pytest.mark.parametrize("case", SPECTRUM_CASES)
+def test_spectrum_columns_match_the_per_state_reference_bit_for_bit(
+        case, monkeypatch):
+    seen = {}
+    normalize_result = pipeline.normalize_result
+
+    def keep(result):
+        seen["result"] = normalize_result(result)
+        return seen["result"]
+
+    monkeypatch.setattr(pipeline, "normalize_result", keep)
+    spectrum = execute(config_from_raw(SPECTRUM_CASES[case]), "diagnose").spectrum
+    expected = reference_spectrum_columns(seen["result"])
+    assert list(spectrum) == list(expected)
+    for key, want in expected.items():
+        got = np.asarray(spectrum[key])
+        if want.dtype.kind == "f":
+            # bits, not values: 0.0 == -0.0, and one ulp is a failure
+            assert got.dtype == want.dtype, key
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), key
+        else:
+            assert got.tolist() == want.tolist(), key
