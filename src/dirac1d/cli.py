@@ -120,14 +120,18 @@ def _print_report(report: RunReport, written) -> None:
         print(f"  wrote {p}")
 
 
+def _failed_checks(report: RunReport) -> str:
+    """The names of the report's failed checks, comma separated."""
+    return ", ".join(c.name for c in report.checks if not c.passed)
+
+
 def _run_single(args, mode: str) -> int:
     cfg = _config(args)
     report = execute(cfg, mode, strict_pt=args.strict_pt)
     written = write_outputs(report, _out_dir(args, cfg), cfg["output"]["formats"])
     _print_report(report, written)
     if not report.passed:
-        failed = ", ".join(c.name for c in report.checks if not c.passed)
-        print(f"FAILED checks: {failed}", file=sys.stderr)
+        print(f"FAILED checks: {_failed_checks(report)}", file=sys.stderr)
         return 2
     return 0
 
@@ -202,11 +206,12 @@ def _run_sweep(args) -> int:
         residuals = ([] if report.balance is None
                      else report.balance.identity_residual.tolist())
         max_ident = max(residuals, default=float("nan"))
+        failed = "" if report.passed else f"failed checks: {_failed_checks(report)}"
         _append(summary, passed=report.passed, min_abs_im_e=min_abs_im,
-                n_complex_pairs=n_pairs, identity_residual=max_ident, error="")
-        status = "PASS" if report.passed else "FAIL"
-        print(f"  {args.param}={value}: {status} "
-              f"({n_pairs} complex pair(s), min |Im E| {min_abs_im:.3e})")
+                n_complex_pairs=n_pairs, identity_residual=max_ident, error=failed)
+        detail = f"{n_pairs} complex pair(s), min |Im E| {min_abs_im:.3e}"
+        print(f"  {args.param}={value}: "
+              + (f"PASS ({detail})" if report.passed else f"FAIL ({failed}; {detail})"))
         if not report.passed:
             any_failed = True
 

@@ -9,16 +9,20 @@ shooting path integrates the coupled first-order system from both walls with
 classical RK4 and drives the 2x2 matching determinant at the midpoint to
 zero, which gives continuum (not lattice) eigenvalues.  The system is linear
 in the state, phi' = i sigma_z (E - h(x)) phi with h the local block of
-lorentz.local_blocks, so each RK4 substep is a 2x2 matrix: a trial energy
-builds all of them in batched array expressions and the midpoint states are
-their ordered products, formed as a pairwise tree.
+lorentz.local_blocks, so each RK4 substep is a 2x2 matrix, and a quartic in
+E.  Its five coefficient stacks are built once per solve from one spline of
+the local blocks; a trial energy evaluates them by Horner's rule in place,
+and the midpoint states are the ordered products of the substeps, formed as
+a pairwise tree.  The converged spinor comes from one pass over per-node
+matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from itertools import zip_longest
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -202,52 +206,76 @@ class ShootingResult:
     match_mismatch: float
 
 
-def _coefficient_table(xs: np.ndarray, pot: LorentzPotential, mass: GridFunction,
-                       substeps: int) -> np.ndarray:
+def _coefficient_table(xs: np.ndarray, spline: Callable[[np.ndarray], np.ndarray],
+                       substeps: int) -> tuple:
     """The local block h = gamma0 (M + V) at every RK4 stage along xs.
 
-    Shape (len(xs) - 1, substeps, 3, 2, 2): for each node interval and
-    substep, h at its start, middle and end.  Off-node values come from one
-    cubic spline of lorentz.local_blocks (its O(h^4) error matches the
-    integrator order; a constant entry comes out exactly).  Nothing here
-    depends on the trial energy, so one table serves the whole root search:
-    _step_matrices turns it into the substep matrices of each trial energy.
+    Three (2, 2, (len(xs) - 1) * substeps) stacks, h at the start, middle
+    and end of every substep, substep j of interval i at i * substeps + j.
+    spline is the solve's one cubic spline of lorentz.local_blocks over the
+    full grid (its O(h^4) error matches the integrator order; a constant
+    entry comes out exactly), so both segments read the same interpolant.
     """
     x = xs[:-1, None]
     dx = (xs[1:, None] - x) / substeps
     xa = x + np.arange(substeps) * dx
-    stages = np.stack([xa, xa + 0.5 * dx, xa + dx], axis=-1)
-    # scipy is imported here, so that only a process that shoots loads it
-    from scipy.interpolate import CubicSpline
-    return CubicSpline(mass.grid.nodes, local_blocks(pot, mass))(stages)
+    dx = np.broadcast_to(dx, xa.shape)
+    return tuple(np.ascontiguousarray(spline(xq.ravel()).transpose(1, 2, 0))
+                 for xq in (xa, xa + 0.5 * dx, xa + dx))
 
 
-def _step_matrices(energy: complex, table: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """The RK4 substeps of one segment as matrices: phi <- P phi, in order.
+# i sigma_z as a row sign, for (2, 2, ...) stacks: _J * a is i sigma_z @ a
+_J = np.array([1.0j, -1.0j]).reshape(2, 1, 1)
+_EYE = np.eye(2).reshape(2, 2, 1)
 
-    The system phi' = F(x) phi is linear, with F = i sigma_z (E - h) for the
-    local block h, so one classical RK4 substep is exactly
-    P = I + dx/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = F_start,
-    K2 = F_mid (I + dx/2 K1), K3 = F_mid (I + dx/2 K2), K4 = F_end (I + dx K3).
-    table is _coefficient_table(xs, ...) and dx the (len(xs) - 1, 1) substep
-    widths.  Returns a (2, 2, (len(xs) - 1) * substeps) stack, substep j of
-    interval i at i * substeps + j.
+
+def _times_f(b: np.ndarray, poly: list) -> list:
+    """(E i sigma_z + b) @ poly for a matrix polynomial in E.
+
+    poly lists the coefficients of E^0, E^1, ... as (2, 2, ...) stacks.
     """
-    h = table.transpose(3, 4, 2, 0, 1)  # (row, col, stage, N, substeps) view
-    # a fresh C-contiguous, stage-major array, not empty_like(h): the
-    # products below run slower on the view's strided layout
-    f = np.empty(h.shape, dtype=complex)
-    f[0, 0] = 1.0j * (energy - h[0, 0])
-    f[0, 1] = -1.0j * h[0, 1]
-    f[1, 0] = 1.0j * h[1, 0]
-    f[1, 1] = -1.0j * (energy - h[1, 1])
-    start, middle, end = f[:, :, 0], f[:, :, 1], f[:, :, 2]
-    eye = np.eye(2)[:, :, None, None]
-    k2 = _mul(middle, eye + (0.5 * dx) * start)
-    k3 = _mul(middle, eye + (0.5 * dx) * k2)
-    k4 = _mul(end, eye + dx * k3)
-    steps = eye + (dx / 6.0) * (start + 2.0 * k2 + 2.0 * k3 + k4)
-    return steps.reshape(2, 2, -1)
+    out = [_mul(b, c) for c in poly] + [0.0]
+    for k, c in enumerate(poly):
+        out[k + 1] = out[k + 1] + _J * c
+    return out
+
+
+def _plus_eye(scale: np.ndarray, poly: list) -> list:
+    """I + scale * poly."""
+    return [_EYE + scale * poly[0]] + [scale * c for c in poly[1:]]
+
+
+def _step_polynomial(table: tuple, dx: np.ndarray) -> tuple:
+    """The RK4 substeps of one segment as a quartic in the trial energy.
+
+    The system phi' = F(x) phi is linear, with F = E i sigma_z + B and
+    B = -i sigma_z h for the local block h, so one classical RK4 substep is
+    exactly the matrix P = I + dx/6 (K1 + 2 K2 + 2 K3 + K4) with
+    K1 = F_start, K2 = F_mid (I + dx/2 K1), K3 = F_mid (I + dx/2 K2) and
+    K4 = F_end (I + dx K3), a polynomial of degree 4 in E.  table is
+    _coefficient_table(xs, ...) and dx the width of every substep, in the
+    same order.  Returns (C0, ..., C4), each a (2, 2, len(dx)) stack with
+    P(E) = C0 + E C1 + ... + E^4 C4; _evaluate_steps forms P(E).
+    """
+    start, middle, end = (-_J * h for h in table)
+    k1 = [start, _J * _EYE]
+    k2 = _times_f(middle, _plus_eye(0.5 * dx, k1))
+    k3 = _times_f(middle, _plus_eye(0.5 * dx, k2))
+    k4 = _times_f(end, _plus_eye(dx, k3))
+    steps = [(dx / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+             for c1, c2, c3, c4 in zip_longest(k1, k2, k3, k4, fillvalue=0.0)]
+    steps[0] += _EYE
+    return tuple(steps)
+
+
+def _evaluate_steps(poly: tuple, energy: complex, out: np.ndarray) -> np.ndarray:
+    """P(energy) of a _step_polynomial by Horner's rule, written into out."""
+    np.multiply(poly[-1], energy, out=out)
+    for c in poly[-2:0:-1]:
+        out += c
+        out *= energy
+    out += poly[0]
+    return out
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -275,19 +303,21 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
 def _trajectory(steps: np.ndarray, substeps: int, y0: np.ndarray) -> np.ndarray:
     """Apply the step matrices in turn, recording the state at every node.
 
-    One sequential pass in Python complex scalars.  The whole trajectory is
-    rescaled whenever the running amplitude overflows toward 1e150; only the
-    shape matters, and earlier exponentially small values flushing to zero
-    is harmless.
+    Each interval's substeps are first multiplied into one node matrix, in
+    batch; then one sequential pass over the nodes in Python complex
+    scalars.  The whole trajectory is rescaled whenever the running
+    amplitude overflows toward 1e150; only the shape matters, and earlier
+    exponentially small values flushing to zero is harmless.
     """
-    intervals = steps.shape[-1] // substeps
-    rows = np.moveaxis(steps, -1, 0).reshape(intervals, substeps, 2, 2).tolist()
-    out = np.empty((intervals + 1, 2), dtype=complex)
+    by_node = steps.reshape(2, 2, -1, substeps)
+    nodes = by_node[..., 0]
+    for j in range(1, substeps):
+        nodes = _mul(by_node[..., j], nodes)
+    out = np.empty((nodes.shape[-1] + 1, 2), dtype=complex)
     p, m = (complex(v) for v in y0)
     out[0] = p, m
-    for i, row in enumerate(rows):
-        for (a, b), (c, d) in row:
-            p, m = a * p + b * m, c * p + d * m
+    for i, ((a, b), (c, d)) in enumerate(np.moveaxis(nodes, -1, 0).tolist()):
+        p, m = a * p + b * m, c * p + d * m
         big = max(abs(p), abs(m))
         if big > 1e150:
             p, m = p / big, m / big
@@ -340,39 +370,49 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     stop when the step is below SHOOTING_TOL relative to |E| (see
     _converged), failing after SHOOTING_MAX_ITER steps with the last |det|
     and the last relative step, i.e. the accuracy the search did reach.
+    energy_guess must be finite, substeps an integer >= 1 and search_radius,
+    when given, finite and positive.
 
-    Off-node coefficients are a cubic spline of the sampled local blocks
-    (lorentz.local_blocks), tabulated once per solve at every RK4 stage (see
-    _coefficient_table); their error is O(h^4), the order of the integrator.  Each trial energy
-    forms the RK4 substep matrices of both segments (_step_matrices) and
-    only their ordered products (_ordered_product), which give the two
-    midpoint states up to scale.  The spinor at the converged energy comes
-    from one sequential pass over the same matrices (_trajectory).
+    Everything that does not depend on the trial energy is built once per
+    solve.  Off-node coefficients come from one cubic spline of the sampled
+    local blocks (lorentz.local_blocks), tabulated at every RK4 stage of
+    both segments (_coefficient_table); their error is O(h^4), the order of
+    the integrator.  Each RK4 substep matrix is a quartic in E, whose five
+    coefficient stacks per segment are expanded from the table once
+    (_step_polynomial).  A trial energy then costs four in-place Horner
+    steps per segment into a buffer reused across trials (_evaluate_steps)
+    and the ordered products of the substeps (_ordered_product), which give
+    the two midpoint states up to scale.  The spinor at the converged energy
+    comes from the same matrices, multiplied into one matrix per node
+    interval and applied in one sequential pass (_trajectory).
     """
     if grid.boundary != "dirichlet":
         raise GridError("shooting requires a dirichlet grid")
-    if substeps < 1:
-        raise GridError("substeps must be >= 1")
+    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise GridError(f"substeps must be an integer >= 1, got {substeps!r}")
     energy_guess = complex(energy_guess)
-    radius = (search_radius if search_radius is not None
+    if not np.isfinite(energy_guess):
+        raise GridError(f"energy_guess must be finite, got {energy_guess}")
+    radius = (float(search_radius) if search_radius is not None
               else 10.0 * max(1.0, abs(energy_guess)))
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise GridError(f"search_radius must be finite and positive, got {radius}")
 
+    # scipy is imported here, so that only a process that shoots loads it
+    from scipy.interpolate import CubicSpline
+    spline = CubicSpline(grid.nodes, local_blocks(pot, mass))
     mid = grid.n_points // 2
-    xs_left = grid.nodes[: mid + 1]
-    xs_right = grid.nodes[mid:][::-1]
-    table_left = _coefficient_table(xs_left, pot, mass, substeps)
-    table_right = _coefficient_table(xs_right, pot, mass, substeps)
-    dx_left = np.diff(xs_left)[:, None] / substeps
-    dx_right = np.diff(xs_right)[:, None] / substeps
+    segments = []  # (quartic coefficients, Horner buffer) per segment
+    for xs in (grid.nodes[: mid + 1], grid.nodes[mid:][::-1]):
+        poly = _step_polynomial(_coefficient_table(xs, spline, substeps),
+                                np.repeat(np.diff(xs) / substeps, substeps))
+        segments.append((poly, np.empty_like(poly[0])))
     y_wall = np.array([0.0, 1.0], dtype=complex)
-
-    def step_matrices(energy: complex) -> tuple[np.ndarray, np.ndarray]:
-        return (_step_matrices(energy, table_left, dx_left),
-                _step_matrices(energy, table_right, dx_right))
 
     def det_at(energy: complex) -> complex:
         # y_wall = (0, 1): the midpoint state is the second column
-        ul, ur = (_ordered_product(steps)[:, 1] for steps in step_matrices(energy))
+        ul, ur = (_ordered_product(_evaluate_steps(poly, energy, buf))[:, 1]
+                  for poly, buf in segments)
         denom = np.linalg.norm(ul) * np.linalg.norm(ur)
         if denom == 0.0:
             raise ConvergenceError("trial solution vanished; matching determinant degenerate")
@@ -408,8 +448,8 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     e1, f1 = zs[-1], fs[-1]
 
     # assemble the matched global spinor at the converged energy
-    left, right = (_trajectory(steps, substeps, y_wall)
-                   for steps in step_matrices(e1))
+    left, right = (_trajectory(_evaluate_steps(poly, e1, buf), substeps, y_wall)
+                   for poly, buf in segments)
     right = right[::-1]
     ul, ur = left[-1], right[0]
     c = int(np.argmax(np.abs(ur)))

@@ -247,6 +247,23 @@ def test_sweep_records_failed_value_and_continues(tmp_path, capsys):
     assert (out / "000_0.1" / "spectrum.csv").exists()
 
 
+def test_sweep_summary_names_the_failed_checks(tmp_path, capsys):
+    # solver.tol = 1e-30 runs to the end but fails solver_convergence; the
+    # summary row and the console line say which check failed
+    ini = write_ini(tmp_path, PT_INI)
+    out = tmp_path / "out"
+    code = main(["sweep", str(ini), "--param", "solver.tol",
+                 "--values", "1e-9,1e-30", "--out", str(out)])
+    assert code == 2
+    rows = read_rows(out / "sweep_summary.csv")
+    assert [(r["passed"], r["error"]) for r in rows] == [
+        ("true", ""), ("false", "failed checks: solver_convergence")]
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("  solver.tol=1e-30: FAIL (failed checks: "
+                               "solver_convergence; ") for line in lines)
+    assert any(line.startswith("  solver.tol=1e-9: PASS (") for line in lines)
+
+
 def test_sweep_values_may_start_with_a_minus(tmp_path):
     # --values -0.01,0.01 reaches the sweep; argparse alone reads the
     # token as an unknown option and stops with a usage error

@@ -10,8 +10,9 @@ from dirac1d import (ConvergenceError, GridError, GridFunction,
                      pt_vector_potential, sample_mass, shooting_solve,
                      solve_spectrum)
 from dirac1d import solver
-from dirac1d.solver import (_coefficient_table, _ordered_product,
-                            _step_matrices, _trajectory)
+from dirac1d.lorentz import local_blocks
+from dirac1d.solver import (_coefficient_table, _evaluate_steps,
+                            _ordered_product, _step_polynomial, _trajectory)
 
 from helpers import (canonical_sorted, dispersion_multiset,
                      reference_rk4_segment, reference_rk4_substep)
@@ -325,10 +326,12 @@ def test_coefficient_table_matches_stagewise_spline_calls():
         c = mass.values + vs
         entries = [[vt + vsp, c + 1.0j * vp], [c - 1.0j * vp, vt - vsp]]
         splines = [[CubicSpline(x, e) for e in row] for row in entries]
+        spline = CubicSpline(x, local_blocks(pot, mass))
         for xs in (x[:21], x[20:][::-1]):
             for substeps in (1, 3):
-                table = _coefficient_table(xs, pot, mass, substeps)
-                assert table.shape == (len(xs) - 1, substeps, 3, 2, 2)
+                table = _coefficient_table(xs, spline, substeps)
+                assert [h.shape for h in table] == [
+                    (2, 2, (len(xs) - 1) * substeps)] * 3
                 for i in range(len(xs) - 1):
                     dx = (xs[i + 1] - xs[i]) / substeps
                     for s in range(substeps):
@@ -336,33 +339,43 @@ def test_coefficient_table_matches_stagewise_spline_calls():
                         for k, xq in enumerate((xa, xa + 0.5 * dx, xa + dx)):
                             expected = [[complex(f(xq)) for f in row]
                                         for row in splines]
-                            assert table[i, s, k].tolist() == expected
+                            got = table[k][:, :, i * substeps + s]
+                            assert got.tolist() == expected
 
 
 def test_step_matrices_match_reference_rk4():
-    # P y must be one RK4 substep of the vector loop, and the ordered
-    # product and the sequential pass must reproduce the loop's segment
+    # P(E) y, with P the quartic evaluated by Horner's rule, must be one RK4
+    # substep of the vector loop, and the ordered product and the node pass
+    # must reproduce the loop's segment
     g, pot, masses = four_channel_parts()
     rng = np.random.default_rng(7)
     y_wall = np.array([0.0, 1.0], dtype=complex)
     for mass in masses:
+        spline = CubicSpline(g.nodes, local_blocks(pot, mass))
         for xs in (g.nodes[:21], g.nodes[20:][::-1]):
             for substeps in (1, 3):
-                table = _coefficient_table(xs, pot, mass, substeps)
+                table = _coefficient_table(xs, spline, substeps)
                 dx = np.diff(xs)[:, None] / substeps
+                poly = _step_polynomial(table, np.repeat(dx, substeps))
+                # the table by interval and substep, as the references take it
+                stages = np.stack(table).transpose(3, 0, 1, 2).reshape(
+                    len(xs) - 1, substeps, 3, 2, 2)
+                assert len(poly) == 5
+                buf = np.empty_like(poly[0])
                 for energy in (1.3, 1.1 - 0.4j):
-                    steps = _step_matrices(energy, table, dx)
+                    steps = _evaluate_steps(poly, energy, buf)
+                    assert steps is buf
                     assert steps.shape == (2, 2, (len(xs) - 1) * substeps)
                     for i in range(len(xs) - 1):
                         for s in range(substeps):
                             y = rng.normal(size=2) + 1.0j * rng.normal(size=2)
                             expected = reference_rk4_substep(
-                                y, energy, dx[i, 0], table[i, s].tolist())
+                                y, energy, dx[i, 0], stages[i, s].tolist())
                             got = steps[:, :, i * substeps + s] @ y
                             assert (np.linalg.norm(got - expected)
                                     <= 1e-14 * np.linalg.norm(expected))
 
-                    reference = reference_rk4_segment(xs, y_wall, energy, table)
+                    reference = reference_rk4_segment(xs, y_wall, energy, stages)
                     path = _trajectory(steps, substeps, y_wall)
                     scale = np.linalg.norm(reference, axis=1)
                     assert np.all(np.linalg.norm(path - reference, axis=1)
@@ -409,5 +422,40 @@ def test_shooting_input_validation():
     massp = sample_mass(MassProfile("constant", m0=1.0), gp)
     with pytest.raises(GridError, match="dirichlet"):
         shooting_solve(gp, LorentzPotential.zero(gp), massp, 1.0)
-    with pytest.raises(GridError, match="substeps"):
-        shooting_solve(g, pot, mass, 1.0, substeps=0)
+    # each unusable input is refused before any integration, by name
+    for kwargs, name in (
+            ({"energy_guess": float("nan")}, "energy_guess"),
+            ({"energy_guess": complex(1.0, float("inf"))}, "energy_guess"),
+            ({"energy_guess": 1.1, "substeps": 0}, "substeps"),
+            ({"energy_guess": 1.1, "substeps": 2.0}, "substeps"),
+            ({"energy_guess": 1.1, "search_radius": float("nan")}, "search_radius"),
+            ({"energy_guess": 1.1, "search_radius": float("inf")}, "search_radius"),
+            ({"energy_guess": 1.1, "search_radius": -0.5}, "search_radius"),
+            ({"energy_guess": 1.1, "search_radius": 0.0}, "search_radius")):
+        with pytest.raises(GridError, match=name):
+            shooting_solve(g, pot, mass, **kwargs)
+
+
+def test_shooting_builds_energy_independent_work_once_per_solve(monkeypatch):
+    # one spline per solve and one quartic per segment, however many trial
+    # energies the root search takes
+    import scipy.interpolate
+    g, pot, mass = box_parts()
+    splines, polys = [], []
+
+    def counted_spline(*args, **kwargs):
+        splines.append(1)
+        return CubicSpline(*args, **kwargs)
+
+    def counted_poly(*args):
+        polys.append(1)
+        return _step_polynomial(*args)
+
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", counted_spline)
+    monkeypatch.setattr(solver, "_step_polynomial", counted_poly)
+    iterations = set()
+    for solves, guess in enumerate((1.1, 1.05 + 0.02j, 1.27), start=1):
+        out = shooting_solve(g, pot, mass, energy_guess=guess)
+        iterations.add(out.iterations)
+        assert (len(splines), len(polys)) == (solves, 2 * solves)
+    assert len(iterations) > 1
