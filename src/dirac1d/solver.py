@@ -5,8 +5,17 @@ eigensolver and any other (e.g. PT-symmetric) operator to the general one,
 and wraps either output in checked form, ordered by one rule that does not
 depend on which routine ran or on rounding: a SpectrumResult holding the
 operator, the energies and the kept states as one (K, n, 2) stack.  The
-shooting path integrates the coupled first-order system from both walls with
-classical RK4 and drives the 2x2 matching determinant at the midpoint to
+Hermitian routine works in the spinor basis rotated by
+U = (1 - i sigma_1)/sqrt(2), which maps sigma_3 to sigma_2 and sigma_2 to
+-sigma_3: there -i sigma_3 d/dx is real, and so is the whole operator when
+the mass and the scalar, time-vector and pseudoscalar channels are real and
+the space-vector channel vanishes (the real Hermitian baseline, on either
+boundary, with or without the Wilson term).  Such an operator takes LAPACK's
+real symmetric eigensolver; a Hermitian one with a space-vector part, the
+complex Hermitian one.
+
+The shooting path integrates the coupled first-order system from both walls
+with classical RK4 and drives the 2x2 matching determinant at the midpoint to
 zero, which gives continuum (not lattice) eigenvalues.  The system is linear
 in the state, phi' = i sigma_z (E - h(x)) phi with h the local block of
 lorentz.local_blocks, so each RK4 substep is a 2x2 matrix, and a quartic in
@@ -121,6 +130,34 @@ def _canonical_order(energies: np.ndarray, tol: float) -> np.ndarray:
     return by_mag[np.lexsort((e.real, e.imag, np.sign(e.real), tie_class))]
 
 
+def _rotated(h: np.ndarray) -> np.ndarray:
+    """U^dagger H U for U = (1 - i sigma_1)/sqrt(2), real when it can be.
+
+    With H = [[A, B], [C, D]] in K x K blocks of the [plus, minus] layout,
+    U^dagger H U = 1/2 [[A + D + i(C - B), B + C - i(A - D)],
+                        [B + C + i(A - D), A + D - i(C - B)]].
+    For an exactly Hermitian H this is exactly Hermitian too, and its
+    imaginary part is exactly zero when H has no space-vector channel and
+    real mass and couplings; then its real part is returned.
+    """
+    k = h.shape[0] // 2
+    a, b, c, d = h[:k, :k], h[:k, k:], h[k:, :k], h[k:, k:]
+    s, t = 0.5 * (a + d), 0.5j * (c - b)
+    u, v = 0.5 * (b + c), 0.5j * (a - d)
+    m = np.block([[s + t, u - v], [u + v, s - t]])
+    return m if m.imag.any() else m.real
+
+
+def _unrotated(u: np.ndarray) -> np.ndarray:
+    """sqrt(2) U u for eigenvector columns u of _rotated(H): the same
+    eigenvectors of H in the [plus, minus] layout.  sqrt(2) U has entries 1
+    and -i only, so nothing is rounded; the scale of a column is left to
+    normalization."""
+    k = u.shape[0] // 2
+    top, bot = u[:k], u[k:]
+    return np.concatenate([top - 1j * bot, bot - 1j * top])
+
+
 def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
                    reality_tol: float = 1e-9) -> SpectrumResult:
     """Diagonalize, snap real levels, order canonically, keep max_pairs.
@@ -128,10 +165,15 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
     An exactly Hermitian matrix (H == H^dagger entry for entry) goes to
     LAPACK's Hermitian eigensolver, anything else to the general one: the
     Hermitian routine reads one triangle only and would drop an
-    anti-Hermitian part of any size.  Levels that pass the reality test of
-    classify_reality get Im E = 0 exactly, then _canonical_order picks the
-    lowest max_pairs.  Every returned pair is residual-checked against
-    LAPACK's own eigenvalue: ||H v - E v||_2 / ||v||_2 must not exceed tol,
+    anti-Hermitian part of any size.  The Hermitian routine gets H in the
+    rotated spinor basis (_rotated), which is real for real mass, scalar,
+    time-vector and pseudoscalar couplings without a space-vector channel,
+    so those operators take the real symmetric routine; the kept columns
+    are rotated back (_unrotated).  The general routine gets op.matrix
+    itself.  Levels that pass the reality test of classify_reality get
+    Im E = 0 exactly, then _canonical_order picks the lowest max_pairs.
+    Every returned pair is residual-checked against op.matrix and LAPACK's
+    own eigenvalue: ||H v - E v||_2 / ||v||_2 must not exceed tol,
     otherwise the solve is reported as non-converged with the offending
     residuals listed.  The kept eigenvector columns land, unnormalized, in
     one (K, n, 2) states stack; normalization lives in the diagnostics layer.
@@ -139,8 +181,9 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
     if max_pairs < 1:
         raise GridError(f"max_pairs must be positive, got {max_pairs}")
     h = op.matrix
-    if hermiticity_of_operator(op) == 0.0:
-        w, v = np.linalg.eigh(h)
+    hermitian = hermiticity_of_operator(op) == 0.0
+    if hermitian:  # the rotated matrix lives only as eigh's argument
+        w, v = np.linalg.eigh(_rotated(h))
     else:
         w, v = np.linalg.eig(h)
     energies = w.astype(complex)
@@ -149,6 +192,8 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
 
     vk = v[:, keep]
     del v  # free the full eigenvector matrix before the stack is allocated
+    if hermitian:
+        vk = _unrotated(vk)
     residuals = (np.linalg.norm(h @ vk - vk * w[keep], axis=0)
                  / np.linalg.norm(vk, axis=0))
     bad = np.nonzero(residuals > tol)[0]

@@ -427,16 +427,11 @@ def test_report_json_with_complex_levels_is_what_json_dumps_writes(tmp_path):
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
 
 
-def test_setup_imports_no_scipy(tmp_path):
-    # what the benchmark's setup_s times: import the CLI and parse a config;
-    # scipy is left to the shooter, the only code that uses it
-    ini = write_ini(tmp_path, PT_INI)
+def scipy_modules_after(code):
+    """The scipy modules loaded once code has run in a fresh interpreter."""
     src = str(Path(dirac1d.__file__).resolve().parents[1])
-    code = textwrap.dedent(f"""\
+    code += textwrap.dedent("""
         import sys
-        import dirac1d
-        import dirac1d.cli
-        dirac1d.config.parse_config({str(ini)!r})
         print(sorted(m for m in sys.modules
                      if m == "scipy" or m.startswith("scipy.")))
         """)
@@ -446,4 +441,30 @@ def test_setup_imports_no_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_setup_imports_no_scipy(tmp_path):
+    # what the benchmark's setup_s times: import the CLI and parse a config;
+    # scipy is left to the shooter, the only code that uses it
+    ini = write_ini(tmp_path, PT_INI)
+    assert scipy_modules_after(textwrap.dedent(f"""\
+        import dirac1d
+        import dirac1d.cli
+        dirac1d.config.parse_config({str(ini)!r})
+        """)) == "[]"
+
+
+@pytest.mark.parametrize("text", [FREE_INI, PT_INI], ids=["hermitian", "pt"])
+def test_diagnose_loads_no_scipy(tmp_path, text):
+    # a whole diagnose run, through either eigensolver and every writer, on a
+    # real Hermitian config and on the README's PT config (at n = 100): the
+    # worker's peak RSS would carry scipy's ~48 MB if any of it loaded scipy
+    ini = write_ini(tmp_path, text)
+    out = tmp_path / "out"
+    assert scipy_modules_after(textwrap.dedent(f"""\
+        from dirac1d.cli import main
+        assert main(["diagnose", {str(ini)!r}, "--out", {str(out)!r},
+                     "--format", "both"]) == 0
+        """)) == "[]"
+    assert (out / "report.json").is_file()
