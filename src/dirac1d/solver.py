@@ -19,11 +19,12 @@ with classical RK4 and drives the 2x2 matching determinant at the midpoint to
 zero, which gives continuum (not lattice) eigenvalues.  The system is linear
 in the state, phi' = i sigma_z (E - h(x)) phi with h the local block of
 lorentz.local_blocks, so each RK4 substep is a 2x2 matrix, and a quartic in
-E.  Its five coefficient stacks are built once per solve from one spline of
-the local blocks; a trial energy evaluates them by Horner's rule in place,
-and the midpoint states are the ordered products of the substeps, formed as
-a pairwise tree.  The converged spinor comes from one pass over per-node
-matrices.
+E.  Its five coefficients are built once per solve from one spline of the
+local blocks, for both segments in one stack, the shorter segment padded with
+identity steps.  A trial energy evaluates them by Horner's rule in place,
+and the two midpoint states are the ordered products of the substeps, formed
+as one pairwise tree over both segments.  The converged spinor comes from a
+log-depth prefix scan over per-node matrices, with power-of-two scaling.
 """
 
 from __future__ import annotations
@@ -313,8 +314,29 @@ def _step_polynomial(table: tuple, dx: np.ndarray) -> tuple:
     return tuple(steps)
 
 
+def _segment_polynomials(segments: tuple, spline: Callable[[np.ndarray], np.ndarray],
+                         substeps: int) -> tuple:
+    """The step quartics of all segments as five (2, 2, S, W) stacks.
+
+    poly[k][:, :, s] is coefficient C_k of segment s, from _step_polynomial
+    on the segment's _coefficient_table; W is the longest segment's substep
+    count.  A shorter segment is padded at its far end with identity steps
+    (C0 = I, C1..C4 = 0), which change no product.
+    """
+    quartics = [_step_polynomial(_coefficient_table(xs, spline, substeps),
+                                 np.repeat(np.diff(xs) / substeps, substeps))
+                for xs in segments]
+    width = max(q[0].shape[-1] for q in quartics)
+    poly = tuple(np.zeros((2, 2, len(segments), width), dtype=complex) for _ in range(5))
+    poly[0][...] = _EYE[..., None]
+    for s, quartic in enumerate(quartics):
+        for dst, c in zip(poly, quartic):
+            dst[:, :, s, : c.shape[-1]] = c
+    return poly
+
+
 def _evaluate_steps(poly: tuple, energy: complex, out: np.ndarray) -> np.ndarray:
-    """P(energy) of a _step_polynomial by Horner's rule, written into out."""
+    """P(energy) of a step quartic by Horner's rule, written into out."""
     np.multiply(poly[-1], energy, out=out)
     for c in poly[-2:0:-1]:
         out += c
@@ -329,12 +351,15 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _ordered_product(steps: np.ndarray) -> np.ndarray:
-    """P_last ... P_0 of a (2, 2, K) stack, up to a positive factor.
+    """P_last ... P_0 along the last axis of a (2, 2, ..., K) stack, up to a
+    positive factor per product.
 
     A pairwise tree: each level multiplies neighbours in one batched product,
     so there are about log2 K levels.  Every partial product is divided by
     its largest entry, which keeps the amplitudes of a growing solution far
-    from overflow; callers use the product only up to scale.
+    from overflow; callers use the product only up to scale.  The axes
+    between the matrix axes and the last one (the shooter's segment axis)
+    are independent products.
     """
     while steps.shape[-1] > 1:
         odd = steps.shape[-1] % 2
@@ -345,29 +370,59 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
     return steps[..., 0]
 
 
-def _trajectory(steps: np.ndarray, substeps: int, y0: np.ndarray) -> np.ndarray:
-    """Apply the step matrices in turn, recording the state at every node.
+# a segment whose amplitude reaches 2**_RESCALE_EXPONENT (about 1e150) is
+# divided by a power of two that brings its largest state below 1
+_RESCALE_EXPONENT = 498
 
-    Each interval's substeps are first multiplied into one node matrix, in
-    batch; then one sequential pass over the nodes in Python complex
-    scalars.  The whole trajectory is rescaled whenever the running
-    amplitude overflows toward 1e150; only the shape matters, and earlier
-    exponentially small values flushing to zero is harmless.
+
+def _scale_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write a / 2**k into out, with k per matrix of a (2, 2, ...) stack such
+    that each matrix's largest entry lies in [0.5, 1); returns k.
+
+    np.ldexp scales the real and imaginary parts exactly, and no factor
+    2**k, which need not be a double, is ever formed.
     """
-    by_node = steps.reshape(2, 2, -1, substeps)
+    _, k = np.frexp(np.abs(a).max(axis=(0, 1)))
+    np.ldexp(a.real, -k, out=out.real)
+    np.ldexp(a.imag, -k, out=out.imag)
+    return k
+
+
+def _trajectory(steps: np.ndarray, substeps: int, y0: np.ndarray) -> np.ndarray:
+    """The state at every node of every segment, from a (2, 2, S, W) stack.
+
+    Each interval's substeps are first multiplied into one node matrix, for
+    all S segments at once.  A Hillis-Steele prefix scan then gives every
+    node's ordered product N_k ... N_0 in about log2(W / substeps) batched
+    levels.  Each prefix is held as a matrix scaled into [0.5, 1) and a
+    power of two (_scale_into), whose exponents add exactly in int64, so no
+    prefix overflows.  The powers reach the states through np.ldexp at the
+    end.  A segment whose amplitude reaches 2**_RESCALE_EXPONENT is divided
+    as a whole by the power of two of its largest state; only the shape
+    matters, and exponentially small values near its wall flushing to zero
+    is harmless.  Returns (S, W / substeps + 1, 2), y0 first; a segment's
+    identity padding repeats its last state.
+    """
+    by_node = steps.reshape(steps.shape[:-1] + (-1, substeps))
     nodes = by_node[..., 0]
     for j in range(1, substeps):
         nodes = _mul(by_node[..., j], nodes)
-    out = np.empty((nodes.shape[-1] + 1, 2), dtype=complex)
-    p, m = (complex(v) for v in y0)
-    out[0] = p, m
-    for i, ((a, b), (c, d)) in enumerate(np.moveaxis(nodes, -1, 0).tolist()):
-        p, m = a * p + b * m, c * p + d * m
-        big = max(abs(p), abs(m))
-        if big > 1e150:
-            p, m = p / big, m / big
-            out[: i + 1] /= big
-        out[i + 1] = p, m
+    # an identity in front makes prefix k the map from y0 to node k
+    prefix = np.empty(nodes.shape[:-1] + (nodes.shape[-1] + 1,), dtype=complex)
+    prefix[..., 0] = _EYE
+    power = np.zeros(prefix.shape[2:], dtype=np.int64)
+    power[..., 1:] = _scale_into(nodes, prefix[..., 1:])
+    shift = 1
+    while shift < prefix.shape[-1]:
+        prod = _mul(prefix[..., shift:], prefix[..., :-shift])
+        power[..., shift:] += power[..., :-shift] + _scale_into(prod, prefix[..., shift:])
+        shift *= 2
+    states = prefix[:, 0] * y0[0] + prefix[:, 1] * y0[1]
+    top = (power + np.frexp(np.abs(states).max(axis=0))[1]).max(axis=-1, keepdims=True)
+    power -= np.where(top > _RESCALE_EXPONENT, top, 0)
+    out = np.empty(power.shape + (2,), dtype=complex)
+    np.ldexp(states.real, power, out=np.moveaxis(out.real, -1, 0))
+    np.ldexp(states.imag, power, out=np.moveaxis(out.imag, -1, 0))
     return out
 
 
@@ -424,12 +479,19 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     both segments (_coefficient_table); their error is O(h^4), the order of
     the integrator.  Each RK4 substep matrix is a quartic in E, whose five
     coefficient stacks per segment are expanded from the table once
-    (_step_polynomial).  A trial energy then costs four in-place Horner
-    steps per segment into a buffer reused across trials (_evaluate_steps)
-    and the ordered products of the substeps (_ordered_product), which give
-    the two midpoint states up to scale.  The spinor at the converged energy
-    comes from the same matrices, multiplied into one matrix per node
-    interval and applied in one sequential pass (_trajectory).
+    (_step_polynomial).  Both segments share one set of five (2, 2, 2, W)
+    stacks (_segment_polynomials), W the longer segment's substep count; the
+    shorter one, the right segment when n is even, is padded with identity
+    steps.  A trial energy then costs four in-place Horner steps into one
+    buffer reused across trials (_evaluate_steps) and one pairwise tree
+    product over both segments (_ordered_product), which gives the two
+    midpoint states up to scale.  The padding changes no product, and the
+    tree is bit for bit the unpadded one unless the padding adds a tree
+    level, where it moves the product by about one ulp.  The spinor at the
+    converged energy comes from the same matrices, multiplied into one
+    matrix per node interval, and a prefix scan over those in about log2 n
+    batched levels, each prefix scaled by an exact power of two
+    (_trajectory); the padded nodes are sliced off.
     """
     if grid.boundary != "dirichlet":
         raise GridError("shooting requires a dirichlet grid")
@@ -447,17 +509,14 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     from scipy.interpolate import CubicSpline
     spline = CubicSpline(grid.nodes, local_blocks(pot, mass))
     mid = grid.n_points // 2
-    segments = []  # (quartic coefficients, Horner buffer) per segment
-    for xs in (grid.nodes[: mid + 1], grid.nodes[mid:][::-1]):
-        poly = _step_polynomial(_coefficient_table(xs, spline, substeps),
-                                np.repeat(np.diff(xs) / substeps, substeps))
-        segments.append((poly, np.empty_like(poly[0])))
+    poly = _segment_polynomials((grid.nodes[: mid + 1], grid.nodes[mid:][::-1]),
+                                spline, substeps)
+    buf = np.empty_like(poly[0])
     y_wall = np.array([0.0, 1.0], dtype=complex)
 
     def det_at(energy: complex) -> complex:
-        # y_wall = (0, 1): the midpoint state is the second column
-        ul, ur = (_ordered_product(_evaluate_steps(poly, energy, buf))[:, 1]
-                  for poly, buf in segments)
+        # y_wall = (0, 1): the midpoint states are the second columns
+        ul, ur = _ordered_product(_evaluate_steps(poly, energy, buf))[:, 1].T
         denom = np.linalg.norm(ul) * np.linalg.norm(ur)
         if denom == 0.0:
             raise ConvergenceError("trial solution vanished; matching determinant degenerate")
@@ -493,9 +552,8 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     e1, f1 = zs[-1], fs[-1]
 
     # assemble the matched global spinor at the converged energy
-    left, right = (_trajectory(_evaluate_steps(poly, e1, buf), substeps, y_wall)
-                   for poly, buf in segments)
-    right = right[::-1]
+    paths = _trajectory(_evaluate_steps(poly, e1, buf), substeps, y_wall)
+    left, right = paths[0, : mid + 1], paths[1, : grid.n_points - mid][::-1]
     ul, ur = left[-1], right[0]
     c = int(np.argmax(np.abs(ur)))
     if ur[c] == 0.0:

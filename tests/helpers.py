@@ -188,3 +188,30 @@ def reference_rk4_segment(xs: np.ndarray, y0: np.ndarray, energy: complex,
             y = reference_rk4_substep(y, energy, dx, stages)
         out[i + 1] = y
     return out
+
+
+def reference_node_pass(steps: np.ndarray, substeps: int, y0: np.ndarray) -> np.ndarray:
+    """The state at every node of one segment, one node at a time.
+
+    The sequential node pass the prefix scan replaced, kept apart from it so
+    the two can be checked against each other.  steps is the segment's
+    (2, 2, K) stack of RK4 substep matrices; each interval's substeps are
+    multiplied into one node matrix, then applied in turn to Python complex
+    scalars.  The whole trajectory is divided by the running amplitude
+    whenever that passes 1e150, so earlier values may flush to zero.
+    """
+    by_node = steps.reshape(2, 2, -1, substeps)
+    nodes = by_node[..., 0]
+    for j in range(1, substeps):
+        nodes = np.einsum("ijn,jkn->ikn", by_node[..., j], nodes)
+    out = np.empty((nodes.shape[-1] + 1, 2), dtype=complex)
+    p, m = (complex(v) for v in y0)
+    out[0] = p, m
+    for i, ((a, b), (c, d)) in enumerate(np.moveaxis(nodes, -1, 0).tolist()):
+        p, m = a * p + b * m, c * p + d * m
+        big = max(abs(p), abs(m))
+        if big > 1e150:
+            p, m = p / big, m / big
+            out[: i + 1] /= big
+        out[i + 1] = p, m
+    return out

@@ -11,11 +11,13 @@ from dirac1d import (ConvergenceError, GridError, GridFunction,
                      solve_spectrum)
 from dirac1d import solver
 from dirac1d.lorentz import local_blocks
-from dirac1d.solver import (_coefficient_table, _evaluate_steps,
-                            _ordered_product, _step_polynomial, _trajectory)
+from dirac1d.solver import (_EYE, _coefficient_table, _evaluate_steps,
+                            _ordered_product, _segment_polynomials,
+                            _step_polynomial, _trajectory)
 
 from helpers import (canonical_sorted, dispersion_multiset,
-                     reference_rk4_segment, reference_rk4_substep)
+                     reference_node_pass, reference_rk4_segment,
+                     reference_rk4_substep)
 
 
 def free_operator(n, m=1.0, wilson_r=1.0):
@@ -424,12 +426,14 @@ def test_step_matrices_match_reference_rk4():
                                     <= 1e-14 * np.linalg.norm(expected))
 
                     reference = reference_rk4_segment(xs, y_wall, energy, stages)
-                    path = _trajectory(steps, substeps, y_wall)
+                    # one segment in the shooter's (2, 2, segment, step) layout
+                    stack = steps[:, :, None]
+                    path = _trajectory(stack, substeps, y_wall)[0]
                     scale = np.linalg.norm(reference, axis=1)
                     assert np.all(np.linalg.norm(path - reference, axis=1)
                                   <= 1e-12 * scale)
                     # the tree product is known only up to a positive factor
-                    end = _ordered_product(steps)[:, 1]
+                    end = _ordered_product(stack)[:, 1, 0]
                     end = end / np.linalg.norm(end)
                     assert (np.linalg.norm(end - reference[-1] / scale[-1])
                             <= 1e-12)
@@ -440,10 +444,7 @@ def test_shooting_rescales_a_solution_that_would_overflow():
     # from each wall, far past the double range, so an unscaled product
     # gives an inf/nan determinant.  Reference energy from the vector RK4
     # loop with its 1e150 rescale.
-    profile = MassProfile("quadratic_even", m0=1.0, alpha=1.0)
-    g = build_grid(-14.0, 14.0, 1200)
-    pot = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
-    out = shooting_solve(g, pot, sample_mass(profile, g), energy_guess=1.6)
+    out = shooting_solve(*pt_overflow_parts(), energy_guess=1.6)
     assert abs(out.energy - 1.6364065780519570) <= 1e-10
     assert out.match_mismatch <= 1e-10
     amplitude = np.hypot(np.abs(out.spinor.plus_component),
@@ -452,6 +453,100 @@ def test_shooting_rescales_a_solution_that_would_overflow():
     # the trial solution starts at amplitude 1 on the wall; next to it the
     # spinor is now far below that, so the pass went through the rescale
     assert amplitude[1] <= 1e-200 * amplitude.max()
+
+
+def shooter_steps(g, pot, mass, energy, substeps=2):
+    """The shooter's (2, 2, 2, W) substep stack at energy, with the number
+    of real (unpadded) substeps of each segment."""
+    mid = g.n_points // 2
+    segments = (g.nodes[: mid + 1], g.nodes[mid:][::-1])
+    spline = CubicSpline(g.nodes, local_blocks(pot, mass))
+    poly = _segment_polynomials(segments, spline, substeps)
+    steps = _evaluate_steps(poly, energy, np.empty_like(poly[0]))
+    return steps, [(len(xs) - 1) * substeps for xs in segments]
+
+
+def unit_aligned(a, b):
+    """a and b scaled to unit norm, b's phase turned onto a's."""
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    phase = np.vdot(b, a)
+    return a, b * phase / abs(phase)
+
+
+def pt_overflow_parts():
+    """alpha = 1 on [-14, 14], n = 1200: amplitudes grow to about e^928."""
+    profile = MassProfile("quadratic_even", m0=1.0, alpha=1.0)
+    g = build_grid(-14.0, 14.0, 1200)
+    pot = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
+    return g, pot, sample_mass(profile, g)
+
+
+def test_prefix_scan_matches_sequential_node_pass():
+    # the scan's segments against the retired node-by-node pass, at the
+    # converged energy, on the overflow case (both segments rescaled) and on
+    # v_t = 0.6 i x; measured worst entry 3.6e-16 over these solves
+    g = build_grid(-6.0, 6.0, 121)
+    pot = LorentzPotential.from_channels(g, v_t=GridFunction(g, 0.6j * g.nodes))
+    cases = [(pt_overflow_parts(), 1.6),
+             ((g, pot, sample_mass(MassProfile("constant", m0=1.0), g)), 1.8 + 0.2j)]
+    y_wall = np.array([0.0, 1.0], dtype=complex)
+    for parts, guess in cases:
+        energy = shooting_solve(*parts, energy_guess=guess).energy
+        steps, lengths = shooter_steps(*parts, energy)
+        paths = _trajectory(steps, 2, y_wall)
+        assert np.all(np.isfinite(paths))
+        for s, k in enumerate(lengths):
+            reference = reference_node_pass(steps[:, :, s, :k], 2, y_wall)
+            got = paths[s, : k // 2 + 1]
+            reference, got = unit_aligned(reference, got)
+            assert np.max(np.abs(got - reference)) <= 1e-15
+
+
+def test_prefix_scan_carries_a_state_far_below_its_prefix_scale():
+    # diag(2**550, 2**20) twice: the prefix reaches 2**1100, past the double
+    # range, while the state (0, 2**40) it carries is 2**-1060 of it, near
+    # the subnormal floor.  Scaling by a factor 2**1101 would give inf; the
+    # scan must return the exact states.  A third node diag(1, 2**500) lifts
+    # the state past 2**498, so the segment is rescaled by a power of two.
+    node = np.diag([2.0 ** 550, 2.0 ** 20]).astype(complex)
+    lift = np.diag([1.0, 2.0 ** 500]).astype(complex)
+    y_wall = np.array([0.0, 1.0], dtype=complex)
+    stack = np.stack([node, node, lift], axis=-1)[:, :, None]
+    path = _trajectory(stack[..., :2], 1, y_wall)[0]
+    assert path.tolist() == [[0, 1], [0, 2.0 ** 20], [0, 2.0 ** 40]]
+    path = _trajectory(stack, 1, y_wall)[0]
+    assert np.all(np.isfinite(path))
+    reference = reference_node_pass(stack[:, :, 0], 1, y_wall)
+    assert path[:, 0].tolist() == [0] * 4
+    assert np.array_equal(path / np.linalg.norm(path),
+                          reference / np.linalg.norm(reference))
+
+
+def test_identity_padding_leaves_the_ordered_product_unchanged():
+    # the right segment is the shorter one on an even grid.  At n = 800 its
+    # 798 substeps and the padded 800 both take 10 tree levels, so its
+    # midpoint column is bit for bit the unpadded one.  At n = 514 the padding
+    # takes 512 substeps to 514 and adds a level, whose one more division by
+    # the largest entry scales the column by a positive factor a few ulps
+    # from 1 at most (measured at E = 1.7: 1 + 2.2e-16, 0.08 eps left over)
+    profile = MassProfile("quadratic_even", m0=1.0, alpha=0.1)
+    eps = np.finfo(float).eps
+    for n, energy, exact in ((800, 1.63, True), (514, 1.7, False)):
+        g = build_grid(-10.0, 10.0, n)
+        pot = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
+        steps, (k_left, k_right) = shooter_steps(g, pot, sample_mass(profile, g), energy)
+        assert (steps.shape[-1], k_right) == (k_left, k_left - 2)
+        assert np.array_equal(steps[:, :, 1, k_right:],
+                              np.broadcast_to(_EYE, (2, 2, 2)))
+        padded = _ordered_product(steps)[:, 1, 1]
+        unpadded = _ordered_product(steps[:, :, 1:, :k_right])[:, 1, 0]
+        if exact:
+            assert np.array_equal(padded, unpadded)
+        else:
+            factor = np.vdot(unpadded, padded) / np.vdot(unpadded, unpadded)
+            assert factor.real > 0.0 and abs(factor - 1.0) <= 4.0 * eps
+            assert (np.max(np.abs(padded - factor * unpadded))
+                    <= 2.0 * eps * np.max(np.abs(padded)))
 
 
 def test_shooting_non_convergence_reports_attainable_accuracy(monkeypatch):
@@ -486,10 +581,12 @@ def test_shooting_input_validation():
 
 def test_shooting_builds_energy_independent_work_once_per_solve(monkeypatch):
     # one spline per solve and one quartic per segment, however many trial
-    # energies the root search takes
+    # energies the root search takes; one Horner evaluation and one tree
+    # product per trial energy serve both segments, and one more evaluation
+    # gives the spinor
     import scipy.interpolate
     g, pot, mass = box_parts()
-    splines, polys = [], []
+    splines, polys, evaluated, products = [], [], [], []
 
     def counted_spline(*args, **kwargs):
         splines.append(1)
@@ -499,11 +596,27 @@ def test_shooting_builds_energy_independent_work_once_per_solve(monkeypatch):
         polys.append(1)
         return _step_polynomial(*args)
 
+    def counted_evaluate(poly, energy, out):
+        evaluated.append(out.shape)
+        return _evaluate_steps(poly, energy, out)
+
+    def counted_product(steps):
+        products.append(steps.shape)
+        return _ordered_product(steps)
+
     monkeypatch.setattr(scipy.interpolate, "CubicSpline", counted_spline)
     monkeypatch.setattr(solver, "_step_polynomial", counted_poly)
-    iterations = set()
+    monkeypatch.setattr(solver, "_evaluate_steps", counted_evaluate)
+    monkeypatch.setattr(solver, "_ordered_product", counted_product)
+    iterations, trials = set(), 0
     for solves, guess in enumerate((1.1, 1.05 + 0.02j, 1.27), start=1):
         out = shooting_solve(g, pot, mass, energy_guess=guess)
         iterations.add(out.iterations)
+        # the root search starts from two points for a real guess (secant)
+        # and three for a complex one (Muller)
+        trials += out.iterations + (2 if guess.imag == 0 else 3)
         assert (len(splines), len(polys)) == (solves, 2 * solves)
+        assert (len(products), len(evaluated)) == (trials, trials + solves)
     assert len(iterations) > 1
+    # both segments of the n = 201 box, 100 intervals of 2 substeps each
+    assert set(products) == set(evaluated) == {(2, 2, 2, 200)}
