@@ -3,13 +3,11 @@ Lorentz-structure potentials, including PT-symmetric imaginary vector
 couplings generated by the mass profile itself."""
 
 from .config import RunConfig, config_from_raw, parse_config
-from .diagnostics import (BalanceReport, BalanceTable, CurrentDensity,
-                          adjoint_row, continuity_residual, current_density,
-                          gram_matrix, normalize, normalize_result,
-                          orthogonality_balance)
+from .diagnostics import (BalanceTable, continuity_residual, gram_matrix,
+                          normalize_result, orthogonality_balance)
 from .errors import (ConfigError, ConvergenceError, Dirac1DError, GridError,
                      MassError)
-from .grid import (Grid1D, GridFunction, build_grid, differentiate, integrate)
+from .grid import Grid1D, GridFunction, build_grid
 from .hamiltonian import (DiracOperator, assemble_hamiltonian,
                           hermiticity_of_operator, reduced_equations_rhs,
                           reduced_residual_norm)
@@ -18,23 +16,21 @@ from .lorentz import (GAMMA0, GAMMA1, GAMMA5, LorentzPotential, MassProfile,
                       gamma0_hermiticity_residual, local_blocks,
                       pt_vector_potential, sample_mass)
 from .report import RunReport, execute, write_outputs
-from .solver import (ShootingResult, SpectrumResult, Spinor, classify_reality,
+from .solver import (ShootingResult, SpectrumResult, classify_reality,
                      shooting_solve, solve_spectrum)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceReport", "BalanceTable", "ConfigError", "ConvergenceError", "CurrentDensity",
-    "Dirac1DError", "DiracOperator", "GAMMA0", "GAMMA1", "GAMMA5", "Grid1D",
-    "GridError", "GridFunction", "LorentzPotential", "MassError", "MassProfile",
-    "PTSymmetryReport", "RunConfig", "RunReport",
-    "ShootingResult", "SpectrumResult", "Spinor", "adjoint_row",
-    "assemble_hamiltonian", "build_grid",
+    "BalanceTable", "ConfigError", "ConvergenceError", "Dirac1DError",
+    "DiracOperator", "GAMMA0", "GAMMA1", "GAMMA5", "Grid1D", "GridError",
+    "GridFunction", "LorentzPotential", "MassError", "MassProfile",
+    "PTSymmetryReport", "RunConfig", "RunReport", "ShootingResult",
+    "SpectrumResult", "assemble_hamiltonian", "build_grid",
     "check_pt_symmetry", "classify_reality", "config_from_raw",
-    "continuity_residual", "current_density", "differentiate", "execute",
-    "gamma0_hermiticity_residual", "gram_matrix", "hermiticity_of_operator",
-    "integrate", "local_blocks", "normalize", "normalize_result",
-    "orthogonality_balance", "parse_config", "pt_vector_potential",
-    "reduced_equations_rhs", "reduced_residual_norm", "sample_mass",
-    "shooting_solve", "solve_spectrum", "write_outputs",
+    "continuity_residual", "execute", "gamma0_hermiticity_residual",
+    "gram_matrix", "hermiticity_of_operator", "local_blocks",
+    "normalize_result", "orthogonality_balance", "parse_config",
+    "pt_vector_potential", "reduced_equations_rhs", "reduced_residual_norm",
+    "sample_mass", "shooting_solve", "solve_spectrum", "write_outputs",
 ]

@@ -198,29 +198,35 @@ def _build_channel(spec: str, name: str, grid: Grid1D, profile: MassProfile,
             )
         return pt_vector_potential(profile, grid)
     if kind == "constant":
-        return GridFunction.constant(grid, _parse_complex(arg, where))
-    if kind == "linear":
-        return GridFunction(grid, _parse_complex(arg, where) * x)
-    if kind == "quadratic":
-        return GridFunction(grid, _parse_complex(arg, where) * x * x)
-    if kind == "abs":
-        return GridFunction(grid, _parse_complex(arg, where) * np.abs(x))
-    if kind == "file":
+        vals = np.full(grid.n_points, _parse_complex(arg, where))
+    elif kind == "linear":
+        vals = _parse_complex(arg, where) * x
+    elif kind == "quadratic":
+        vals = _parse_complex(arg, where) * x * x
+    elif kind == "abs":
+        vals = _parse_complex(arg, where) * np.abs(x)
+    elif kind == "file":
         path = (base / arg).resolve() if not Path(arg).is_absolute() else Path(arg)
         if not path.exists():
             raise ConfigError(f"{where}: tabulated file {str(path)!r} not found")
-        data = np.loadtxt(path, ndmin=2)
+        try:
+            data = np.loadtxt(path, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: cannot read file {path.name}: {exc}") from None
         if data.shape[0] != grid.n_points or data.shape[1] not in (1, 2):
             raise ConfigError(
                 f"{where}: file {path.name} has shape {data.shape}, expected "
                 f"({grid.n_points}, 1) or ({grid.n_points}, 2) for this grid"
             )
         vals = data[:, 0] + (1.0j * data[:, 1] if data.shape[1] == 2 else 0.0)
-        return GridFunction(grid, vals)
-    raise ConfigError(
-        f"{where}: unknown channel spec {spec!r}; expected zero, pt_from_mass, "
-        "constant:<c>, linear:<c>, quadratic:<c>, abs:<c> or file:<path>"
-    )
+    else:
+        raise ConfigError(
+            f"{where}: unknown channel spec {spec!r}; expected zero, pt_from_mass, "
+            "constant:<c>, linear:<c>, quadratic:<c>, abs:<c> or file:<path>"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"{where}: {spec!r} is not finite at every grid node")
+    return GridFunction(grid, vals)
 
 
 def _validate_semantics(cfg: RunConfig) -> None:
@@ -250,6 +256,9 @@ def _validate_semantics(cfg: RunConfig) -> None:
         raise ConfigError("solver.max_pairs must be at least 1")
     if cfg.values["solver"]["wilson_r"] < 0:
         raise ConfigError("solver.wilson_r must be non-negative")
+    for key in ("pt_tol", "reality_tol", "identity_tol", "balance_lowest"):
+        if d[key] != "auto" and d[key] < 0:
+            raise ConfigError(f"diagnostics.{key} must be non-negative")
 
 
 def config_from_raw(raw: dict[str, dict[str, str]],

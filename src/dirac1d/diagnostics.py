@@ -16,18 +16,17 @@ potential generated by a position-dependent mass) feeds the third term and
 orthogonality in the plain gamma0 inner product is lost, which is exactly
 what the balance report quantifies.
 
-Normalization, the continuity residual, the Gram matrix and the balance terms
-work on a result's whole (K, n, 2) state stack at once; the per-state
-functions (normalize, current_density, adjoint_row) take one Spinor.  The
-balance identity of all pairs comes back as one BalanceTable of per-pair
-columns, gathered from the K x K term matrices; BalanceReport is its per-pair
-view.
+Every function here works on a result's whole (K, n, 2) state stack at once:
+normalization, the continuity residual of every state as one (K, n) array,
+the K x K Gram matrix and the balance terms.  The balance identity of all
+pairs comes back as one BalanceTable of per-pair columns, gathered from the
+K x K term matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .errors import GridError
 from .grid import GridFunction, central_difference
 from .hamiltonian import reduced_residual_norm, wilson_weight
 from .lorentz import GAMMA0, GAMMA1
-from .solver import SpectrumResult, Spinor
+from .solver import SpectrumResult
 
 # a state enters the balance identity only when its coupled-equation residual
 # is within this multiple of the solver tolerance
@@ -53,47 +52,26 @@ AUTO_IDENTITY_TOL = 1e4 * float(np.finfo(float).eps)
 PIVOT_REL_TOL = 1e-8
 
 
-def _components(phi: Spinor) -> np.ndarray:
-    """Spinor as an (n, 2) array."""
-    return np.stack([phi.plus_component, phi.minus_component], axis=1)
-
-
 def _densities(c: np.ndarray) -> np.ndarray:
     """|phi_plus|^2 and |phi_minus|^2 of (..., 2) components, on the last axis."""
     return c.real ** 2 + c.imag ** 2
 
 
-def adjoint_row(phi: Spinor) -> tuple[GridFunction, GridFunction]:
-    """The adjoint row spinor phibar = phi^dagger gamma0, componentwise."""
-    row = np.conj(_components(phi)) @ GAMMA0
-    return GridFunction(phi.grid, row[:, 0]), GridFunction(phi.grid, row[:, 1])
+def normalize_result(result: SpectrumResult) -> SpectrumResult:
+    """Scale every state so the quadrature of its j0 is one; fix its phase.
 
-
-@dataclass(frozen=True)
-class CurrentDensity:
-    """Timelike and spacelike components of the Dirac current of one state."""
-
-    j0: GridFunction
-    j1: GridFunction
-
-
-def current_density(phi: Spinor) -> CurrentDensity:
-    """j^mu = phibar gamma^mu phi, real by construction.
-
-    In the fixed representation j0 = |phi_plus|^2 + |phi_minus|^2 and
-    j1 = |phi_plus|^2 - |phi_minus|^2.
+    Phase convention: each state's pivot sample is made real and positive.
+    It is the first sample, plus component then minus, each in node order,
+    whose magnitude is at least (1 - PIVOT_REL_TOL) times the state's
+    largest, so a global phase or rounding in the input cannot move it
+    between near-equal peaks.
     """
-    d = _densities(_components(phi))
-    return CurrentDensity(j0=GridFunction(phi.grid, d[:, 0] + d[:, 1]),
-                          j1=GridFunction(phi.grid, d[:, 0] - d[:, 1]))
-
-
-def _normalized(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """A (K, n, 2) stack with each state normalized as normalize describes."""
+    states = result.states
     k = len(states)
-    # summed in complex arithmetic, as grid.integrate sums j0, to the same bits
-    charge = np.sum(weights * np.sum(_densities(states), axis=2).astype(complex),
-                    axis=1).real
+    # j0 summed as a complex array: a real sum pairs the terms differently
+    # and would move the last bits of every normalized state
+    charge = np.sum(result.grid.quadrature_weights
+                    * np.sum(_densities(states), axis=2).astype(complex), axis=1).real
     if np.any(charge <= 1e-300):
         raise GridError("cannot normalize a zero-norm spinor")
     flat = states.transpose(0, 2, 1).reshape(k, -1)
@@ -103,26 +81,7 @@ def _normalized(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
     pivots = flat[np.arange(k), first]
     # scalar arithmetic: the vectorized complex division rounds differently
     factors = [(abs(p) / p) / np.sqrt(t) for p, t in zip(pivots, charge)]
-    return states * np.array(factors)[:, None, None]
-
-
-def normalize(phi: Spinor) -> Spinor:
-    """Scale so the quadrature of j0 is one; fix the global phase.
-
-    Phase convention: the pivot sample is made real and positive.  It is the
-    first sample, plus component then minus, each in node order, whose
-    magnitude is at least (1 - PIVOT_REL_TOL) times the largest, so a global
-    phase or rounding in the input cannot move it between near-equal peaks.
-    """
-    c = _normalized(_components(phi)[None], phi.grid.quadrature_weights)[0]
-    return Spinor(grid=phi.grid, plus_component=c[:, 0],
-                  minus_component=c[:, 1], energy=phi.energy)
-
-
-def normalize_result(result: SpectrumResult) -> SpectrumResult:
-    """Normalize every state of a spectrum result, as normalize does one."""
-    return replace(result, states=_normalized(result.states,
-                                              result.grid.quadrature_weights))
+    return replace(result, states=states * np.array(factors)[:, None, None])
 
 
 def continuity_residual(result: SpectrumResult) -> np.ndarray:
@@ -130,6 +89,8 @@ def continuity_residual(result: SpectrumResult) -> np.ndarray:
 
         R = 2 Im(E) j0 + d(j1)/dx + i phibar (V - gamma0 V^dag gamma0) phi
 
+    with the current j^mu = phibar gamma^mu phi, in the fixed representation
+    j0 = |phi_plus|^2 + |phi_minus|^2 and j1 = |phi_plus|^2 - |phi_minus|^2.
     R vanishes where the current is conserved.  The derivative is the central
     difference, so for discrete eigenstates R floors at its truncation
     error, not at zero.
@@ -206,23 +167,6 @@ def _balance_terms(result: SpectrumResult, lo: int, hi: int,
     return energy, boundary, _overlap(rows[:, sl], anti_c, weights)
 
 
-@dataclass(frozen=True)
-class BalanceReport:
-    """Term-by-term account of the two-state balance identity."""
-
-    k: int
-    k_prime: int
-    term_energy: complex
-    term_boundary: complex
-    term_potential: complex
-    identity_residual: float
-    identity_tol: float
-    identity_ok: bool
-    orthogonality_gap: float
-    orthogonality_restored: bool
-    window: Optional[tuple[int, int]]
-
-
 # the per-pair arrays of a BalanceTable, in field order
 _COLUMNS = ("k", "k_prime", "term_energy", "term_boundary", "term_potential",
             "identity_residual", "orthogonality_gap", "identity_ok",
@@ -234,8 +178,7 @@ class BalanceTable:
     """The balance identity of every evaluated pair, as read-only columns.
 
     Entry i of each array belongs to pair (k[i], k_prime[i]); identity_tol
-    and window are shared by all pairs.  table[i] and iteration give one
-    BalanceReport per pair, a view over the same arrays.
+    and window are shared by all pairs.  len(table) is the number of pairs.
     """
 
     k: np.ndarray
@@ -258,22 +201,6 @@ class BalanceTable:
 
     def __len__(self) -> int:
         return len(self.k)
-
-    def __getitem__(self, i: int) -> BalanceReport:
-        return BalanceReport(
-            k=int(self.k[i]), k_prime=int(self.k_prime[i]),
-            term_energy=complex(self.term_energy[i]),
-            term_boundary=complex(self.term_boundary[i]),
-            term_potential=complex(self.term_potential[i]),
-            identity_residual=float(self.identity_residual[i]),
-            identity_tol=self.identity_tol,
-            identity_ok=bool(self.identity_ok[i]),
-            orthogonality_gap=float(self.orthogonality_gap[i]),
-            orthogonality_restored=bool(self.orthogonality_restored[i]),
-            window=self.window)
-
-    def __iter__(self) -> Iterator[BalanceReport]:
-        return map(self.__getitem__, range(len(self)))
 
 
 def _magnitude(z: np.ndarray) -> np.ndarray:

@@ -131,12 +131,3 @@ def central_difference(v: np.ndarray, grid: Grid1D) -> np.ndarray:
     out[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
     return out
 
-
-def differentiate(f: GridFunction) -> GridFunction:
-    """Central-difference derivative of a grid function (central_difference)."""
-    return GridFunction(f.grid, central_difference(f.values, f.grid))
-
-
-def integrate(f: GridFunction) -> complex:
-    """Quadrature over the whole domain (trapezoid or rectangle per boundary)."""
-    return complex(np.sum(f.grid.quadrature_weights * f.values))

@@ -105,8 +105,8 @@ def assemble_hamiltonian(grid: Grid1D, pot: LorentzPotential, mass: GridFunction
     the active nodes, in the block-by-component layout.
     """
     r = wilson_weight(scheme, wilson_r)
-    if wilson_r < 0.0:
-        raise GridError(f"wilson_r must be non-negative, got {wilson_r}")
+    if not (np.isfinite(wilson_r) and wilson_r >= 0.0):
+        raise GridError(f"wilson_r must be finite and non-negative, got {wilson_r}")
     if mass.grid != grid or pot.grid != grid:
         raise GridError("mass and potential must live on the operator grid")
 

@@ -23,14 +23,14 @@ E.  Its five coefficients are built once per solve from one spline of the
 local blocks, for both segments in one stack, the shorter segment padded with
 identity steps.  A trial energy evaluates them by Horner's rule in place,
 and the two midpoint states are the ordered products of the substeps, formed
-as one pairwise tree over both segments.  The converged spinor comes from a
-log-depth prefix scan over per-node matrices, with power-of-two scaling.
+as one pairwise tree over both segments.  The converged state, an (n, 2)
+array, comes from a log-depth prefix scan over per-node matrices, with
+power-of-two scaling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import zip_longest
 from typing import Callable, Optional
 
@@ -50,32 +50,11 @@ SHOOTING_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
-class Spinor:
-    """One two-component state on the full grid (wall nodes included)."""
-
-    grid: Grid1D
-    plus_component: np.ndarray
-    minus_component: np.ndarray
-    energy: complex
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.plus_component, dtype=complex).copy()
-        m = np.asarray(self.minus_component, dtype=complex).copy()
-        if p.shape != (self.grid.n_points,) or m.shape != (self.grid.n_points,):
-            raise GridError("spinor components must match the grid size")
-        p.flags.writeable = False
-        m.flags.writeable = False
-        object.__setattr__(self, "plus_component", p)
-        object.__setattr__(self, "minus_component", m)
-        object.__setattr__(self, "energy", complex(self.energy))
-
-
-@dataclass(frozen=True)
 class SpectrumResult:
     """Sorted eigenpairs of one operator with residuals and reality tags.
 
     energies is (K,); states is (K, n, 2), state k's components at every grid
-    node (zero at hard walls).  Both read-only; eigenpairs is a Spinor view.
+    node (zero at hard walls).  Both read-only.
     """
 
     operator: DiracOperator
@@ -97,14 +76,12 @@ class SpectrumResult:
     def grid(self) -> Grid1D:
         return self.operator.grid
 
-    @cached_property
-    def eigenpairs(self) -> tuple[Spinor, ...]:
-        """The states one Spinor at a time, for the per-state functions
-        (normalize, current_density) and for perfbench's tracer, which counts
-        the kept pairs with it; the report pipeline reads states directly."""
-        return tuple(Spinor(grid=self.grid, plus_component=s[:, 0],
-                            minus_component=s[:, 1], energy=e)
-                     for e, s in zip(self.energies, self.states))
+    @property
+    def eigenpairs(self) -> tuple[tuple[complex, np.ndarray], ...]:
+        """(energy, state) per kept pair.  Only the benchmark tracer
+        (perfbench/tracing.py) reads it, as len(result.eigenpairs); it goes
+        when the tracer counts len(result.energies) (ROADMAP item 7)."""
+        return tuple(zip(self.energies, self.states))
 
 
 def _is_real(energies: np.ndarray, tol: float) -> np.ndarray:
@@ -245,8 +222,11 @@ def classify_reality(result: SpectrumResult, tol: float = 1e-9) -> SpectrumResul
 
 @dataclass(frozen=True)
 class ShootingResult:
+    """A shooting eigenpair: state is the read-only (n, 2) array of both
+    components at every grid node, scaled to match at the midpoint."""
+
     energy: complex
-    spinor: Spinor
+    state: np.ndarray
     iterations: int
     determinant: complex
     match_mismatch: float
@@ -487,11 +467,12 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     product over both segments (_ordered_product), which gives the two
     midpoint states up to scale.  The padding changes no product, and the
     tree is bit for bit the unpadded one unless the padding adds a tree
-    level, where it moves the product by about one ulp.  The spinor at the
+    level, where it moves the product by about one ulp.  The state at the
     converged energy comes from the same matrices, multiplied into one
     matrix per node interval, and a prefix scan over those in about log2 n
     batched levels, each prefix scaled by an exact power of two
-    (_trajectory); the padded nodes are sliced off.
+    (_trajectory); the padded nodes are sliced off, and the matched nodes
+    are ShootingResult.state.
     """
     if grid.boundary != "dirichlet":
         raise GridError("shooting requires a dirichlet grid")
@@ -551,7 +532,7 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
         )
     e1, f1 = zs[-1], fs[-1]
 
-    # assemble the matched global spinor at the converged energy
+    # assemble the matched global state at the converged energy
     paths = _trajectory(_evaluate_steps(poly, e1, buf), substeps, y_wall)
     left, right = paths[0, : mid + 1], paths[1, : grid.n_points - mid][::-1]
     ul, ur = left[-1], right[0]
@@ -559,9 +540,8 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     if ur[c] == 0.0:
         raise ConvergenceError("right segment vanished at the midpoint")
     ratio = ul[c] / ur[c]
-    values = np.vstack([left, (right * ratio)[1:]])
+    state = np.vstack([left, (right * ratio)[1:]])
+    state.flags.writeable = False
     mismatch = float(np.linalg.norm(ul - ratio * ur) / max(np.linalg.norm(ul), 1e-300))
-    spinor = Spinor(grid=grid, plus_component=values[:, 0],
-                    minus_component=values[:, 1], energy=e1)
-    return ShootingResult(energy=e1, spinor=spinor, iterations=iterations,
+    return ShootingResult(energy=e1, state=state, iterations=iterations,
                           determinant=f1, match_mismatch=mismatch)

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from dirac1d import GAMMA0, GAMMA1, current_density, differentiate
+from dirac1d import GAMMA0, GAMMA1
+from dirac1d.grid import central_difference
 
 
 def dispersion_multiset(n: int, h: float, m: float, wilson_r: float) -> np.ndarray:
@@ -79,9 +80,7 @@ def reference_balance_terms(result, k: int, k_prime: int,
     """
     grid = result.grid
     n = grid.n_points
-    sk, skp = result.eigenpairs[k], result.eigenpairs[k_prime]
-    col = np.stack([sk.plus_component, sk.minus_component], axis=1)
-    col_prime = np.stack([skp.plus_component, skp.minus_component], axis=1)
+    col, col_prime = result.states[k], result.states[k_prime]
     row = np.conj(col_prime) @ GAMMA0
     if window is None:
         lo, hi = 0, n - 1
@@ -93,7 +92,7 @@ def reference_balance_terms(result, k: int, k_prime: int,
 
     # gamma0 gamma0 = 1: phibar_k' gamma0 phi_k is the plain component overlap
     overlap = sum(weights[j] * np.vdot(col_prime[j], col[j]) for j in nodes)
-    term_energy = (sk.energy - np.conj(skp.energy)) * overlap
+    term_energy = (result.energies[k] - np.conj(result.energies[k_prime])) * overlap
 
     anti = result.operator.potential.anti_hermitian
     term_potential = sum(weights[j] * (row[j] @ anti[j] @ col[j]) for j in nodes)
@@ -121,25 +120,24 @@ def reference_spectrum_columns(result) -> dict[str, np.ndarray]:
     """The diagnose spectrum table of a normalized result, one state at a time.
 
     The per-state loop the column form replaced, kept apart from it so the
-    two can be checked against each other bit for bit: the current from
-    current_density, its derivative from differentiate, the anti-Hermitian
-    bilinear by a per-state einsum, the continuity maximum by np.abs over
-    the state's residual, and tail_amplitude from abs(complex) at the two
-    nodes next to the walls (0 on periodic grids).
+    two can be checked against each other bit for bit: j0 and j1 of each
+    state held as complex arrays, the central difference of j1, the
+    anti-Hermitian bilinear by a per-state einsum, the continuity maximum by
+    np.abs over the state's residual, and tail_amplitude from abs(complex)
+    at the two nodes next to the walls (0 on periodic grids).
     """
     grid = result.grid
     anti = result.operator.potential.anti_hermitian
     near_wall = (1, grid.n_points - 2) if grid.boundary == "dirichlet" else ()
     rows = []
-    for i, s in enumerate(result.eigenpairs):
-        col = np.stack([s.plus_component, s.minus_component], axis=1)
-        cur = current_density(s)
+    for i, (energy, col) in enumerate(zip(result.energies.tolist(), result.states)):
+        d = col.real ** 2 + col.imag ** 2
+        j0, j1 = (d[:, 0] + d[:, 1]).astype(complex), (d[:, 0] - d[:, 1]).astype(complex)
         bilinear = np.einsum("na,nab,nb->n", np.conj(col) @ GAMMA0, anti, col)
-        r = (2.0 * s.energy.imag * cur.j0.values
-             + differentiate(cur.j1).values + 1.0j * bilinear)
-        tail = max((abs(s.plus_component[j]) + abs(s.minus_component[j])
-                    for j in near_wall), default=0.0)
-        rows.append((i, s.energy.real, s.energy.imag, float(result.residuals[i]),
+        r = (2.0 * energy.imag * j0 + central_difference(j1, grid)
+             + 1.0j * bilinear)
+        tail = max((abs(col[j, 0]) + abs(col[j, 1]) for j in near_wall), default=0.0)
+        rows.append((i, energy.real, energy.imag, float(result.residuals[i]),
                      result.classification[i], tail, float(np.max(np.abs(r)))))
     return {key: np.array(column)
             for key, column in zip(SPECTRUM_COLUMNS, zip(*rows))}

@@ -11,18 +11,18 @@ import numpy as np
 import pytest
 
 from dirac1d import (GridFunction, check_pt_symmetry, continuity_residual,
-                     current_density, differentiate,
                      gamma0_hermiticity_residual, gram_matrix,
                      normalize_result, orthogonality_balance,
                      reduced_residual_norm, shooting_solve)
 from dirac1d.cli import main
+from dirac1d.grid import central_difference
 from helpers import dispersion_multiset
 
 
 def _ground_index(result):
     """Lowest positive-energy state (spectra here are symmetric about 0)."""
-    pos = [i for i, s in enumerate(result.eigenpairs) if s.energy.real > 0]
-    return min(pos, key=lambda i: abs(result.eigenpairs[i].energy))
+    pos = [i for i, e in enumerate(result.energies) if e.real > 0]
+    return min(pos, key=lambda i: abs(result.energies[i]))
 
 
 @pytest.mark.parametrize("n", [128, 256])
@@ -87,10 +87,10 @@ def test_criterion_4_mass_induced_vector_diagnostics(pt_cases):
     defect = gamma0_hermiticity_residual(big.op.potential)
     assert abs(defect - 2.0 * np.max(np.abs(v_t.values))) <= 1e-10
     res = normalize_result(big.result)
-    s0 = res.eigenpairs[_ground_index(res)]
-    dj1 = differentiate(current_density(s0).j1)
+    density = np.abs(res.states[_ground_index(res)]) ** 2
+    dj1 = central_difference(density[:, 0] - density[:, 1], res.grid)
     r = continuity_residual(res)[_ground_index(res)]
-    assert np.max(np.abs(dj1.values)) > 10.0 * np.max(np.abs(r))
+    assert np.max(np.abs(dj1)) > 10.0 * np.max(np.abs(r))
 
     # (c) balance identity for all pairs among the lowest six
     worst = {}
@@ -100,11 +100,11 @@ def test_criterion_4_mass_induced_vector_diagnostics(pt_cases):
         reports, failures = orthogonality_balance(
             rn, [(k, kp) for k in range(6) for kp in range(k)])
         assert failures == [] and len(reports) == 15
-        for rep in reports:
-            scale = max(1.0, abs(rep.term_energy), abs(rep.term_boundary),
-                        abs(rep.term_potential))
-            assert rep.identity_residual <= 100.0 * h * scale
-        worst[n] = max(rep.identity_residual for rep in reports)
+        scale = np.maximum.reduce([np.ones(15), np.abs(reports.term_energy),
+                                   np.abs(reports.term_boundary),
+                                   np.abs(reports.term_potential)])
+        assert np.all(reports.identity_residual <= 100.0 * h * scale)
+        worst[n] = reports.identity_residual.max()
     if not (worst[400] <= 1e-12 and worst[800] <= 1e-12):
         # only measurable when the identity is not already at rounding
         assert worst[800] < worst[400]
@@ -119,8 +119,8 @@ def test_criterion_4_mass_induced_vector_diagnostics(pt_cases):
 def test_criterion_5_shooting_reproduces_matrix_ground_state(pt_cases):
     ladder = (100, 200, 400, 800)
     h = np.array([pt_cases[n].op.grid.h for n in ladder])
-    e = np.array([pt_cases[n].result.eigenpairs[
-        _ground_index(pt_cases[n].result)].energy for n in ladder])
+    e = np.array([pt_cases[n].result.energies[_ground_index(pt_cases[n].result)]
+                  for n in ladder])
     # h = 20/(n-1) does not halve exactly along the ladder, so fit a cubic in
     # h through all four points instead of the textbook 2E(h/2) - E(h)
     e_limit = np.linalg.solve(np.vander(h, increasing=True), e)[0]
@@ -147,11 +147,11 @@ def test_criterion_6_eigenpairs_satisfy_reduced_equations(
     for res in results:
         bound = 10.0 * res.solver_tolerance
         worst = 0.0
-        for s in res.eigenpairs:
+        for energy, state in zip(res.energies, res.states):
             r = reduced_residual_norm(
-                s.energy,
-                GridFunction(res.grid, s.plus_component),
-                GridFunction(res.grid, s.minus_component),
+                energy,
+                GridFunction(res.grid, state[:, 0]),
+                GridFunction(res.grid, state[:, 1]),
                 res.operator.potential, res.operator.mass,
                 scheme=res.operator.scheme, wilson_r=res.operator.wilson_r)
             worst = max(worst, r)

@@ -352,6 +352,28 @@ def test_a_window_on_one_node_exits_one_before_any_run(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_file_channel_that_is_not_numbers_exits_one(tmp_path, capsys):
+    (tmp_path / "bad.txt").write_text("abc def\n")
+    ini = write_ini(tmp_path, PT_INI.replace("v_t = pt_from_mass",
+                                             "v_t = pt_from_mass\nv_s = file:bad.txt"))
+    out = tmp_path / "out"
+    assert main(["diagnose", str(ini), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "potential.v_s: cannot read file bad.txt" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["constant:nan", "file:nan.txt"])
+def test_a_non_finite_channel_exits_one(tmp_path, capsys, spec):
+    np.savetxt(tmp_path / "nan.txt", np.full(100, np.nan))
+    ini = write_ini(tmp_path, PT_INI.replace("v_t = pt_from_mass",
+                                             f"v_t = pt_from_mass\nv_p = {spec}"))
+    out = tmp_path / "out"
+    assert main(["diagnose", str(ini), "--out", str(out)]) == 1
+    assert f"potential.v_p: '{spec}' is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tol_override_can_force_convergence_failure(tmp_path, capsys):
     ini = write_ini(tmp_path, FREE_INI)
     out = tmp_path / "out"

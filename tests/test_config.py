@@ -152,6 +152,24 @@ def test_tabulated_channel_missing_file(tmp_path):
         parse_config(write(tmp_path, text))
 
 
+def test_tabulated_channel_that_is_not_numbers(tmp_path):
+    (tmp_path / "bad.txt").write_text("abc def\n")
+    text = MINIMAL + "\n[potential]\nv_s = file:bad.txt\n"
+    with pytest.raises(ConfigError, match=r"potential\.v_s: cannot read file bad\.txt"):
+        parse_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("spec", ["constant:nan", "constant:-inf", "linear:nan+1j",
+                                  "file:nan.txt"])
+def test_non_finite_channel_rejected_at_parse_time(tmp_path, spec):
+    values = np.zeros(64)
+    values[7] = np.nan
+    np.savetxt(tmp_path / "nan.txt", values)
+    text = MINIMAL + f"\n[potential]\nv_p = {spec}\n"
+    with pytest.raises(ConfigError, match=r"potential\.v_p: .* not finite"):
+        parse_config(write(tmp_path, text))
+
+
 def test_window_and_pairs_parsing(tmp_path):
     text = MINIMAL + """
 [diagnostics]
@@ -206,6 +224,17 @@ def test_solver_bounds(tmp_path):
     bad = MINIMAL + "\n[solver]\nwilson_r = -1.0\n"
     with pytest.raises(ConfigError, match="wilson_r"):
         parse_config(write(tmp_path, bad))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pt_tol", "-1e-12"), ("reality_tol", "-1"), ("identity_tol", "-1e-6"),
+    ("balance_lowest", "-2"),
+])
+def test_negative_diagnostics_bounds_rejected(tmp_path, key, value):
+    cfg = parse_config(write(tmp_path, MINIMAL))
+    with pytest.raises(ConfigError, match=rf"diagnostics\.{key} must be non-negative"):
+        cfg.replace({f"diagnostics.{key}": value})
+    assert cfg.replace({f"diagnostics.{key}": "0"})["diagnostics"][key] == 0
 
 
 def test_missing_file():

@@ -7,70 +7,49 @@ import pytest
 
 from dirac1d import diagnostics, report
 from dirac1d import (GridError, GridFunction, LorentzPotential, MassProfile,
-                     SpectrumResult, Spinor, adjoint_row, assemble_hamiltonian,
-                     build_grid, continuity_residual, current_density,
-                     differentiate, gram_matrix, integrate, normalize,
-                     normalize_result,
+                     SpectrumResult, assemble_hamiltonian, build_grid,
+                     continuity_residual, gram_matrix, normalize_result,
                      config_from_raw, execute, orthogonality_balance,
                      reduced_residual_norm, sample_mass, solve_spectrum)
+from dirac1d.grid import central_difference
 from helpers import reference_balance_terms
 
 
-def constant_spinor(a, b, n=16, energy=1.0):
-    g = build_grid(0.0, 1.0, n)
-    return Spinor(grid=g,
-                  plus_component=np.full(n, complex(a)),
-                  minus_component=np.full(n, complex(b)),
-                  energy=energy)
-
-
-def test_adjoint_row_examples():
-    up, down = adjoint_row(constant_spinor(1.0, 0.0))
-    assert np.all(up.values == 0.0) and np.all(down.values == 1.0)
-    up, down = adjoint_row(constant_spinor(0.0, 1.0j))
-    assert np.all(up.values == -1.0j) and np.all(down.values == 0.0)
-
-
-def test_current_components():
-    s = 1.0 / np.sqrt(2.0)
-    cur = current_density(constant_spinor(s, s))
-    assert np.allclose(cur.j0.values, 1.0)
-    assert np.max(np.abs(cur.j1.values)) <= 1e-15
-    cur = current_density(constant_spinor(1.0, 0.0))
-    assert np.allclose(cur.j0.values, 1.0)
-    assert np.allclose(cur.j1.values, 1.0)
-    assert cur.j0.values.dtype == complex  # GridFunction storage, real data
-    assert np.all(cur.j0.values.imag == 0.0)
+def stack_result(states, x_min=-2.0, x_max=2.0):
+    """A SpectrumResult holding the given (K, n, 2) states on a free operator."""
+    states = np.asarray(states, dtype=complex)
+    g = build_grid(x_min, x_max, states.shape[1])
+    op = assemble_hamiltonian(g, LorentzPotential.zero(g),
+                              sample_mass(MassProfile("constant", m0=1.0), g))
+    k = len(states)
+    return SpectrumResult(operator=op, energies=np.zeros(k), states=states,
+                          residuals=np.zeros(k), classification=("real",) * k,
+                          solver_tolerance=1e-9)
 
 
 def test_normalize_charge_and_phase():
     rng = np.random.default_rng(31)
-    g = build_grid(-2.0, 2.0, 50)
-    s = Spinor(grid=g,
-               plus_component=rng.normal(size=50) + 1j * rng.normal(size=50),
-               minus_component=rng.normal(size=50) + 1j * rng.normal(size=50),
-               energy=0.5)
-    ns = normalize(s)
-    assert integrate(current_density(ns).j0) == pytest.approx(1.0, abs=1e-12)
-    stacked = np.concatenate([ns.plus_component, ns.minus_component])
+    result = stack_result(rng.normal(size=(1, 50, 2)) + 1j * rng.normal(size=(1, 50, 2)))
+    normalized = normalize_result(result)
+    ns = normalized.states[0]
+    charge = np.sum(result.grid.quadrature_weights * np.sum(np.abs(ns) ** 2, axis=1))
+    assert charge == pytest.approx(1.0, abs=1e-12)
+    stacked = ns.T.ravel()  # plus component, then minus
     pivot = stacked[np.argmax(np.abs(stacked))]
     assert pivot.imag == pytest.approx(0.0, abs=1e-14)
     assert pivot.real > 0
-    again = normalize(ns)
-    assert np.max(np.abs(again.plus_component - ns.plus_component)) <= 1e-13
+    again = normalize_result(normalized).states[0]
+    assert np.max(np.abs(again - ns)) <= 1e-13
 
 
 def test_normalize_pivot_is_the_first_near_largest_sample():
     # the minus component holds the largest sample, the plus component one
     # within PIVOT_REL_TOL of it: the plus sample, first in order, is the pivot
-    g = build_grid(-2.0, 2.0, 16)
-    plus = np.full(16, 0.1 + 0.0j)
-    minus = np.full(16, 0.1 + 0.0j)
-    plus[5] = 1j
-    minus[2] = -(1.0 + 1e-12)
-    ns = normalize(Spinor(grid=g, plus_component=plus, minus_component=minus,
-                          energy=0.0))
-    assert ns.plus_component[5].imag == 0.0 and ns.plus_component[5].real > 0.0
+    states = np.full((1, 16, 2), 0.1 + 0.0j)
+    states[0, 5, 0] = 1j
+    states[0, 2, 1] = -(1.0 + 1e-12)
+    ns = normalize_result(stack_result(states)).states[0]
+    assert ns[5, 0].imag == 0.0 and ns[5, 0].real > 0.0
 
 
 def test_normalize_phase_does_not_depend_on_the_input_phase(pt_cases):
@@ -80,30 +59,26 @@ def test_normalize_phase_does_not_depend_on_the_input_phase(pt_cases):
     result = pt_cases[200].result
     peaks = np.sort(np.abs(result.states).reshape(len(result.states), -1), axis=1)
     assert np.all(peaks[:, -2] >= (1.0 - 1e-10) * peaks[:, -1])
-    for s in result.eigenpairs:
-        ref = normalize(s)
-        for theta in 0.5 * np.arange(12):
-            phase = np.exp(1j * theta)
-            rotated = normalize(Spinor(grid=s.grid,
-                                       plus_component=phase * s.plus_component,
-                                       minus_component=phase * s.minus_component,
-                                       energy=s.energy))
-            assert np.max(np.abs(rotated.plus_component - ref.plus_component)) <= 1e-13
-            assert np.max(np.abs(rotated.minus_component - ref.minus_component)) <= 1e-13
+    ref = normalize_result(result).states
+    for theta in 0.5 * np.arange(12):
+        rotated = normalize_result(replace(result, states=np.exp(1j * theta)
+                                           * result.states)).states
+        assert np.max(np.abs(rotated - ref)) <= 1e-13
 
 
-def test_normalize_result_is_normalize_of_each_state(pt_cases):
+def test_normalize_result_of_the_stack_is_that_of_each_state(pt_cases):
     result = pt_cases[200].result
     stack = normalize_result(result).states
-    for k, s in enumerate(result.eigenpairs):
-        one = normalize(s)
-        assert np.array_equal(one.plus_component, stack[k, :, 0])
-        assert np.array_equal(one.minus_component, stack[k, :, 1])
+    for k in range(len(result.energies)):
+        one = replace(result, energies=result.energies[k:k + 1],
+                      states=result.states[k:k + 1], residuals=result.residuals[k:k + 1],
+                      classification=result.classification[k:k + 1])
+        assert np.array_equal(normalize_result(one).states[0], stack[k])
 
 
 def test_normalize_rejects_zero_state():
     with pytest.raises(GridError, match="zero-norm"):
-        normalize(constant_spinor(0.0, 0.0))
+        normalize_result(stack_result(np.zeros((1, 16, 2))))
 
 
 def test_continuity_vanishes_for_exact_rest_state():
@@ -131,13 +106,13 @@ def test_continuity_floors_at_rounding_for_hermitian_states(scalar_cases):
 def test_continuity_detects_genuine_nonconservation(pt_cases):
     result = normalize_result(pt_cases[400].result)
     k = next(k for k, e in enumerate(result.energies) if e.real > 0)
-    cur = current_density(result.eigenpairs[k])
-    dj1 = differentiate(cur.j1)
+    density = np.abs(result.states[k]) ** 2
+    dj1 = central_difference(density[:, 0] - density[:, 1], result.grid)
     r = continuity_residual(result)[k]
     # the current really is not conserved: its divergence dwarfs the
     # identity residual that measures our bookkeeping error
-    assert np.max(np.abs(dj1.values)) > 10.0 * np.max(np.abs(r))
-    assert np.max(np.abs(dj1.values)) > 1e-3
+    assert np.max(np.abs(dj1)) > 10.0 * np.max(np.abs(r))
+    assert np.max(np.abs(dj1)) > 1e-3
 
 
 def test_gram_orthonormal_for_real_channels(scalar_cases):
@@ -168,42 +143,41 @@ def test_gram_single_state():
 
 def test_balance_hermitian_limit(scalar_cases):
     result = normalize_result(scalar_cases[200].result)
-    (rep,), _ = orthogonality_balance(result, [(1, 0)])
-    assert rep.identity_ok
-    assert rep.term_boundary == 0.0  # hard walls: no flux through the ends
-    assert abs(rep.term_potential) <= 1e-12
-    assert abs(rep.term_energy) <= 1e-10
-    assert rep.orthogonality_restored
+    table, _ = orthogonality_balance(result, [(1, 0)])
+    assert len(table) == 1
+    assert table.identity_ok[0]
+    assert table.term_boundary[0] == 0.0  # hard walls: no flux through the ends
+    assert abs(table.term_potential[0]) <= 1e-12
+    assert abs(table.term_energy[0]) <= 1e-10
+    assert table.orthogonality_restored[0]
 
 
 def test_balance_terms_with_imaginary_vector_channel(pt_cases):
     result = normalize_result(pt_cases[400].result)
-    (rep,), _ = orthogonality_balance(result, [(1, 0)], identity_tol=1e-6)
-    scale = max(1.0, abs(rep.term_energy), abs(rep.term_boundary),
-                abs(rep.term_potential))
+    table, _ = orthogonality_balance(result, [(1, 0)], identity_tol=1e-6)
+    assert len(table) == 1
     # the identity closes at rounding level even though each side is O(1)
-    assert rep.identity_residual <= 1e-12 * scale
-    assert abs(rep.term_potential) > 1e-2
-    assert rep.term_boundary == 0.0
-    assert not rep.orthogonality_restored
-    assert rep.orthogonality_gap == pytest.approx(abs(rep.term_boundary
-                                                      - rep.term_potential))
+    assert table.identity_residual[0] <= 1e-12 * term_scale(table)[0]
+    assert abs(table.term_potential[0]) > 1e-2
+    assert table.term_boundary[0] == 0.0
+    assert not table.orthogonality_restored[0]
+    assert table.orthogonality_gap[0] == pytest.approx(
+        abs(table.term_boundary[0] - table.term_potential[0]))
 
 
 def test_balance_windowed_flux(pt_cases):
     result = pt_cases[400].result
-    (rep,), _ = orthogonality_balance(result, [(1, 0)], window=(100, 300))
-    scale = max(1.0, abs(rep.term_energy), abs(rep.term_boundary),
-                abs(rep.term_potential))
-    assert rep.identity_residual <= 1e-12 * scale
-    assert abs(rep.term_boundary) > 1e-8  # interior window sees real flux
-    assert rep.window == (100, 300)
+    table, _ = orthogonality_balance(result, [(1, 0)], window=(100, 300))
+    assert len(table) == 1
+    assert table.identity_residual[0] <= 1e-12 * term_scale(table)[0]
+    assert abs(table.term_boundary[0]) > 1e-8  # interior window sees real flux
+    assert table.window == (100, 300)
 
 
 def test_balance_rejects_bad_pairs(pt_cases):
     result = pt_cases[400].result
     reports, failures = orthogonality_balance(result, [(2, 2), (1, 0), (0, 99)])
-    assert [(r.k, r.k_prime) for r in reports] == [(1, 0)]
+    assert pair_list(reports) == [(1, 0)]
     assert [(k, kp) for k, kp, _ in failures] == [(2, 2), (0, 99)]
     assert "distinct" in failures[0][2]
     assert failures[1][2] == "pair indices (0, 99) out of range 0..11"
@@ -223,7 +197,7 @@ def test_balance_rejects_non_eigenpairs(pt_cases):
     states[1, :, 1] = rng.normal(size=n)
     tampered = replace(result, states=states)
     reports, failures = orthogonality_balance(tampered, [(1, 0), (2, 0), (2, 1)])
-    assert [(r.k, r.k_prime) for r in reports] == [(2, 0)]
+    assert pair_list(reports) == [(2, 0)]
     assert [(k, kp) for k, kp, _ in failures] == [(1, 0), (2, 1)]
     assert failures[0][2].startswith("state k fails the coupled-equation oracle")
     assert failures[1][2].startswith("state k_prime fails the coupled-equation oracle")
@@ -238,13 +212,12 @@ def test_balance_potential_term_oracle():
     pot = LorentzPotential.from_channels(g, v_t=GridFunction(g, 1.0j * w_vals))
     op = assemble_hamiltonian(g, pot, mass)
     result = solve_spectrum(op)
-    (rep,), _ = orthogonality_balance(result, [(1, 0)])
-    s_k = result.eigenpairs[1]
-    s_kp = result.eigenpairs[0]
-    overlap = (np.conj(s_kp.plus_component) * s_k.plus_component
-               + np.conj(s_kp.minus_component) * s_k.minus_component)
+    table, _ = orthogonality_balance(result, [(1, 0)])
+    assert len(table) == 1
+    s_k, s_kp = result.states[1], result.states[0]
+    overlap = np.conj(s_kp[:, 0]) * s_k[:, 0] + np.conj(s_kp[:, 1]) * s_k[:, 1]
     direct = 2.0j * np.sum(g.quadrature_weights * w_vals * overlap)
-    assert rep.term_potential == pytest.approx(direct, abs=1e-13)
+    assert table.term_potential[0] == pytest.approx(direct, abs=1e-13)
 
 
 def _channel_solve(boundary, x_max, n, scheme="central_wilson", max_pairs=12,
@@ -258,8 +231,20 @@ def _channel_solve(boundary, x_max, n, scheme="central_wilson", max_pairs=12,
 
 
 def _all_pairs(result):
-    k_max = len(result.eigenpairs)
+    k_max = len(result.energies)
     return [(k, kp) for k in range(k_max) for kp in range(k_max) if k != kp]
+
+
+def pair_list(table):
+    """The (k, k_prime) pairs of a balance table, in table order."""
+    return list(zip(table.k.tolist(), table.k_prime.tolist()))
+
+
+def term_scale(table):
+    """max(1, |term_energy|, |term_boundary|, |term_potential|) per pair."""
+    return np.maximum.reduce([np.ones(len(table)), np.abs(table.term_energy),
+                              np.abs(table.term_boundary),
+                              np.abs(table.term_potential)])
 
 
 def _assert_columns_follow_the_scalar_rule(table):
@@ -287,10 +272,8 @@ def test_balance_closes_at_rounding_for_complex_levels():
     assert sum(t != "real" for t in result.classification) == 8
     reports, failures = orthogonality_balance(result, _all_pairs(result))
     assert failures == [] and len(reports) == 90
-    for rep in reports:
-        scale = max(1.0, abs(rep.term_energy), abs(rep.term_boundary),
-                    abs(rep.term_potential))
-        assert rep.identity_residual <= 1e-12 * scale, (rep.k, rep.k_prime)
+    open_pairs = reports.identity_residual > 1e-12 * term_scale(reports)
+    assert not open_pairs.any(), np.array(pair_list(reports))[open_pairs]
     _assert_columns_follow_the_scalar_rule(reports)
 
 
@@ -301,23 +284,27 @@ def test_auto_identity_tol_is_rounding_scaled(pt_cases):
     result = normalize_result(pt_cases[400].result)
     reports, failures = orthogonality_balance(result, _all_pairs(result))
     assert failures == []
-    assert all(rep.identity_ok for rep in reports)
-    assert {rep.identity_tol for rep in reports} == {diagnostics.AUTO_IDENTITY_TOL}
+    assert reports.identity_ok.all()
+    assert reports.identity_tol == diagnostics.AUTO_IDENTITY_TOL
     assert diagnostics.AUTO_IDENTITY_TOL < 1e-11
-    (rep,) = [r for r in reports if (r.k, r.k_prime) == (1, 0)]
-    assert rep.orthogonality_gap > 1e-2
-    assert not rep.orthogonality_restored
+    (i,) = np.flatnonzero((reports.k == 1) & (reports.k_prime == 0))
+    assert reports.orthogonality_gap[i] > 1e-2
+    assert not reports.orthogonality_restored[i]
+
+
+def _assert_terms_match_reference(result, table, window=None):
+    for i, (k, kp) in enumerate(pair_list(table)):
+        got = (table.term_energy[i], table.term_boundary[i], table.term_potential[i])
+        want = reference_balance_terms(result, k, kp, window)
+        scale = max(1.0, *(abs(t) for t in want))
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * scale, (k, kp)
 
 
 def _assert_matches_reference(result, window=None):
     reports, failures = orthogonality_balance(result, _all_pairs(result),
                                               window=window)
     assert failures == []
-    for rep in reports:
-        got = (rep.term_energy, rep.term_boundary, rep.term_potential)
-        want = reference_balance_terms(result, rep.k, rep.k_prime, window)
-        scale = max(1.0, *(abs(t) for t in want))
-        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * scale
+    _assert_terms_match_reference(result, reports, window)
     _assert_columns_follow_the_scalar_rule(reports)
     return reports
 
@@ -329,12 +316,12 @@ def test_balance_matrix_form_matches_reference_periodic_window():
                             v_p=lambda x: 0.05 * x ** 2)
     assert np.max(np.abs(result.energies.imag)) > 0.1
     reports = _assert_matches_reference(result, window=(30, 82))
-    assert max(abs(r.term_boundary) for r in reports) > 1e-3
+    assert np.abs(reports.term_boundary).max() > 1e-3
 
 
 def test_balance_matrix_form_matches_reference_hard_walls(pt_cases):
     reports = _assert_matches_reference(normalize_result(pt_cases[400].result))
-    assert all(r.term_boundary == 0.0 for r in reports)
+    assert np.all(reports.term_boundary == 0.0)
 
 
 def test_balance_matrix_form_matches_reference_central_scheme():
@@ -348,14 +335,8 @@ def test_balance_table_gathers_pairs_in_order(pt_cases):
     result = normalize_result(pt_cases[400].result)
     pairs = [(3, 1), (0, 2), (5, 4), (1, 0)]
     table, _ = orthogonality_balance(result, pairs)
-    assert list(zip(table.k.tolist(), table.k_prime.tolist())) == pairs
-    for (k, kp), rep in zip(pairs, table):
-        want = reference_balance_terms(result, k, kp)
-        got = (rep.term_energy, rep.term_boundary, rep.term_potential)
-        scale = max(1.0, *(abs(t) for t in want))
-        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * scale
-    assert table[-1] == list(table)[3]
-    assert (table[2].k, table[2].k_prime) == (5, 4)
+    assert pair_list(table) == pairs
+    _assert_terms_match_reference(result, table)
     assert not table.identity_residual.flags.writeable
 
 
@@ -399,9 +380,10 @@ def test_tampered_state_fails_each_of_its_pairs_in_execute(monkeypatch):
     monkeypatch.setattr(report, "solve_spectrum", tampered)
     run = execute(config_from_raw(PT_RAW), "diagnose")
 
-    op, s = seen["op"], normalize(seen["tampered"].eigenpairs[2])
-    res = reduced_residual_norm(s.energy, GridFunction(op.grid, s.plus_component),
-                                GridFunction(op.grid, s.minus_component),
+    op, tampered = seen["op"], seen["tampered"]
+    s = normalize_result(tampered).states[2]
+    res = reduced_residual_norm(tampered.energies[2], GridFunction(op.grid, s[:, 0]),
+                                GridFunction(op.grid, s[:, 1]),
                                 op.potential, op.mass, scheme=op.scheme,
                                 wilson_r=op.wilson_r)
     why = (f"fails the coupled-equation oracle (residual {res:.3e} > 10 x tol); "

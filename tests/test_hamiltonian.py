@@ -33,8 +33,9 @@ def test_input_validation():
     g, pot, mass = free_parts(16)
     with pytest.raises(GridError, match="scheme"):
         assemble_hamiltonian(g, pot, mass, scheme="upwind")
-    with pytest.raises(GridError, match="wilson_r"):
-        assemble_hamiltonian(g, pot, mass, wilson_r=-0.5)
+    for bad in (-0.5, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(GridError, match="wilson_r must be finite and non-negative"):
+            assemble_hamiltonian(g, pot, mass, wilson_r=bad)
     g2 = build_grid(-1.0, 1.0, 16)
     with pytest.raises(GridError, match="grid"):
         assemble_hamiltonian(g2, pot, mass)
@@ -171,11 +172,10 @@ def test_oracle_defaults_match_operator_defaults():
     pot = LorentzPotential.zero(g)
     mass = sample_mass(MassProfile("constant", m0=1.0), g)
     result = solve_spectrum(assemble_hamiltonian(g, pot, mass), max_pairs=6)
-    for s in result.eigenpairs:
-        plus = GridFunction(g, s.plus_component)
-        minus = GridFunction(g, s.minus_component)
-        assert reduced_residual_norm(s.energy, plus, minus, pot, mass) <= 1e-12
-        rp, rm = reduced_equations_rhs(s.energy, plus, minus, pot, mass)
+    for energy, state in zip(result.energies, result.states):
+        plus, minus = GridFunction(g, state[:, 0]), GridFunction(g, state[:, 1])
+        assert reduced_residual_norm(energy, plus, minus, pot, mass) <= 1e-12
+        rp, rm = reduced_equations_rhs(energy, plus, minus, pot, mass)
         assert max(np.max(np.abs(rp.values)), np.max(np.abs(rm.values))) <= 1e-12
 
 

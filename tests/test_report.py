@@ -5,7 +5,7 @@ row-dict document, and each CSV must equal what the per-cell rule below
 writes: 17 significant digits for floats, true/false for booleans, str()
 for the rest, quoted when it holds a comma, a quote or a line break.  The
 balance rows of the reference document are read one pair at a time from
-the BalanceTable's per-pair view, and the spectrum table's columns are
+the BalanceTable's columns, and the spectrum table's columns are
 checked bit for bit against a per-state computation.
 """
 
@@ -63,21 +63,24 @@ def reference_gram_rows(g: np.ndarray) -> list[dict]:
 
 
 def reference_balance_rows(table) -> list[dict]:
-    """One row per pair, read from the table's per-pair BalanceReport view."""
+    """One row per pair, read from the table's columns one entry at a time
+    as Python scalars."""
     if table is None:
         return []
-    return [{"k": rep.k, "k_prime": rep.k_prime,
-             "term_energy_re": rep.term_energy.real,
-             "term_energy_im": rep.term_energy.imag,
-             "term_boundary_re": rep.term_boundary.real,
-             "term_boundary_im": rep.term_boundary.imag,
-             "term_potential_re": rep.term_potential.real,
-             "term_potential_im": rep.term_potential.imag,
-             "identity_residual": rep.identity_residual,
-             "identity_tol": rep.identity_tol, "identity_ok": rep.identity_ok,
-             "orthogonality_gap": rep.orthogonality_gap,
-             "orthogonality_restored": rep.orthogonality_restored}
-            for rep in table]
+    rows = []
+    for i in range(len(table)):
+        te, tb, tp = (complex(t[i]) for t in (table.term_energy, table.term_boundary,
+                                              table.term_potential))
+        rows.append({"k": int(table.k[i]), "k_prime": int(table.k_prime[i]),
+                     "term_energy_re": te.real, "term_energy_im": te.imag,
+                     "term_boundary_re": tb.real, "term_boundary_im": tb.imag,
+                     "term_potential_re": tp.real, "term_potential_im": tp.imag,
+                     "identity_residual": float(table.identity_residual[i]),
+                     "identity_tol": table.identity_tol,
+                     "identity_ok": bool(table.identity_ok[i]),
+                     "orthogonality_gap": float(table.orthogonality_gap[i]),
+                     "orthogonality_restored": bool(table.orthogonality_restored[i])})
+    return rows
 
 
 def reference_json(report: RunReport) -> str:

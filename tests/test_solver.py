@@ -45,7 +45,7 @@ def test_full_spectrum_matches_dispersion():
 
 def test_ordering_and_truncation():
     result = solve_spectrum(free_operator(32), max_pairs=6)
-    assert len(result.eigenpairs) == 6
+    assert len(result.energies) == 6
     mags = np.abs(result.energies.real)
     assert np.all(np.diff(mags) >= -1e-12)
     assert np.all(result.residuals <= result.solver_tolerance)
@@ -190,11 +190,11 @@ def test_states_are_the_kept_columns_on_the_full_grid(monkeypatch):
 
 def test_eigenpairs_are_a_view_of_the_read_only_stack():
     result = solve_spectrum(scalar_box_operator(n=40), max_pairs=6)
-    assert result.eigenpairs is result.eigenpairs
-    for k, s in enumerate(result.eigenpairs):
-        assert s.energy == result.energies[k]
-        assert np.array_equal(s.plus_component, result.states[k, :, 0])
-        assert np.array_equal(s.minus_component, result.states[k, :, 1])
+    assert len(result.eigenpairs) == 6
+    for k, (energy, state) in enumerate(result.eigenpairs):
+        assert energy == result.energies[k]
+        assert np.shares_memory(state, result.states) and not state.flags.writeable
+        assert np.array_equal(state, result.states[k])
     for array in (result.energies, result.states):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -444,11 +444,13 @@ def test_shooting_rescales_a_solution_that_would_overflow():
     # from each wall, far past the double range, so an unscaled product
     # gives an inf/nan determinant.  Reference energy from the vector RK4
     # loop with its 1e150 rescale.
-    out = shooting_solve(*pt_overflow_parts(), energy_guess=1.6)
+    parts = pt_overflow_parts()
+    out = shooting_solve(*parts, energy_guess=1.6)
     assert abs(out.energy - 1.6364065780519570) <= 1e-10
     assert out.match_mismatch <= 1e-10
-    amplitude = np.hypot(np.abs(out.spinor.plus_component),
-                         np.abs(out.spinor.minus_component))
+    assert out.state.shape == (parts[0].n_points, 2)
+    assert not out.state.flags.writeable
+    amplitude = np.hypot(np.abs(out.state[:, 0]), np.abs(out.state[:, 1]))
     assert np.all(np.isfinite(amplitude))
     # the trial solution starts at amplitude 1 on the wall; next to it the
     # spinor is now far below that, so the pass went through the rescale
