@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -181,6 +182,8 @@ def _parse_complex(raw: str, where: str) -> complex:
         raise ConfigError(f"{where}: cannot parse {raw!r} as a number") from None
 
 
+# a value that overflows on the grid fails the finiteness check at the end
+@np.errstate(over="ignore", invalid="ignore")
 def _build_channel(spec: str, name: str, grid: Grid1D, profile: MassProfile,
                    base: Path) -> GridFunction:
     where = f"potential.{name}"
@@ -210,7 +213,9 @@ def _build_channel(spec: str, name: str, grid: Grid1D, profile: MassProfile,
         if not path.exists():
             raise ConfigError(f"{where}: tabulated file {str(path)!r} not found")
         try:
-            data = np.loadtxt(path, ndmin=2)
+            with warnings.catch_warnings():  # an empty table fails the shape check
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(path, ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"{where}: cannot read file {path.name}: {exc}") from None
         if data.shape[0] != grid.n_points or data.shape[1] not in (1, 2):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import GridError
 from .grid import GridFunction, central_difference
-from .hamiltonian import reduced_residual_norm, wilson_weight
+from .hamiltonian import reduced_residual_norm
 from .lorentz import GAMMA0, GAMMA1
 from .solver import SpectrumResult
 
@@ -160,9 +160,8 @@ def _balance_terms(result: SpectrumResult, lo: int, hi: int,
     p_lo, a_lo = _edge_flux(rows, c, lo - 1, periodic)
     boundary = 0.5j * (p_hi - p_lo)
     op = result.operator
-    r = wilson_weight(op.scheme, op.wilson_r)
-    if r != 0.0:
-        boundary = boundary + 0.5 * r * (a_hi - a_lo)
+    if op.wilson_r != 0.0:
+        boundary = boundary + 0.5 * op.wilson_r * (a_hi - a_lo)
     anti_c = np.einsum("nab,knb->kna", op.potential.anti_hermitian[sl], c[:, sl])
     return energy, boundary, _overlap(rows[:, sl], anti_c, weights)
 

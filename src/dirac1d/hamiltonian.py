@@ -9,18 +9,18 @@ H phi = E phi for spinor phi = (phi_plus, phi_minus) reads
                   + (M + V_s - i V_p) phi_plus
 
 i.e. H = -i sigma_z d/dx + h(x), with h = gamma0 (M + V) the per-node
-2x2 block of lorentz.local_blocks; the assembled matrix carries those
-blocks on four diagonals.
+2x2 block of lorentz.local_blocks.
 
-The first derivative is the central difference.  The optional Wilson term
-adds -(wilson_r*h/2) * (second central difference) inside the sigma_x (mass)
+The first derivative is the central difference.  The Wilson term adds
+-(wilson_r*h/2) * (second central difference) inside the sigma_x (mass)
 channel; it lifts the fermion-doubler branch of the central-difference
-dispersion at the cost of an O(h) shift of each level.
+dispersion at the cost of an O(h) shift of each level, and wilson_r = 0
+leaves the plain central difference.
 
-Boundary handling follows the grid: dirichlet keeps the interior nodes only
-(hard wall, endpoint values pinned at zero) while periodic wraps the
-stencils.  Matrix layout is block-by-component,
-v = [phi_plus(all active nodes), phi_minus(all active nodes)].
+A DiracOperator holds the blocks of its active nodes: dirichlet keeps the
+interior nodes only (hard wall, endpoint values pinned at zero) while
+periodic wraps the stencils.  The matrix is derived from them, in the
+layout v = [phi_plus(all active nodes), phi_minus(all active nodes)].
 """
 
 from __future__ import annotations
@@ -32,57 +32,64 @@ import numpy as np
 
 from .errors import GridError
 from .grid import Grid1D, GridFunction
-from .lorentz import GAMMA0, GAMMA5, LorentzPotential, local_blocks
+from .lorentz import GAMMA5, LorentzPotential, local_blocks
 
-OPERATOR_SCHEMES = ("central", "central_wilson")
+OPERATOR_SCHEMES = ("central_wilson",)
 
 
-def wilson_weight(scheme: str, wilson_r: float) -> float:
-    """Validate the scheme; return the Wilson weight it applies (0.0 for central)."""
+def _checked_wilson_r(scheme: str, wilson_r: float) -> float:
+    """Validate the scheme and its Wilson parameter; return wilson_r."""
     if scheme not in OPERATOR_SCHEMES:
         raise GridError(
             f"unknown operator scheme {scheme!r}; expected one of {OPERATOR_SCHEMES}"
         )
-    return wilson_r if scheme == "central_wilson" else 0.0
-
-
-def _difference_matrices(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
-    """Central first-difference D and plain second-difference stencil T.
-
-    T carries the {1, -2, 1} pattern without the 1/h^2 factor so the Wilson
-    weight -wilson_r/(2h) can be applied directly.  For dirichlet grids both
-    act on the interior nodes with the wall values treated as zero.
-    """
-    periodic = grid.boundary == "periodic"
-    k = grid.n_points if periodic else grid.n_points - 2
-    up = np.eye(k, k=1)
-    if periodic:
-        up[-1, 0] = 1.0
-    down = up.T
-    return (up - down) / (2.0 * grid.h), up + down - 2.0 * np.eye(k)
+    if not (np.isfinite(wilson_r) and wilson_r >= 0.0):
+        raise GridError(f"wilson_r must be finite and non-negative, got {wilson_r}")
+    return float(wilson_r)
 
 
 @dataclass(frozen=True)
 class DiracOperator:
-    """Assembled matrix plus everything needed to interpret and re-check it."""
+    """The operator as the central stencil, one Wilson weight and per-node blocks.
+
+    blocks is the read-only (K, 2, 2) stack of lorentz.local_blocks on the K
+    active nodes (the interior for dirichlet); the dense matrix is derived.
+    """
 
     grid: Grid1D
-    matrix: np.ndarray
     scheme: str
     wilson_r: float
     mass: GridFunction
     potential: LorentzPotential
-
-    def __post_init__(self) -> None:
-        # a read-only view (no copy), so the cached hermiticity cannot go stale
-        view = np.asarray(self.matrix).view()
-        view.flags.writeable = False
-        object.__setattr__(self, "matrix", view)
+    blocks: np.ndarray
 
     @cached_property
-    def _hermiticity(self) -> float:
-        """hermiticity_of_operator, formed once per operator."""
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+    def matrix(self) -> np.ndarray:
+        """The dense 2K x 2K matrix, read-only, built on first use.
+
+        Node j couples to j +- 1 (wrapped on periodic grids, dropped past a
+        hard wall) through -i sigma_z times the central difference +-1/2h
+        and through the Wilson term, -w inside sigma_x with w = wilson_r/2h,
+        which also puts 2w next to node j's block on the sigma_x diagonal.
+        """
+        k = len(self.blocks)
+        node = np.arange(k)
+        left = node if self.grid.boundary == "periodic" else node[:-1]
+        right = (left + 1) % k
+        s = 1.0 / (2.0 * self.grid.h)
+        h = np.zeros((2, k, 2, k), dtype=complex)
+        for c, z in enumerate(-1.0j * np.diagonal(GAMMA5)):
+            h[c, left, c, right] = z * s
+            h[c, right, c, left] = z * -s
+        if self.wilson_r != 0.0:  # else -w would write -0.0 over the zeros
+            w = self.wilson_r / (2.0 * self.grid.h)
+            for a, b in ((0, 1), (1, 0)):
+                h[a, left, b, right] = h[a, right, b, left] = -w
+                h[a, node, b, node] = 2.0 * w
+        h[:, node, :, node] += self.blocks
+        h = h.reshape(2 * k, 2 * k)
+        h.flags.writeable = False
+        return h
 
     @property
     def active_index(self) -> np.ndarray:
@@ -93,44 +100,32 @@ class DiracOperator:
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return 2 * len(self.blocks)
 
 
 def assemble_hamiltonian(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
                          scheme: str = "central_wilson", wilson_r: float = 1.0
                          ) -> DiracOperator:
-    """Build the 2K x 2K matrix (K = active nodes) for the given couplings.
-
-    kron(sigma_z, -i D) + kron(sigma_x, Wilson term) plus the local blocks of
-    the active nodes, in the block-by-component layout.
-    """
-    r = wilson_weight(scheme, wilson_r)
-    if not (np.isfinite(wilson_r) and wilson_r >= 0.0):
-        raise GridError(f"wilson_r must be finite and non-negative, got {wilson_r}")
+    """The operator of the given couplings, with the blocks of its active nodes."""
+    wilson_r = _checked_wilson_r(scheme, wilson_r)
     if mass.grid != grid or pot.grid != grid:
         raise GridError("mass and potential must live on the operator grid")
-
-    d, t = _difference_matrices(grid)
     act = slice(1, -1) if grid.boundary == "dirichlet" else slice(None)
     blocks = local_blocks(pot, mass)[act]
-    h_mat = (np.kron(GAMMA5, -1.0j * d)
-             + np.kron(GAMMA0, -(r / (2.0 * grid.h)) * t))
-    # node j's block acts on rows and columns (plus, j) and (minus, j); added
-    # in place, which keeps no dense block-diagonal matrix alive
-    k = len(blocks)
-    node = np.arange(k)
-    h_mat.reshape(2, k, 2, k)[:, node, :, node] += blocks
-    return DiracOperator(grid=grid, matrix=h_mat, scheme=scheme,
-                         wilson_r=float(wilson_r), mass=mass, potential=pot)
+    blocks.flags.writeable = False
+    return DiracOperator(grid=grid, scheme=scheme, wilson_r=wilson_r, mass=mass,
+                         potential=pot, blocks=blocks)
 
 
 def hermiticity_of_operator(op: DiracOperator) -> float:
-    """Entrywise max |H - H^dagger|; zero iff the assembled matrix is Hermitian.
+    """Max |h - h^dagger| over the active blocks; zero iff H is Hermitian.
 
-    Cached on the operator: a run asks for it in the report and in the
-    eigensolve, and each evaluation copies the full matrix twice.
+    The kinetic and Wilson parts are exactly Hermitian, so the blocks carry
+    all of H - H^dagger; O(K), and exact where the dense matrix rounds the
+    sum of 2w and a block entry.
     """
-    return op._hermiticity
+    b = op.blocks
+    return float(np.max(np.abs(b - np.conj(np.swapaxes(b, 1, 2)))))
 
 
 def _shift(values: np.ndarray, offset: int, periodic: bool) -> np.ndarray:
@@ -160,7 +155,7 @@ def reduced_equations_rhs(energy: complex, plus: GridFunction, minus: GridFuncti
     dirichlet grids the wall rows are not equations (values pinned) and the
     residual there is reported as zero.
     """
-    r = wilson_weight(scheme, wilson_r)
+    r = _checked_wilson_r(scheme, wilson_r)
     g = plus.grid
     if minus.grid != g or pot.grid != g or mass.grid != g:
         raise GridError("all inputs must share one grid")

@@ -82,13 +82,14 @@ def execute(cfg: RunConfig, mode: str, strict_pt: bool = False) -> RunReport:
     wilson_r = cfg["solver"]["wilson_r"]
     tol = cfg["solver"]["tol"]
     pt_tol = cfg["diagnostics"]["pt_tol"]
+    op = assemble_hamiltonian(grid, potential, mass, scheme=scheme,
+                              wilson_r=wilson_r)
 
     report.grid_info = {
         "h": grid.h,
         "n_points": grid.n_points,
         "boundary": grid.boundary,
-        "matrix_dim": 2 * (grid.n_points - 2 if grid.boundary == "dirichlet"
-                           else grid.n_points),
+        "matrix_dim": op.size,
         "scheme": scheme,
         "wilson_r": wilson_r,
     }
@@ -141,8 +142,6 @@ def execute(cfg: RunConfig, mode: str, strict_pt: bool = False) -> RunReport:
     if mode == "check-pt":
         return report
 
-    op = assemble_hamiltonian(grid, potential, mass, scheme=scheme,
-                              wilson_r=wilson_r)
     report.hermiticity["operator"] = hermiticity_of_operator(op)
 
     try:

@@ -140,8 +140,9 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
                    reality_tol: float = 1e-9) -> SpectrumResult:
     """Diagonalize, snap real levels, order canonically, keep max_pairs.
 
-    An exactly Hermitian matrix (H == H^dagger entry for entry) goes to
-    LAPACK's Hermitian eigensolver, anything else to the general one: the
+    An exactly Hermitian operator (hermiticity_of_operator == 0: every
+    active block equals its conjugate transpose) goes to LAPACK's
+    Hermitian eigensolver, anything else to the general one: the
     Hermitian routine reads one triangle only and would drop an
     anti-Hermitian part of any size.  The Hermitian routine gets H in the
     rotated spinor basis (_rotated), which is real for real mass, scalar,
@@ -252,7 +253,7 @@ def _coefficient_table(xs: np.ndarray, spline: Callable[[np.ndarray], np.ndarray
 
 # i sigma_z as a row sign, for (2, 2, ...) stacks: _J * a is i sigma_z @ a
 _J = np.array([1.0j, -1.0j]).reshape(2, 1, 1)
-_EYE = np.eye(2).reshape(2, 2, 1)
+_EYE = np.identity(2).reshape(2, 2, 1)
 
 
 def _times_f(b: np.ndarray, poly: list) -> list:

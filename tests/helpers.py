@@ -4,6 +4,7 @@ import numpy as np
 
 from dirac1d import GAMMA0, GAMMA1
 from dirac1d.grid import central_difference
+from dirac1d.lorentz import GAMMA5, local_blocks
 
 
 def dispersion_multiset(n: int, h: float, m: float, wilson_r: float) -> np.ndarray:
@@ -97,8 +98,7 @@ def reference_balance_terms(result, k: int, k_prime: int,
     anti = result.operator.potential.anti_hermitian
     term_potential = sum(weights[j] * (row[j] @ anti[j] @ col[j]) for j in nodes)
 
-    op = result.operator
-    wilson = op.wilson_r if op.scheme == "central_wilson" else 0.0
+    wilson = result.operator.wilson_r
     term_boundary = 0.0j
     for sign, a in ((1.0, hi), (-1.0, lo - 1)):
         b = a + 1
@@ -110,6 +110,31 @@ def reference_balance_terms(result, k: int, k_prime: int,
         a_anti = row[a] @ col[b] - row[b] @ col[a]
         term_boundary += sign * (0.5j * p_sym + 0.5 * wilson * a_anti)
     return complex(term_energy), complex(term_boundary), complex(term_potential)
+
+
+def reference_operator(grid, pot, mass, wilson_r: float) -> tuple[np.ndarray, float]:
+    """The dense operator and its max |H - H^dagger|, by Kronecker products.
+
+    The assembly the index-assignment builder replaced, kept apart from it
+    so the two can be checked against each other bit for bit:
+    kron(sigma_z, -i D) + kron(sigma_x, Wilson term) from np.eye shifts,
+    plus the local blocks of the active nodes added in place, and the
+    Hermiticity defect formed on the whole matrix.
+    """
+    periodic = grid.boundary == "periodic"
+    k = grid.n_points if periodic else grid.n_points - 2
+    up = np.eye(k, k=1)
+    if periodic:
+        up[-1, 0] = 1.0
+    down = up.T
+    d = (up - down) / (2.0 * grid.h)
+    t = up + down - 2.0 * np.eye(k)
+    act = slice(None) if periodic else slice(1, -1)
+    h = (np.kron(GAMMA5, -1.0j * d)
+         + np.kron(GAMMA0, -(wilson_r / (2.0 * grid.h)) * t))
+    node = np.arange(k)
+    h.reshape(2, k, 2, k)[:, node, :, node] += local_blocks(pot, mass)[act]
+    return h, float(np.max(np.abs(h - h.conj().T)))
 
 
 SPECTRUM_COLUMNS = ("index", "energy_re", "energy_im", "residual",

@@ -374,6 +374,25 @@ def test_a_non_finite_channel_exits_one(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("linear:1e308", "'linear:1e308' is not finite at every grid node"),
+    ("file:empty.txt", "file empty.txt has shape (0, 1)"),
+], ids=["overflow", "empty_file"])
+def test_a_channel_that_overflows_or_is_empty_exits_one_without_warnings(
+        tmp_path, capsys, recwarn, spec, message):
+    # recwarn records every warning, so none may escape the config error
+    (tmp_path / "empty.txt").write_text("")
+    ini = write_ini(tmp_path, PT_INI.replace("v_t = pt_from_mass",
+                                             f"v_t = pt_from_mass\nv_s = {spec}"))
+    out = tmp_path / "out"
+    assert main(["diagnose", str(ini), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("dirac1d: error: potential.v_s: ")
+    assert message in err[0]
+    assert [str(w.message) for w in recwarn] == []
+    assert not out.exists()
+
+
 def test_tol_override_can_force_convergence_failure(tmp_path, capsys):
     ini = write_ini(tmp_path, FREE_INI)
     out = tmp_path / "out"

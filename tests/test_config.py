@@ -214,6 +214,13 @@ def test_scheme_choices_are_the_operator_schemes(tmp_path):
     assert _SCHEMA["solver"]["scheme"][0] == "choice:" + "|".join(OPERATOR_SCHEMES)
 
 
+def test_central_scheme_is_a_config_error(tmp_path):
+    # central was central_wilson with wilson_r = 0, the same operator
+    text = MINIMAL + "\n[solver]\nscheme = central\n"
+    with pytest.raises(ConfigError, match="solver.scheme"):
+        parse_config(write(tmp_path, text))
+
+
 def test_solver_bounds(tmp_path):
     bad = MINIMAL + "\n[solver]\ntol = -1e-9\n"
     with pytest.raises(ConfigError, match="tol"):

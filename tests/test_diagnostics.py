@@ -220,13 +220,12 @@ def test_balance_potential_term_oracle():
     assert table.term_potential[0] == pytest.approx(direct, abs=1e-13)
 
 
-def _channel_solve(boundary, x_max, n, scheme="central_wilson", max_pairs=12,
-                   **channels):
+def _channel_solve(boundary, x_max, n, wilson_r=1.0, max_pairs=12, **channels):
     g = build_grid(-x_max, x_max, n, boundary=boundary)
     mass = sample_mass(MassProfile("constant", m0=1.0), g)
     pot = LorentzPotential.from_channels(
         g, **{name: GridFunction(g, f(g.nodes)) for name, f in channels.items()})
-    op = assemble_hamiltonian(g, pot, mass, scheme=scheme)
+    op = assemble_hamiltonian(g, pot, mass, wilson_r=wilson_r)
     return normalize_result(solve_spectrum(op, max_pairs=max_pairs))
 
 
@@ -325,7 +324,7 @@ def test_balance_matrix_form_matches_reference_hard_walls(pt_cases):
 
 
 def test_balance_matrix_form_matches_reference_central_scheme():
-    result = _channel_solve("dirichlet", 6.0, 100, scheme="central",
+    result = _channel_solve("dirichlet", 6.0, 100, wilson_r=0.0,
                             max_pairs=8, v_s=lambda x: 0.5 * np.abs(x),
                             v_sp=lambda x: 0.2 + 0 * x)
     _assert_matches_reference(result, window=(25, 66))

@@ -9,7 +9,7 @@ from dirac1d import (GridError, GridFunction, LorentzPotential,
                      reduced_equations_rhs, reduced_residual_norm,
                      sample_mass, build_grid, solve_spectrum)
 
-from helpers import symbol_eigenvector
+from helpers import reference_operator, symbol_eigenvector
 
 
 def free_parts(n, boundary="periodic", m=1.0):
@@ -31,11 +31,17 @@ def test_matrix_size_and_active_nodes():
 
 def test_input_validation():
     g, pot, mass = free_parts(16)
-    with pytest.raises(GridError, match="scheme"):
-        assemble_hamiltonian(g, pot, mass, scheme="upwind")
-    for bad in (-0.5, float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(GridError, match="wilson_r must be finite and non-negative"):
-            assemble_hamiltonian(g, pot, mass, wilson_r=bad)
+    z = GridFunction.constant(g, 1.0)
+    # the operator and the reduced-equation oracle check the stencil alike
+    for check in (lambda **kw: assemble_hamiltonian(g, pot, mass, **kw),
+                  lambda **kw: reduced_residual_norm(1.0, z, z, pot, mass, **kw)):
+        for scheme in ("upwind", "central"):
+            with pytest.raises(GridError, match="scheme"):
+                check(scheme=scheme)
+        for bad in (-0.5, -3.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(GridError,
+                               match="wilson_r must be finite and non-negative"):
+                check(wilson_r=bad)
     g2 = build_grid(-1.0, 1.0, 16)
     with pytest.raises(GridError, match="grid"):
         assemble_hamiltonian(g2, pot, mass)
@@ -118,15 +124,53 @@ def test_hermiticity_defect_set_by_imaginary_potential():
         2.0 * np.max(np.abs(a.values)), abs=1e-12)
 
 
-def test_hermiticity_is_formed_once_on_a_read_only_matrix():
+def test_matrix_is_built_once_and_read_only():
     g, pot, mass = free_parts(16)
     op = assemble_hamiltonian(g, pot, mass)
+    assert op.matrix is op.matrix
+    assert not op.matrix.flags.writeable
+    assert not op.blocks.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         op.matrix[0, 0] = 1.0
-    assert "_hermiticity" not in vars(op)
-    value = hermiticity_of_operator(op)
-    assert vars(op)["_hermiticity"] == value
-    assert value == float(np.max(np.abs(op.matrix - op.matrix.conj().T)))
+    assert op.blocks.shape == (16, 2, 2) and op.size == 32
+
+
+def _reference_cases():
+    """The operators of the bit-for-bit comparison, as (id, grid, pot, mass, r)."""
+    rng = np.random.default_rng(31)
+    g = build_grid(-10.0, 10.0, 160)
+    profile = MassProfile("quadratic_even", m0=1.0, alpha=0.1)
+    pt = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
+    yield "readme_pt", g, pt, sample_mass(profile, g), 1.0
+
+    g = build_grid(-6.0, 6.0, 90)
+    scalar = LorentzPotential.from_channels(
+        g, v_s=GridFunction(g, 0.5 * np.abs(g.nodes)))
+    yield "dirichlet_scalar", g, scalar, sample_mass(MassProfile("constant"), g), 1.0
+
+    g = build_grid(-4.0, 4.0, 72, boundary="periodic")
+    chans = {name: GridFunction(g, rng.normal(size=72))
+             for name in ("v_t", "v_sp", "v_s", "v_p")}
+    yield ("periodic_all_channels", g, LorentzPotential.from_channels(g, **chans),
+           sample_mass(MassProfile("linear", m0=2.0, lam=0.1), g), 0.7)
+
+    g, pot, mass = free_parts(64)
+    yield "free_periodic", g, pot, mass, 0.0
+
+    g = build_grid(-5.0, 5.0, 80)
+    chans = {name: GridFunction(g, rng.normal(size=80) + 1j * rng.normal(size=80))
+             for name in ("v_sp", "v_p")}
+    yield ("complex_v_sp_v_p", g, LorentzPotential.from_channels(g, **chans),
+           sample_mass(MassProfile("constant"), g), 0.0)
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda c: c[0])
+def test_matrix_and_hermiticity_match_the_kron_reference_bit_for_bit(case):
+    _, g, pot, mass, r = case
+    op = assemble_hamiltonian(g, pot, mass, wilson_r=r)
+    matrix, hermiticity = reference_operator(g, pot, mass, r)
+    assert np.array_equal(op.matrix.view(np.uint64), matrix.view(np.uint64))
+    assert hermiticity_of_operator(op) == hermiticity
 
 
 def test_massless_free_operator_is_hermitian():
@@ -138,10 +182,10 @@ def test_massless_free_operator_is_hermitian():
 
 def test_reduced_equations_match_matrix_action():
     # the shift-based residual oracle and the assembled matrix agree row
-    # by row, for both boundary types and both schemes
+    # by row, for both boundary types, with and without the Wilson term
     rng = np.random.default_rng(8)
     for boundary in ("periodic", "dirichlet"):
-        for scheme, r in (("central", 0.0), ("central_wilson", 1.3)):
+        for r in (0.0, 1.3):
             n = 20
             g = build_grid(-1.0, 1.0, n, boundary=boundary)
             mass = sample_mass(MassProfile("constant", m0=1.0), g)
@@ -149,7 +193,7 @@ def test_reduced_equations_match_matrix_action():
                                         + 1j * rng.normal(size=n))
                      for name in ("v_t", "v_sp", "v_s", "v_p")}
             pot = LorentzPotential.from_channels(g, **chans)
-            op = assemble_hamiltonian(g, pot, mass, scheme=scheme, wilson_r=r)
+            op = assemble_hamiltonian(g, pot, mass, wilson_r=r)
 
             full = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
             if boundary == "dirichlet":
@@ -160,7 +204,7 @@ def test_reduced_equations_match_matrix_action():
             out = energy * v - op.matrix @ v
             rp, rm = reduced_equations_rhs(
                 energy, GridFunction(g, full[0]), GridFunction(g, full[1]),
-                pot, mass, scheme=scheme, wilson_r=r)
+                pot, mass, wilson_r=r)
             k = len(act)
             assert np.max(np.abs(rp.values[act] - out[:k])) <= 1e-12
             assert np.max(np.abs(rm.values[act] - out[k:])) <= 1e-12
