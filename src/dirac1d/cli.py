@@ -99,10 +99,12 @@ def _out_dir(args, cfg: RunConfig) -> Path:
 
 
 def _config(args) -> RunConfig:
-    """The config file with the --tol and --format flags applied as keys."""
+    """The config file with the --tol and --format flags applied as keys;
+    replacing re-validates the whole config, so it runs only for a flag."""
+    cfg = parse_config(args.config)
     flags = {"solver.tol": args.tol, "output.formats": args.format}
-    return parse_config(args.config).replace(
-        {key: value for key, value in flags.items() if value is not None})
+    flags = {key: value for key, value in flags.items() if value is not None}
+    return cfg.replace(flags) if flags else cfg
 
 
 def _print_report(report: RunReport, written) -> None:

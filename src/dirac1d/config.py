@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Grid1D, GridFunction, build_grid
+from .grid import BOUNDARIES, Grid1D, GridFunction, build_grid
 from .hamiltonian import OPERATOR_SCHEMES
 from .lorentz import (MASS_FAMILIES, LorentzPotential, MassProfile,
                       pt_vector_potential, sample_mass)
@@ -32,7 +32,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, Optional[str]]]] = {
         "x_min": ("float", None),
         "x_max": ("float", None),
         "n_points": ("int", None),
-        "boundary": ("choice:dirichlet|periodic", "dirichlet"),
+        "boundary": ("choice:" + "|".join(BOUNDARIES), "dirichlet"),
     },
     "mass": {
         "family": ("choice:" + "|".join(MASS_FAMILIES), None),

@@ -19,13 +19,14 @@ with classical RK4 and drives the 2x2 matching determinant at the midpoint to
 zero, which gives continuum (not lattice) eigenvalues.  The system is linear
 in the state, phi' = i sigma_z (E - h(x)) phi with h the local block of
 lorentz.local_blocks, so each RK4 substep is a 2x2 matrix, and a quartic in
-E.  Its five coefficients are built once per solve from one spline of the
-local blocks, for both segments in one stack, the shorter segment padded with
-identity steps.  A trial energy evaluates them by Horner's rule in place,
-and the two midpoint states are the ordered products of the substeps, formed
-as one pairwise tree over both segments.  The converged state, an (n, 2)
-array, comes from a log-depth prefix scan over per-node matrices, with
-power-of-two scaling.
+E.  Its five coefficients are built once per solve from one spline call on
+the local blocks, for both segments in one stack: the shorter segment is
+padded with its last node, and its zero-width substeps are exact identity
+steps.  A trial energy evaluates them by Horner's rule in place, and the two
+midpoint states are the ordered products of the substeps, formed as one
+pairwise tree over both segments.  The converged state, an (n, 2) array,
+comes from a log-depth prefix scan over per-node matrices, with power-of-two
+scaling.
 """
 
 from __future__ import annotations
@@ -108,22 +109,24 @@ def _canonical_order(energies: np.ndarray, tol: float) -> np.ndarray:
     return by_mag[np.lexsort((e.real, e.imag, np.sign(e.real), tie_class))]
 
 
-def _rotated(h: np.ndarray) -> np.ndarray:
-    """U^dagger H U for U = (1 - i sigma_1)/sqrt(2), real when it can be.
+def _rotated(h: np.ndarray, real: bool) -> np.ndarray:
+    """U^dagger H U for U = (1 - i sigma_1)/sqrt(2), its real part if real.
 
     With H = [[A, B], [C, D]] in K x K blocks of the [plus, minus] layout,
     U^dagger H U = 1/2 [[A + D + i(C - B), B + C - i(A - D)],
                         [B + C + i(A - D), A + D - i(C - B)]].
-    For an exactly Hermitian H this is exactly Hermitian too, and its
-    imaginary part is exactly zero when H has no space-vector channel and
-    real mass and couplings; then its real part is returned.
+    For an exactly Hermitian H this is exactly Hermitian too.  The kinetic,
+    Wilson, mass, scalar, time-vector and pseudoscalar parts rotate to real
+    entries, so its imaginary part is exactly zero when every active block
+    has h00 == h11, i.e. no space-vector channel; the caller reads that from
+    the blocks and passes it as real.
     """
     k = h.shape[0] // 2
     a, b, c, d = h[:k, :k], h[:k, k:], h[k:, :k], h[k:, k:]
     s, t = 0.5 * (a + d), 0.5j * (c - b)
     u, v = 0.5 * (b + c), 0.5j * (a - d)
     m = np.block([[s + t, u - v], [u + v, s - t]])
-    return m if m.imag.any() else m.real
+    return m.real if real else m
 
 
 def _unrotated(u: np.ndarray) -> np.ndarray:
@@ -136,6 +139,9 @@ def _unrotated(u: np.ndarray) -> np.ndarray:
     return np.concatenate([top - 1j * bot, bot - 1j * top])
 
 
+# an operator that overflows in the solve gives NaN residuals, which fail the
+# residual gate
+@np.errstate(over="ignore", invalid="ignore")
 def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
                    reality_tol: float = 1e-9) -> SpectrumResult:
     """Diagonalize, snap real levels, order canonically, keep max_pairs.
@@ -145,24 +151,30 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
     Hermitian eigensolver, anything else to the general one: the
     Hermitian routine reads one triangle only and would drop an
     anti-Hermitian part of any size.  The Hermitian routine gets H in the
-    rotated spinor basis (_rotated), which is real for real mass, scalar,
-    time-vector and pseudoscalar couplings without a space-vector channel,
-    so those operators take the real symmetric routine; the kept columns
-    are rotated back (_unrotated).  The general routine gets op.matrix
-    itself.  Levels that pass the reality test of classify_reality get
-    Im E = 0 exactly, then _canonical_order picks the lowest max_pairs.
-    Every returned pair is residual-checked against op.matrix and LAPACK's
-    own eigenvalue: ||H v - E v||_2 / ||v||_2 must not exceed tol,
+    rotated spinor basis (_rotated), which is real exactly when every active
+    block has h00 == h11 (no space-vector channel), so those operators take
+    the real symmetric routine; the kept columns are rotated back
+    (_unrotated).  The general routine gets op.matrix itself.  Levels that
+    pass the reality test of classify_reality get Im E = 0 exactly, then
+    _canonical_order picks the lowest max_pairs.  Every returned pair is
+    residual-checked against op.matrix and LAPACK's own eigenvalue:
+    ||H v - E v||_2 / ||v||_2 must be at most tol (a NaN residual is not),
     otherwise the solve is reported as non-converged with the offending
-    residuals listed.  The kept eigenvector columns land, unnormalized, in
+    residuals listed.  tol must be finite and positive, reality_tol finite
+    and non-negative.  The kept eigenvector columns land, unnormalized, in
     one (K, n, 2) states stack; normalization lives in the diagnostics layer.
     """
     if max_pairs < 1:
         raise GridError(f"max_pairs must be positive, got {max_pairs}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise GridError(f"tol must be finite and positive, got {tol}")
+    if not (np.isfinite(reality_tol) and reality_tol >= 0):
+        raise GridError(f"reality_tol must be finite and non-negative, got {reality_tol}")
     h = op.matrix
     hermitian = hermiticity_of_operator(op) == 0.0
     if hermitian:  # the rotated matrix lives only as eigh's argument
-        w, v = np.linalg.eigh(_rotated(h))
+        real = np.array_equal(op.blocks[:, 0, 0], op.blocks[:, 1, 1])
+        w, v = np.linalg.eigh(_rotated(h, real))
     else:
         w, v = np.linalg.eig(h)
     energies = w.astype(complex)
@@ -175,7 +187,7 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
         vk = _unrotated(vk)
     residuals = (np.linalg.norm(h @ vk - vk * w[keep], axis=0)
                  / np.linalg.norm(vk, axis=0))
-    bad = np.nonzero(residuals > tol)[0]
+    bad = np.nonzero(~(residuals <= tol))[0]  # NaN fails too
     if bad.size:
         detail = ", ".join(
             f"E={energies[keep[i]]:.6g} residual={residuals[i]:.3e}" for i in bad
@@ -233,22 +245,28 @@ class ShootingResult:
     match_mismatch: float
 
 
-def _coefficient_table(xs: np.ndarray, spline: Callable[[np.ndarray], np.ndarray],
-                       substeps: int) -> tuple:
-    """The local block h = gamma0 (M + V) at every RK4 stage along xs.
+def _coefficient_table(segments: tuple, spline: Callable[[np.ndarray], np.ndarray],
+                       substeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The local block h = gamma0 (M + V) at every RK4 stage of every segment.
 
-    Three (2, 2, (len(xs) - 1) * substeps) stacks, h at the start, middle
-    and end of every substep, substep j of interval i at i * substeps + j.
-    spline is the solve's one cubic spline of lorentz.local_blocks over the
-    full grid (its O(h^4) error matches the integrator order; a constant
-    entry comes out exactly), so both segments read the same interpolant.
+    segments holds each segment's abscissas from its wall inward; a shorter
+    one is padded with its last node, so its extra substeps have zero width
+    (exact identity steps in _step_polynomial).  Returns the (3, 2, 2, S * W)
+    table of h at the start, middle and end of every substep, substep j of
+    interval i of segment s at s * W + i * substeps + j, and the (S * W,)
+    substep widths.  spline is the solve's one cubic spline of
+    lorentz.local_blocks over the full grid (its O(h^4) error matches the
+    integrator order; a constant entry comes out exactly), called once.
     """
-    x = xs[:-1, None]
-    dx = (xs[1:, None] - x) / substeps
+    length = max(len(xs) for xs in segments)
+    xs = np.stack([np.pad(xs, (0, length - len(xs)), mode="edge") for xs in segments])
+    x = xs[:, :-1, None]
+    dx = (xs[:, 1:, None] - x) / substeps
     xa = x + np.arange(substeps) * dx
     dx = np.broadcast_to(dx, xa.shape)
-    return tuple(np.ascontiguousarray(spline(xq.ravel()).transpose(1, 2, 0))
-                 for xq in (xa, xa + 0.5 * dx, xa + dx))
+    h = spline(np.concatenate([xa, xa + 0.5 * dx, xa + dx]).ravel())
+    table = np.ascontiguousarray(h.reshape(3, -1, 2, 2).transpose(0, 2, 3, 1))
+    return table, dx.ravel()
 
 
 # i sigma_z as a row sign, for (2, 2, ...) stacks: _J * a is i sigma_z @ a
@@ -272,16 +290,16 @@ def _plus_eye(scale: np.ndarray, poly: list) -> list:
     return [_EYE + scale * poly[0]] + [scale * c for c in poly[1:]]
 
 
-def _step_polynomial(table: tuple, dx: np.ndarray) -> tuple:
-    """The RK4 substeps of one segment as a quartic in the trial energy.
+def _step_polynomial(table: np.ndarray, dx: np.ndarray) -> tuple:
+    """RK4 substeps as a quartic in the trial energy.
 
     The system phi' = F(x) phi is linear, with F = E i sigma_z + B and
     B = -i sigma_z h for the local block h, so one classical RK4 substep is
     exactly the matrix P = I + dx/6 (K1 + 2 K2 + 2 K3 + K4) with
     K1 = F_start, K2 = F_mid (I + dx/2 K1), K3 = F_mid (I + dx/2 K2) and
-    K4 = F_end (I + dx K3), a polynomial of degree 4 in E.  table is
-    _coefficient_table(xs, ...) and dx the width of every substep, in the
-    same order.  Returns (C0, ..., C4), each a (2, 2, len(dx)) stack with
+    K4 = F_end (I + dx K3), a polynomial of degree 4 in E, and the identity
+    when dx = 0.  table and dx are _coefficient_table's.  Returns
+    (C0, ..., C4), each a (2, 2, len(dx)) stack with
     P(E) = C0 + E C1 + ... + E^4 C4; _evaluate_steps forms P(E).
     """
     start, middle, end = (-_J * h for h in table)
@@ -293,27 +311,6 @@ def _step_polynomial(table: tuple, dx: np.ndarray) -> tuple:
              for c1, c2, c3, c4 in zip_longest(k1, k2, k3, k4, fillvalue=0.0)]
     steps[0] += _EYE
     return tuple(steps)
-
-
-def _segment_polynomials(segments: tuple, spline: Callable[[np.ndarray], np.ndarray],
-                         substeps: int) -> tuple:
-    """The step quartics of all segments as five (2, 2, S, W) stacks.
-
-    poly[k][:, :, s] is coefficient C_k of segment s, from _step_polynomial
-    on the segment's _coefficient_table; W is the longest segment's substep
-    count.  A shorter segment is padded at its far end with identity steps
-    (C0 = I, C1..C4 = 0), which change no product.
-    """
-    quartics = [_step_polynomial(_coefficient_table(xs, spline, substeps),
-                                 np.repeat(np.diff(xs) / substeps, substeps))
-                for xs in segments]
-    width = max(q[0].shape[-1] for q in quartics)
-    poly = tuple(np.zeros((2, 2, len(segments), width), dtype=complex) for _ in range(5))
-    poly[0][...] = _EYE[..., None]
-    for s, quartic in enumerate(quartics):
-        for dst, c in zip(poly, quartic):
-            dst[:, :, s, : c.shape[-1]] = c
-    return poly
 
 
 def _evaluate_steps(poly: tuple, energy: complex, out: np.ndarray) -> np.ndarray:
@@ -457,13 +454,14 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     Everything that does not depend on the trial energy is built once per
     solve.  Off-node coefficients come from one cubic spline of the sampled
     local blocks (lorentz.local_blocks), tabulated at every RK4 stage of
-    both segments (_coefficient_table); their error is O(h^4), the order of
-    the integrator.  Each RK4 substep matrix is a quartic in E, whose five
-    coefficient stacks per segment are expanded from the table once
-    (_step_polynomial).  Both segments share one set of five (2, 2, 2, W)
-    stacks (_segment_polynomials), W the longer segment's substep count; the
-    shorter one, the right segment when n is even, is padded with identity
-    steps.  A trial energy then costs four in-place Horner steps into one
+    both segments by one spline call (_coefficient_table); their error is
+    O(h^4), the order of the integrator.  The shorter segment, the right one
+    when n is even, is padded with its last node, so its extra substeps have
+    zero width.  Each RK4 substep matrix is a quartic in E, whose five
+    coefficient stacks are expanded from the table once, for both segments
+    together (_step_polynomial), and viewed as (2, 2, 2, W) stacks, W the
+    longer segment's substep count; a zero-width substep is an exact identity
+    step.  A trial energy then costs four in-place Horner steps into one
     buffer reused across trials (_evaluate_steps) and one pairwise tree
     product over both segments (_ordered_product), which gives the two
     midpoint states up to scale.  The padding changes no product, and the
@@ -491,8 +489,9 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     from scipy.interpolate import CubicSpline
     spline = CubicSpline(grid.nodes, local_blocks(pot, mass))
     mid = grid.n_points // 2
-    poly = _segment_polynomials((grid.nodes[: mid + 1], grid.nodes[mid:][::-1]),
-                                spline, substeps)
+    segments = (grid.nodes[: mid + 1], grid.nodes[mid:][::-1])
+    poly = tuple(c.reshape(2, 2, 2, -1) for c in
+                 _step_polynomial(*_coefficient_table(segments, spline, substeps)))
     buf = np.empty_like(poly[0])
     y_wall = np.array([0.0, 1.0], dtype=complex)
 

@@ -5,6 +5,7 @@ import numpy as np
 from dirac1d import GAMMA0, GAMMA1
 from dirac1d.grid import central_difference
 from dirac1d.lorentz import GAMMA5, local_blocks
+from dirac1d.solver import _step_polynomial
 
 
 def dispersion_multiset(n: int, h: float, m: float, wilson_r: float) -> np.ndarray:
@@ -211,6 +212,43 @@ def reference_rk4_segment(xs: np.ndarray, y0: np.ndarray, energy: complex,
             y = reference_rk4_substep(y, energy, dx, stages)
         out[i + 1] = y
     return out
+
+
+def reference_coefficient_table(xs: np.ndarray, spline, substeps: int) -> tuple:
+    """The RK4 stage table of one segment, one spline call per stage.
+
+    The per-segment table the stacked build replaced, kept apart from it so
+    the two can be checked against each other bit for bit: three
+    (2, 2, (len(xs) - 1) * substeps) stacks, the local block at the start,
+    middle and end of every substep, substep j of interval i at
+    i * substeps + j.
+    """
+    x = xs[:-1, None]
+    dx = (xs[1:, None] - x) / substeps
+    xa = x + np.arange(substeps) * dx
+    dx = np.broadcast_to(dx, xa.shape)
+    return tuple(np.ascontiguousarray(spline(xq.ravel()).transpose(1, 2, 0))
+                 for xq in (xa, xa + 0.5 * dx, xa + dx))
+
+
+def reference_segment_polynomials(segments, spline, substeps: int) -> tuple:
+    """The shooter's five (2, 2, S, W) step-quartic stacks, segment by segment.
+
+    The build the stacked one replaced, kept apart from it so the two can be
+    checked against each other bit for bit: one table and one quartic per
+    segment, copied into zeroed stacks whose padding past a shorter
+    segment's end is filled with identity steps (C0 = I, C1..C4 = 0).
+    """
+    quartics = [_step_polynomial(reference_coefficient_table(xs, spline, substeps),
+                                 np.repeat(np.diff(xs) / substeps, substeps))
+                for xs in segments]
+    width = max(q[0].shape[-1] for q in quartics)
+    poly = tuple(np.zeros((2, 2, len(segments), width), dtype=complex) for _ in range(5))
+    poly[0][...] = np.identity(2).reshape(2, 2, 1, 1)
+    for s, quartic in enumerate(quartics):
+        for dst, c in zip(poly, quartic):
+            dst[:, :, s, : c.shape[-1]] = c
+    return poly
 
 
 def reference_node_pass(steps: np.ndarray, substeps: int, y0: np.ndarray) -> np.ndarray:

@@ -401,6 +401,49 @@ def test_tol_override_can_force_convergence_failure(tmp_path, capsys):
     assert "solver_convergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "diagnose"])
+def test_an_overflowing_eigensolve_fails_convergence_without_warnings(
+        tmp_path, capsys, recwarn, command):
+    # V_s = V_t = 1e308 is finite on the grid, but the rotated matrix
+    # overflows and the eigensolver returns NaN: a NaN residual must fail
+    # the gate, with no numpy warning on the way
+    ini = write_ini(tmp_path, textwrap.dedent("""\
+        [grid]
+        x_min = -5.0
+        x_max = 5.0
+        n_points = 40
+
+        [mass]
+        family = constant
+
+        [potential]
+        v_s = constant:1e308
+        v_t = constant:1e308
+        """))
+    assert main([command, str(ini), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "FAILED checks: solver_convergence\n"
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_a_run_without_flags_validates_its_config_once(tmp_path, monkeypatch):
+    # validation rebuilds the grid, mass and channels and re-reads file:
+    # tables; a flag re-validates the config with the flag applied
+    calls = []
+    validate = dirac1d.config._validate_semantics
+
+    def counted(cfg):
+        calls.append(cfg)
+        validate(cfg)
+    monkeypatch.setattr(dirac1d.config, "_validate_semantics", counted)
+    ini = write_ini(tmp_path, PT_INI)
+    assert main(["diagnose", str(ini), "--out", str(tmp_path / "a")]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["diagnose", str(ini), "--out", str(tmp_path / "b"),
+                 "--tol", "1e-9"]) == 0
+    assert len(calls) == 2
+
+
 def test_flags_are_validated_and_echoed_like_config_keys(tmp_path, capsys):
     ini = write_ini(tmp_path, FREE_INI)
     for tol in ("-1", "0", "nan", "-1e-3", "-inf"):

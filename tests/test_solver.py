@@ -7,17 +7,17 @@ from scipy.interpolate import CubicSpline
 from dirac1d import (ConvergenceError, GridError, GridFunction,
                      LorentzPotential, MassProfile, SpectrumResult,
                      assemble_hamiltonian, build_grid, classify_reality,
-                     pt_vector_potential, sample_mass, shooting_solve,
-                     solve_spectrum)
+                     hermiticity_of_operator, pt_vector_potential,
+                     sample_mass, shooting_solve, solve_spectrum)
 from dirac1d import solver
 from dirac1d.lorentz import local_blocks
 from dirac1d.solver import (_EYE, _coefficient_table, _evaluate_steps,
-                            _ordered_product, _segment_polynomials,
-                            _step_polynomial, _trajectory)
+                            _ordered_product, _step_polynomial, _trajectory)
 
+from conftest import pt_operator
 from helpers import (canonical_sorted, dispersion_multiset,
                      reference_node_pass, reference_rk4_segment,
-                     reference_rk4_substep)
+                     reference_rk4_substep, reference_segment_polynomials)
 
 
 def free_operator(n, m=1.0, wilson_r=1.0):
@@ -156,6 +156,54 @@ def test_real_hermitian_operators_reach_lapack_as_real_matrices(monkeypatch):
     solve_spectrum(op)
     (name, matrix), = seen
     assert name == "eig" and matrix is op.matrix
+
+
+def test_rotated_matrix_realness_is_read_from_the_blocks():
+    # U^dagger H U of an exactly Hermitian operator is real exactly when
+    # every active block has h00 == h11: the blocks' test against the
+    # imaginary part of the whole rotated matrix, on random Hermitian
+    # operators over both boundaries and wilson_r in {0, 0.7, 1}, with and
+    # without V_sp (on a few nodes only, so walls can hide it) and V_p, and
+    # on a V_sp = 1 that V_t = 1e20 rounds away
+    rng = np.random.default_rng(20)
+    ops = []
+    for boundary in ("dirichlet", "periodic"):
+        for wilson_r in (0.0, 0.7, 1.0):
+            for with_sp in (False, True):
+                for with_p in (False, True):
+                    for _ in range(4):
+                        n = int(rng.integers(8, 24))
+                        g = build_grid(-3.0, 3.0, n, boundary=boundary)
+                        v_s, v_t, v_sp, v_p, m = rng.normal(size=(5, n))
+                        channels = {"v_s": GridFunction(g, v_s),
+                                    "v_t": GridFunction(g, v_t)}
+                        if with_sp:
+                            channels["v_sp"] = GridFunction(
+                                g, v_sp * (rng.random(n) < 0.3))
+                        if with_p:
+                            channels["v_p"] = GridFunction(g, v_p)
+                        mass = GridFunction(g, 1.0 + m)
+                        ops.append(assemble_hamiltonian(
+                            g, LorentzPotential.from_channels(g, **channels),
+                            mass, wilson_r=wilson_r))
+    g = build_grid(-3.0, 3.0, 20)
+    rounded = assemble_hamiltonian(
+        g, LorentzPotential.from_channels(g, v_t=GridFunction.constant(g, 1e20),
+                                          v_sp=GridFunction.constant(g, 1.0)),
+        sample_mass(MassProfile("constant", m0=1.0), g))
+    ops.append(rounded)
+    outcomes = []
+    for op in ops:
+        assert hermiticity_of_operator(op) == 0.0
+        full = solver._rotated(op.matrix, False)
+        real = np.array_equal(op.blocks[:, 0, 0], op.blocks[:, 1, 1])
+        assert real == (not full.imag.any())
+        got = solver._rotated(op.matrix, real)
+        expected = full.real if real else full
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        outcomes.append(real)
+    assert outcomes[-1] and set(outcomes) == {True, False}
 
 
 def test_states_are_the_kept_columns_on_the_full_grid(monkeypatch):
@@ -367,8 +415,9 @@ def four_channel_parts():
 
 def test_coefficient_table_matches_stagewise_spline_calls():
     # reference: one spline per hand-built block entry, called at one stage
-    # abscissa at a time with the RK4 stage expressions; the vectorised
-    # table must agree bit for bit
+    # abscissa at a time with the RK4 stage expressions; the stacked table
+    # of one segment and of two must agree bit for bit, and a shorter
+    # segment's padded substeps have zero width and read its last node
     g, pot, masses = four_channel_parts()
     x = g.nodes
     vt, vsp, vs, vp = (f.values for f in (pot.v_t, pot.v_sp, pot.v_s, pot.v_p))
@@ -377,64 +426,71 @@ def test_coefficient_table_matches_stagewise_spline_calls():
         entries = [[vt + vsp, c + 1.0j * vp], [c - 1.0j * vp, vt - vsp]]
         splines = [[CubicSpline(x, e) for e in row] for row in entries]
         spline = CubicSpline(x, local_blocks(pot, mass))
-        for xs in (x[:21], x[20:][::-1]):
+        for segments in ((x[:21],), (x[:21], x[20:][::-1]), (x[:21], x[23:][::-1])):
+            length = max(len(xs) for xs in segments)
             for substeps in (1, 3):
-                table = _coefficient_table(xs, spline, substeps)
-                assert [h.shape for h in table] == [
-                    (2, 2, (len(xs) - 1) * substeps)] * 3
-                for i in range(len(xs) - 1):
-                    dx = (xs[i + 1] - xs[i]) / substeps
-                    for s in range(substeps):
-                        xa = xs[i] + s * dx
-                        for k, xq in enumerate((xa, xa + 0.5 * dx, xa + dx)):
-                            expected = [[complex(f(xq)) for f in row]
-                                        for row in splines]
-                            got = table[k][:, :, i * substeps + s]
-                            assert got.tolist() == expected
+                table, dx = _coefficient_table(segments, spline, substeps)
+                width = (length - 1) * substeps
+                assert table.shape == (3, 2, 2, len(segments) * width)
+                assert dx.shape == (len(segments) * width,)
+                for s, xs in enumerate(segments):
+                    for i in range(length - 1):
+                        for j in range(substeps):
+                            col = s * width + i * substeps + j
+                            if i < len(xs) - 1:
+                                step = (xs[i + 1] - xs[i]) / substeps
+                                xa = xs[i] + j * step
+                                abscissas = (xa, xa + 0.5 * step, xa + step)
+                            else:  # padding: a zero-width substep at the last node
+                                step, abscissas = 0.0, (xs[-1],) * 3
+                            assert dx[col] == step
+                            for k, xq in enumerate(abscissas):
+                                expected = [[complex(f(xq)) for f in row]
+                                            for row in splines]
+                                assert table[k][:, :, col].tolist() == expected
 
 
 def test_step_matrices_match_reference_rk4():
     # P(E) y, with P the quartic evaluated by Horner's rule, must be one RK4
     # substep of the vector loop, and the ordered product and the node pass
-    # must reproduce the loop's segment
+    # must reproduce the loop's segment, for both segments of one stack
     g, pot, masses = four_channel_parts()
     rng = np.random.default_rng(7)
     y_wall = np.array([0.0, 1.0], dtype=complex)
+    segments = (g.nodes[:21], g.nodes[20:][::-1])
     for mass in masses:
         spline = CubicSpline(g.nodes, local_blocks(pot, mass))
-        for xs in (g.nodes[:21], g.nodes[20:][::-1]):
-            for substeps in (1, 3):
-                table = _coefficient_table(xs, spline, substeps)
-                dx = np.diff(xs)[:, None] / substeps
-                poly = _step_polynomial(table, np.repeat(dx, substeps))
-                # the table by interval and substep, as the references take it
-                stages = np.stack(table).transpose(3, 0, 1, 2).reshape(
-                    len(xs) - 1, substeps, 3, 2, 2)
-                assert len(poly) == 5
-                buf = np.empty_like(poly[0])
-                for energy in (1.3, 1.1 - 0.4j):
-                    steps = _evaluate_steps(poly, energy, buf)
-                    assert steps is buf
-                    assert steps.shape == (2, 2, (len(xs) - 1) * substeps)
-                    for i in range(len(xs) - 1):
-                        for s in range(substeps):
+        for substeps in (1, 3):
+            table, dx = _coefficient_table(segments, spline, substeps)
+            poly = [c.reshape(2, 2, 2, -1) for c in _step_polynomial(table, dx)]
+            # the table by segment, interval and substep, as the references
+            # take it
+            stages = table.transpose(3, 0, 1, 2).reshape(2, 20, substeps, 3, 2, 2)
+            dx = dx.reshape(2, 20, substeps)
+            assert len(poly) == 5
+            buf = np.empty_like(poly[0])
+            for energy in (1.3, 1.1 - 0.4j):
+                steps = _evaluate_steps(poly, energy, buf)
+                assert steps is buf
+                assert steps.shape == (2, 2, 2, 20 * substeps)
+                paths = _trajectory(steps, substeps, y_wall)
+                # the tree product is known only up to a positive factor
+                ends = _ordered_product(steps)[:, 1].T
+                for s, xs in enumerate(segments):
+                    for i in range(20):
+                        for j in range(substeps):
                             y = rng.normal(size=2) + 1.0j * rng.normal(size=2)
                             expected = reference_rk4_substep(
-                                y, energy, dx[i, 0], stages[i, s].tolist())
-                            got = steps[:, :, i * substeps + s] @ y
+                                y, energy, dx[s, i, j], stages[s, i, j].tolist())
+                            got = steps[:, :, s, i * substeps + j] @ y
                             assert (np.linalg.norm(got - expected)
                                     <= 1e-14 * np.linalg.norm(expected))
 
-                    reference = reference_rk4_segment(xs, y_wall, energy, stages)
-                    # one segment in the shooter's (2, 2, segment, step) layout
-                    stack = steps[:, :, None]
-                    path = _trajectory(stack, substeps, y_wall)[0]
+                    reference = reference_rk4_segment(xs, y_wall, energy, stages[s])
                     scale = np.linalg.norm(reference, axis=1)
-                    assert np.all(np.linalg.norm(path - reference, axis=1)
+                    assert np.all(np.linalg.norm(paths[s] - reference, axis=1)
                                   <= 1e-12 * scale)
-                    # the tree product is known only up to a positive factor
-                    end = _ordered_product(stack)[:, 1, 0]
-                    end = end / np.linalg.norm(end)
+                    end = ends[s] / np.linalg.norm(ends[s])
                     assert (np.linalg.norm(end - reference[-1] / scale[-1])
                             <= 1e-12)
 
@@ -457,15 +513,42 @@ def test_shooting_rescales_a_solution_that_would_overflow():
     assert amplitude[1] <= 1e-200 * amplitude.max()
 
 
-def shooter_steps(g, pot, mass, energy, substeps=2):
-    """The shooter's (2, 2, 2, W) substep stack at energy, with the number
-    of real (unpadded) substeps of each segment."""
+def shooter_build(g, pot, mass, substeps=2):
+    """The shooter's two segments, its spline and its five (2, 2, 2, W)
+    step-quartic stacks, built as shooting_solve builds them."""
     mid = g.n_points // 2
     segments = (g.nodes[: mid + 1], g.nodes[mid:][::-1])
     spline = CubicSpline(g.nodes, local_blocks(pot, mass))
-    poly = _segment_polynomials(segments, spline, substeps)
+    poly = [c.reshape(2, 2, 2, -1) for c in
+            _step_polynomial(*_coefficient_table(segments, spline, substeps))]
+    return segments, spline, poly
+
+
+def shooter_steps(g, pot, mass, energy, substeps=2):
+    """The shooter's (2, 2, 2, W) substep stack at energy, with the number
+    of real (unpadded) substeps of each segment."""
+    segments, _, poly = shooter_build(g, pot, mass, substeps)
     steps = _evaluate_steps(poly, energy, np.empty_like(poly[0]))
     return steps, [(len(xs) - 1) * substeps for xs in segments]
+
+
+def test_stacked_build_matches_the_per_segment_build_bit_for_bit():
+    # the shooter's five coefficient stacks from one table and one quartic
+    # over both segments, against one table and one quartic per segment
+    # copied into identity-padded stacks; the right segment is padded on
+    # even grids, and at n = 514 the padding adds a tree level
+    profile = MassProfile("quadratic_even", m0=1.0, alpha=0.1)
+    for n in (121, 514, 800, 801):
+        g = build_grid(-10.0, 10.0, n)
+        pot = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
+        for substeps in (1, 2, 3):
+            segments, spline, got = shooter_build(
+                g, pot, sample_mass(profile, g), substeps)
+            expected = reference_segment_polynomials(segments, spline, substeps)
+            assert len(got) == len(expected) == 5
+            for a, b in zip(got, expected):
+                assert a.shape == b.shape == (2, 2, 2, n // 2 * substeps)
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def unit_aligned(a, b):
@@ -581,18 +664,42 @@ def test_shooting_input_validation():
             shooting_solve(g, pot, mass, **kwargs)
 
 
+def test_solve_spectrum_input_validation():
+    # a NaN tol would pass every pair and a NaN or negative reality_tol tag
+    # every real level complex_unpaired; each is refused by name
+    op = pt_operator(40)
+    for kwargs, name in (
+            ({"max_pairs": 0}, "max_pairs"),
+            ({"tol": float("nan")}, "tol"),
+            ({"tol": float("inf")}, "tol"),
+            ({"tol": 0.0}, "tol"),
+            ({"tol": -1e-9}, "tol"),
+            ({"reality_tol": float("nan")}, "reality_tol"),
+            ({"reality_tol": float("inf")}, "reality_tol"),
+            ({"reality_tol": -1.0}, "reality_tol")):
+        with pytest.raises(GridError, match=rf"^{name} must be"):
+            solve_spectrum(op, **kwargs)
+    # reality_tol = 0 is usable: only an exactly real level is tagged real
+    assert len(solve_spectrum(op, reality_tol=0.0).energies) == 12
+
+
 def test_shooting_builds_energy_independent_work_once_per_solve(monkeypatch):
-    # one spline per solve and one quartic per segment, however many trial
-    # energies the root search takes; one Horner evaluation and one tree
-    # product per trial energy serve both segments, and one more evaluation
-    # gives the spinor
+    # one spline, one spline call and one quartic per solve, for both
+    # segments, however many trial energies the root search takes; one
+    # Horner evaluation and one tree product per trial energy serve both
+    # segments, and one more evaluation gives the spinor
     import scipy.interpolate
     g, pot, mass = box_parts()
-    splines, polys, evaluated, products = [], [], [], []
+    splines, calls, polys, evaluated, products = [], [], [], [], []
 
     def counted_spline(*args, **kwargs):
         splines.append(1)
-        return CubicSpline(*args, **kwargs)
+        spline = CubicSpline(*args, **kwargs)
+
+        def evaluate(x):
+            calls.append(x.shape)
+            return spline(x)
+        return evaluate
 
     def counted_poly(*args):
         polys.append(1)
@@ -617,8 +724,10 @@ def test_shooting_builds_energy_independent_work_once_per_solve(monkeypatch):
         # the root search starts from two points for a real guess (secant)
         # and three for a complex one (Muller)
         trials += out.iterations + (2 if guess.imag == 0 else 3)
-        assert (len(splines), len(polys)) == (solves, 2 * solves)
+        assert (len(splines), len(calls), len(polys)) == (solves, solves, solves)
         assert (len(products), len(evaluated)) == (trials, trials + solves)
     assert len(iterations) > 1
     # both segments of the n = 201 box, 100 intervals of 2 substeps each
     assert set(products) == set(evaluated) == {(2, 2, 2, 200)}
+    # three stages of each of those 400 substeps
+    assert set(calls) == {(1200,)}
