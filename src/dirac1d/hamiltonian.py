@@ -103,15 +103,21 @@ class DiracOperator:
         return 2 * len(self.blocks)
 
 
+def blocks_on_grid(grid: Grid1D, pot: LorentzPotential, mass: GridFunction) -> np.ndarray:
+    """local_blocks(pot, mass) at every node of grid; a GridError unless the
+    mass and the potential both live on grid."""
+    if mass.grid != grid or pot.grid != grid:
+        raise GridError("mass and potential must live on the operator grid")
+    return local_blocks(pot, mass)
+
+
 def assemble_hamiltonian(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
                          scheme: str = "central_wilson", wilson_r: float = 1.0
                          ) -> DiracOperator:
     """The operator of the given couplings, with the blocks of its active nodes."""
     wilson_r = _checked_wilson_r(scheme, wilson_r)
-    if mass.grid != grid or pot.grid != grid:
-        raise GridError("mass and potential must live on the operator grid")
     act = slice(1, -1) if grid.boundary == "dirichlet" else slice(None)
-    blocks = local_blocks(pot, mass)[act]
+    blocks = blocks_on_grid(grid, pot, mass)[act]
     blocks.flags.writeable = False
     return DiracOperator(grid=grid, scheme=scheme, wilson_r=wilson_r, mass=mass,
                          potential=pot, blocks=blocks)

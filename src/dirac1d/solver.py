@@ -19,12 +19,13 @@ with classical RK4 and drives the 2x2 matching determinant at the midpoint to
 zero, which gives continuum (not lattice) eigenvalues.  The system is linear
 in the state, phi' = i sigma_z (E - h(x)) phi with h the local block of
 lorentz.local_blocks, so each RK4 substep is a 2x2 matrix, and a quartic in
-E.  Its five coefficients are built once per solve from one spline call on
-the local blocks, for both segments in one stack: the shorter segment is
+E.  Its five coefficients are built once per operator from one spline call
+on the local blocks, for both segments in one stack: the shorter segment is
 padded with its last node, and its zero-width substeps are exact identity
-steps.  A trial energy evaluates them by Horner's rule in place, and the two
-midpoint states are the ordered products of the substeps, formed as one
-pairwise tree over both segments.  The converged state, an (n, 2) array,
+steps.  The last build is kept for the next solve on the same nodes, blocks
+and substeps.  A trial energy evaluates them by Horner's rule in place, and
+the two midpoint states are the ordered products of the substeps, formed as
+one pairwise tree over both segments.  The converged state, an (n, 2) array,
 comes from a log-depth prefix scan over per-node matrices, with power-of-two
 scaling.
 """
@@ -39,8 +40,8 @@ import numpy as np
 
 from .errors import ConvergenceError, GridError
 from .grid import Grid1D, GridFunction
-from .hamiltonian import DiracOperator, hermiticity_of_operator
-from .lorentz import LorentzPotential, local_blocks
+from .hamiltonian import DiracOperator, blocks_on_grid, hermiticity_of_operator
+from .lorentz import LorentzPotential
 
 REALITY_TAGS = ("real", "complex_pair_member", "complex_unpaired")
 
@@ -279,15 +280,17 @@ def _times_f(b: np.ndarray, poly: list) -> list:
 
     poly lists the coefficients of E^0, E^1, ... as (2, 2, ...) stacks.
     """
-    out = [_mul(b, c) for c in poly] + [0.0]
-    for k, c in enumerate(poly):
-        out[k + 1] = out[k + 1] + _J * c
+    out = [_mul(b, c) for c in poly] + [_J * poly[-1]]
+    for k, c in enumerate(poly[:-1]):
+        out[k + 1] += _J * c
     return out
 
 
 def _plus_eye(scale: np.ndarray, poly: list) -> list:
     """I + scale * poly."""
-    return [_EYE + scale * poly[0]] + [scale * c for c in poly[1:]]
+    first = scale * poly[0]
+    first += _EYE
+    return [first] + [scale * c for c in poly[1:]]
 
 
 def _step_polynomial(table: np.ndarray, dx: np.ndarray) -> tuple:
@@ -301,16 +304,58 @@ def _step_polynomial(table: np.ndarray, dx: np.ndarray) -> tuple:
     when dx = 0.  table and dx are _coefficient_table's.  Returns
     (C0, ..., C4), each a (2, 2, len(dx)) stack with
     P(E) = C0 + E C1 + ... + E^4 C4; _evaluate_steps forms P(E).
+
+    Sums are accumulated in place, which rounds as the written expression
+    does, since a sum commutes exactly; a complex product keeps its operand
+    order, since numpy's vector loop fuses one of its two terms.
     """
     start, middle, end = (-_J * h for h in table)
     k1 = [start, _J * _EYE]
     k2 = _times_f(middle, _plus_eye(0.5 * dx, k1))
     k3 = _times_f(middle, _plus_eye(0.5 * dx, k2))
     k4 = _times_f(end, _plus_eye(dx, k3))
-    steps = [(dx / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-             for c1, c2, c3, c4 in zip_longest(k1, k2, k3, k4, fillvalue=0.0)]
+    sixth = dx / 6.0
+    steps = []
+    for c1, c2, c3, c4 in zip_longest(k1, k2, k3, k4, fillvalue=0.0):
+        # (c1 + 2 c2 + 2 c3 + c4) dx / 6; a 0.0 past the end of k1, k2 or k3
+        # is still added, which turns -0.0 into 0.0 as the written sum does
+        total = 2.0 * c2
+        for term in (c1, 2.0 * c3, c4):
+            total = total + term if np.isscalar(total) else np.add(total, term, out=total)
+        steps.append(np.multiply(sixth, total, out=total))
     steps[0] += _EYE
     return tuple(steps)
+
+
+# the last build of _step_quartics, as (key, stacks); replaced whole, never
+# written into, so concurrent solves share nothing writable
+_last_build: tuple = (None, ())
+
+
+def _step_quartics(nodes: np.ndarray, blocks: np.ndarray, substeps: int) -> tuple:
+    """The five read-only (2, 2, 2, W) step-quartic stacks of both segments,
+    W = (n // 2) * substeps: one spline of the blocks, one table, one quartic.
+
+    The last build is kept, and returned again while the nodes and the
+    blocks are the same bit for bit (their bytes are the key, so 0.0 and
+    -0.0 differ) and substeps is equal: 640 W bytes, plus a 72 n-byte key.
+    """
+    global _last_build
+    key = (nodes.tobytes(), blocks.tobytes(), substeps)
+    last_key, poly = _last_build
+    if last_key == key:
+        return poly
+    # scipy is imported here, so that only a process that shoots loads it
+    from scipy.interpolate import CubicSpline
+    spline = CubicSpline(nodes, blocks)
+    mid = len(nodes) // 2
+    segments = (nodes[: mid + 1], nodes[mid:][::-1])
+    poly = tuple(c.reshape(2, 2, 2, -1) for c in
+                 _step_polynomial(*_coefficient_table(segments, spline, substeps)))
+    for c in poly:
+        c.flags.writeable = False
+    _last_build = (key, poly)
+    return poly
 
 
 def _evaluate_steps(poly: tuple, energy: complex, out: np.ndarray) -> np.ndarray:
@@ -325,7 +370,9 @@ def _evaluate_steps(poly: tuple, energy: complex, out: np.ndarray) -> np.ndarray
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for stacks of 2x2 matrices held as (2, 2, ...), written entrywise."""
-    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+    out = a[:, :1] * b[:1]
+    out += a[:, 1:] * b[1:]
+    return out
 
 
 def _ordered_product(steps: np.ndarray) -> np.ndarray:
@@ -435,6 +482,11 @@ def _converged(z_prev: complex, f_prev: complex, z: complex, f: complex,
     return f != f_prev and abs(f * (z - z_prev) / (f - f_prev)) < scale
 
 
+def _is_a(value, *kinds) -> bool:
+    """isinstance(value, kinds), except for a bool (an int subclass)."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
                    energy_guess: complex, *, substeps: int = 2,
                    search_radius: Optional[float] = None) -> ShootingResult:
@@ -448,11 +500,15 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     stop when the step is below SHOOTING_TOL relative to |E| (see
     _converged), failing after SHOOTING_MAX_ITER steps with the last |det|
     and the last relative step, i.e. the accuracy the search did reach.
-    energy_guess must be finite, substeps an integer >= 1 and search_radius,
-    when given, finite and positive.
+    mass and pot must live on grid, energy_guess must be a finite number,
+    substeps an integer >= 1 and search_radius, when given, a finite positive
+    real number; anything else is a GridError.
 
     Everything that does not depend on the trial energy is built once per
-    solve.  Off-node coefficients come from one cubic spline of the sampled
+    operator (_step_quartics): the last build is kept, and a solve whose
+    nodes, local blocks and substeps are those of that build, compared bit
+    for bit, reuses it, so it returns bit for bit what a solve that builds
+    returns.  Off-node coefficients come from one cubic spline of the sampled
     local blocks (lorentz.local_blocks), tabulated at every RK4 stage of
     both segments by one spline call (_coefficient_table); their error is
     O(h^4), the order of the integrator.  The shorter segment, the right one
@@ -475,23 +531,21 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     """
     if grid.boundary != "dirichlet":
         raise GridError("shooting requires a dirichlet grid")
-    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+    if not (_is_a(substeps, int, np.integer) and substeps >= 1):
         raise GridError(f"substeps must be an integer >= 1, got {substeps!r}")
+    if not (_is_a(energy_guess, complex, float, int, np.number)
+            and np.isfinite(energy_guess)):
+        raise GridError(f"energy_guess must be finite, got {energy_guess!r}")
     energy_guess = complex(energy_guess)
-    if not np.isfinite(energy_guess):
-        raise GridError(f"energy_guess must be finite, got {energy_guess}")
-    radius = (float(search_radius) if search_radius is not None
+    radius = (search_radius if search_radius is not None
               else 10.0 * max(1.0, abs(energy_guess)))
-    if not (np.isfinite(radius) and radius > 0.0):
-        raise GridError(f"search_radius must be finite and positive, got {radius}")
+    if not (_is_a(radius, float, int, np.integer, np.floating)
+            and np.isfinite(radius) and radius > 0.0):
+        raise GridError(f"search_radius must be finite and positive, got {radius!r}")
+    radius = float(radius)
 
-    # scipy is imported here, so that only a process that shoots loads it
-    from scipy.interpolate import CubicSpline
-    spline = CubicSpline(grid.nodes, local_blocks(pot, mass))
+    poly = _step_quartics(grid.nodes, blocks_on_grid(grid, pot, mass), substeps)
     mid = grid.n_points // 2
-    segments = (grid.nodes[: mid + 1], grid.nodes[mid:][::-1])
-    poly = tuple(c.reshape(2, 2, 2, -1) for c in
-                 _step_polynomial(*_coefficient_table(segments, spline, substeps)))
     buf = np.empty_like(poly[0])
     y_wall = np.array([0.0, 1.0], dtype=complex)
 

@@ -14,7 +14,14 @@ import pytest
 from dirac1d import (DiracOperator, GridFunction, LorentzPotential,
                      MassProfile, SpectrumResult, assemble_hamiltonian,
                      build_grid, pt_vector_potential, sample_mass,
-                     solve_spectrum)
+                     solve_spectrum, solver)
+
+
+@pytest.fixture(autouse=True)
+def empty_shooter_memo(monkeypatch):
+    """Every test starts with no kept shooter build, so no result or build
+    count depends on which test ran before it."""
+    monkeypatch.setattr(solver, "_last_build", (None, ()))
 
 
 class SolveCase(NamedTuple):

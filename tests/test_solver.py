@@ -12,7 +12,8 @@ from dirac1d import (ConvergenceError, GridError, GridFunction,
 from dirac1d import solver
 from dirac1d.lorentz import local_blocks
 from dirac1d.solver import (_EYE, _coefficient_table, _evaluate_steps,
-                            _ordered_product, _step_polynomial, _trajectory)
+                            _ordered_product, _step_polynomial, _step_quartics,
+                            _trajectory)
 
 from conftest import pt_operator
 from helpers import (canonical_sorted, dispersion_multiset,
@@ -514,14 +515,13 @@ def test_shooting_rescales_a_solution_that_would_overflow():
 
 
 def shooter_build(g, pot, mass, substeps=2):
-    """The shooter's two segments, its spline and its five (2, 2, 2, W)
-    step-quartic stacks, built as shooting_solve builds them."""
+    """The shooter's two segments, the spline of its local blocks (for the
+    per-segment reference) and its five (2, 2, 2, W) step-quartic stacks,
+    from the build shooting_solve calls."""
     mid = g.n_points // 2
     segments = (g.nodes[: mid + 1], g.nodes[mid:][::-1])
-    spline = CubicSpline(g.nodes, local_blocks(pot, mass))
-    poly = [c.reshape(2, 2, 2, -1) for c in
-            _step_polynomial(*_coefficient_table(segments, spline, substeps))]
-    return segments, spline, poly
+    blocks = local_blocks(pot, mass)
+    return segments, CubicSpline(g.nodes, blocks), _step_quartics(g.nodes, blocks, substeps)
 
 
 def shooter_steps(g, pot, mass, energy, substeps=2):
@@ -659,9 +659,24 @@ def test_shooting_input_validation():
             ({"energy_guess": 1.1, "search_radius": float("nan")}, "search_radius"),
             ({"energy_guess": 1.1, "search_radius": float("inf")}, "search_radius"),
             ({"energy_guess": 1.1, "search_radius": -0.5}, "search_radius"),
-            ({"energy_guess": 1.1, "search_radius": 0.0}, "search_radius")):
+            ({"energy_guess": 1.1, "search_radius": 0.0}, "search_radius"),
+            ({"energy_guess": 1.1, "substeps": True}, "substeps"),
+            ({"energy_guess": 1.1, "search_radius": True}, "search_radius"),
+            ({"energy_guess": "1.2"}, "energy_guess")):
         with pytest.raises(GridError, match=name):
             shooting_solve(g, pot, mass, **kwargs)
+    # a potential or a mass sampled on another grid of the same size is
+    # refused, as the operator refuses it (it gave 1.17153 and 1.26950 for
+    # the level at 1.21632)
+    g = build_grid(-6.0, 6.0, 121)
+    other = build_grid(-8.0, 8.0, 121)
+    profile = MassProfile("quadratic_even", m0=1.0, alpha=0.1)
+    pot = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
+    mass = sample_mass(profile, g)
+    assert abs(shooting_solve(g, pot, mass, 1.2).energy - 1.21632) <= 1e-5
+    for parts in ((other, pot, mass), (g, pot, sample_mass(profile, other))):
+        with pytest.raises(GridError, match="operator grid"):
+            shooting_solve(*parts, 1.2)
 
 
 def test_solve_spectrum_input_validation():
@@ -683,11 +698,11 @@ def test_solve_spectrum_input_validation():
     assert len(solve_spectrum(op, reality_tol=0.0).energies) == 12
 
 
-def test_shooting_builds_energy_independent_work_once_per_solve(monkeypatch):
-    # one spline, one spline call and one quartic per solve, for both
-    # segments, however many trial energies the root search takes; one
-    # Horner evaluation and one tree product per trial energy serve both
-    # segments, and one more evaluation gives the spinor
+def test_shooting_builds_energy_independent_work_once_per_operator(monkeypatch):
+    # one spline, one spline call and one quartic per operator and substeps
+    # (the memo starts empty, see conftest), however many solves and trial
+    # energies; one Horner evaluation and one tree product per trial energy
+    # serve both segments, and one more evaluation gives the spinor
     import scipy.interpolate
     g, pot, mass = box_parts()
     splines, calls, polys, evaluated, products = [], [], [], [], []
@@ -717,17 +732,77 @@ def test_shooting_builds_energy_independent_work_once_per_solve(monkeypatch):
     monkeypatch.setattr(solver, "_step_polynomial", counted_poly)
     monkeypatch.setattr(solver, "_evaluate_steps", counted_evaluate)
     monkeypatch.setattr(solver, "_ordered_product", counted_product)
+    other_mass = sample_mass(MassProfile("constant", m0=1.1), g)
     iterations, trials = set(), 0
-    for solves, guess in enumerate((1.1, 1.05 + 0.02j, 1.27), start=1):
-        out = shooting_solve(g, pot, mass, energy_guess=guess)
+    # the last three solves change substeps, then the mass, then go back to
+    # the first operator: each is a new build, since only the last is kept
+    for solves, (guess, substeps, m, builds) in enumerate((
+            (1.1, 2, mass, 1), (1.05 + 0.02j, 2, mass, 1), (1.27, 2, mass, 1),
+            (1.1, 3, mass, 2), (1.1, 2, other_mass, 3), (1.1, 2, mass, 4)), start=1):
+        out = shooting_solve(g, pot, m, energy_guess=guess, substeps=substeps)
         iterations.add(out.iterations)
         # the root search starts from two points for a real guess (secant)
         # and three for a complex one (Muller)
         trials += out.iterations + (2 if guess.imag == 0 else 3)
-        assert (len(splines), len(calls), len(polys)) == (solves, solves, solves)
+        assert (len(splines), len(calls), len(polys)) == (builds, builds, builds)
         assert (len(products), len(evaluated)) == (trials, trials + solves)
     assert len(iterations) > 1
-    # both segments of the n = 201 box, 100 intervals of 2 substeps each
-    assert set(products) == set(evaluated) == {(2, 2, 2, 200)}
-    # three stages of each of those 400 substeps
-    assert set(calls) == {(1200,)}
+    # both segments of the n = 201 box, 100 intervals of 2 or 3 substeps
+    assert set(products) == set(evaluated) == {(2, 2, 2, 200), (2, 2, 2, 300)}
+    # three stages of each of those 400 or 600 substeps
+    assert calls == [(1200,), (1800,), (1200,), (1200,)]
+
+
+def shot_bits(out):
+    """A shooting result's fields, each float as its bit pattern."""
+    floats = np.array([out.energy, out.determinant, out.match_mismatch])
+    return floats.view(np.uint64).tolist(), out.iterations, out.state.tobytes()
+
+
+def test_a_memoized_build_gives_the_cold_result_bit_for_bit():
+    # the shoot_levels operator (alpha = 0.1, n = 800) and the alpha = 1
+    # overflow case: a solve on the kept build returns exactly what a solve
+    # that builds returns, also after another operator's solve in between,
+    # and after a solve that raised
+    op = pt_operator(800)
+    levels = (op.grid, op.potential, op.mass)
+    overflow = pt_overflow_parts()
+    cases = ((levels, 1.2187), (levels, -1.2187), (levels, 2.4785), (overflow, 1.6))
+    cold = []
+    for parts, guess in cases:
+        solver._last_build = (None, ())
+        cold.append(shot_bits(shooting_solve(*parts, guess)))
+        assert shot_bits(shooting_solve(*parts, guess)) == cold[-1]
+    # A, B, A
+    for (parts, guess), expected in zip(cases[2:] + cases[:1], cold[2:] + cold[:1]):
+        assert shot_bits(shooting_solve(*parts, guess)) == expected
+    g, pot, mass = box_parts()
+    solver._last_build = (None, ())
+    expected = shot_bits(shooting_solve(g, pot, mass, 1.1))
+    with pytest.raises(ConvergenceError, match="radius"):
+        shooting_solve(g, pot, mass, energy_guess=1.0, search_radius=0.05)
+    assert shot_bits(shooting_solve(g, pot, mass, 1.1)) == expected
+    # a longer box of as many nodes has the same blocks bit for bit, but not
+    # the same nodes, so each box is a build of its own
+    longer = box_parts(length=10.0)
+    assert np.array_equal(local_blocks(*longer[1:]).view(np.uint64),
+                          local_blocks(pot, mass).view(np.uint64))
+    e1 = np.sqrt(1.0 + (np.pi / 10.0) ** 2)
+    assert shooting_solve(*longer, 1.1).energy.real == pytest.approx(e1, abs=1e-6)
+    assert shot_bits(shooting_solve(g, pot, mass, 1.1)) == expected
+
+
+def test_memoized_step_quartics_are_read_only():
+    g, pot, mass = box_parts()
+    blocks = local_blocks(pot, mass)
+    poly = _step_quartics(g.nodes, blocks, 2)
+    assert _step_quartics(g.nodes, blocks.copy(), 2) is poly
+    assert len(poly) == 5
+    for c in poly:
+        assert c.shape == (2, 2, 2, 200) and not c.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            c[...] = 0.0
+    # keyed on bits: -0.0 in place of 0.0 is another build
+    signed = blocks.copy()
+    signed[0, 0, 0] = -0.0
+    assert blocks[0, 0, 0] == 0.0 and _step_quartics(g.nodes, signed, 2) is not poly
