@@ -7,17 +7,16 @@ from .diagnostics import (BalanceTable, continuity_residual, gram_matrix,
                           normalize_result, orthogonality_balance)
 from .errors import (ConfigError, ConvergenceError, Dirac1DError, GridError,
                      MassError)
-from .grid import Grid1D, GridFunction, build_grid
+from .grid import Grid1D, GridFunction
 from .hamiltonian import (DiracOperator, assemble_hamiltonian,
                           hermiticity_of_operator, reduced_equations_rhs,
                           reduced_residual_norm)
 from .lorentz import (GAMMA0, GAMMA1, GAMMA5, LorentzPotential, MassProfile,
-                      PTSymmetryReport, check_pt_symmetry,
-                      gamma0_hermiticity_residual, local_blocks,
-                      pt_vector_potential, sample_mass)
+                      check_pt_symmetry, gamma0_hermiticity_residual,
+                      local_blocks, pt_vector_potential, sample_mass)
 from .report import RunReport, execute, write_outputs
-from .solver import (ShootingResult, SpectrumResult, classify_reality,
-                     shooting_solve, solve_spectrum)
+from .solver import (ShootingResult, SpectrumResult, shooting_solve,
+                     solve_spectrum)
 
 __version__ = "0.1.0"
 
@@ -25,9 +24,8 @@ __all__ = [
     "BalanceTable", "ConfigError", "ConvergenceError", "Dirac1DError",
     "DiracOperator", "GAMMA0", "GAMMA1", "GAMMA5", "Grid1D", "GridError",
     "GridFunction", "LorentzPotential", "MassError", "MassProfile",
-    "PTSymmetryReport", "RunConfig", "RunReport", "ShootingResult",
-    "SpectrumResult", "assemble_hamiltonian", "build_grid",
-    "check_pt_symmetry", "classify_reality", "config_from_raw",
+    "RunConfig", "RunReport", "ShootingResult", "SpectrumResult",
+    "assemble_hamiltonian", "check_pt_symmetry", "config_from_raw",
     "continuity_residual", "execute", "gamma0_hermiticity_residual",
     "gram_matrix", "hermiticity_of_operator", "local_blocks",
     "normalize_result", "orthogonality_balance", "parse_config",

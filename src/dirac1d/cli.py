@@ -20,7 +20,7 @@ from typing import Optional
 
 from .config import RunConfig, parse_config
 from .errors import ConfigError, Dirac1DError
-from .report import OUTPUTS, RunReport, execute, f17, write_csv, write_outputs
+from .report import OUTPUTS, RunReport, execute, write_csv, write_outputs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,8 +111,8 @@ def _print_report(report: RunReport, written) -> None:
     s = report.spectrum
     for i, re, im, tag in zip(*(s.get(key, ()) for key in (
             "index", "energy_re", "energy_im", "classification"))):
-        print(f"  E[{i}] = {f17(re)} {'+' if im >= 0 else '-'} "
-              f"{f17(abs(im))}i  ({tag})")
+        print(f"  E[{i}] = {re:.17g} {'+' if im >= 0 else '-'} "
+              f"{abs(im):.17g}i  ({tag})")
     for note in report.notes:
         print(f"  note: {note}")
     for chk in report.checks:

@@ -19,12 +19,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .grid import BOUNDARIES, Grid1D, GridFunction, build_grid
+from .grid import BOUNDARIES, Grid1D, GridFunction
 from .hamiltonian import OPERATOR_SCHEMES
 from .lorentz import (MASS_FAMILIES, LorentzPotential, MassProfile,
                       pt_vector_potential, sample_mass)
 
 CHANNELS = ("v_t", "v_sp", "v_s", "v_p")
+FORMATS = ("csv", "json", "both")
 
 # key -> (type tag, default-as-string or None when required)
 _SCHEMA: dict[str, dict[str, tuple[str, Optional[str]]]] = {
@@ -58,7 +59,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, Optional[str]]]] = {
     },
     "output": {
         "directory": ("str", ""),
-        "formats": ("choice:csv|json|both", "csv"),
+        "formats": ("choice:" + "|".join(FORMATS), "csv"),
     },
 }
 
@@ -153,7 +154,7 @@ class RunConfig:
 
     def build_grid(self) -> Grid1D:
         g = self.values["grid"]
-        return build_grid(g["x_min"], g["x_max"], g["n_points"], g["boundary"])
+        return Grid1D(g["x_min"], g["x_max"], g["n_points"], g["boundary"])
 
     def build_mass_profile(self) -> MassProfile:
         m = self.values["mass"]

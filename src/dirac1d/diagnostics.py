@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GridError
-from .grid import GridFunction, central_difference
+from .grid import GridFunction, _is_a, central_difference
 from .hamiltonian import reduced_residual_norm
 from .lorentz import GAMMA0, GAMMA1
 from .solver import SpectrumResult
@@ -207,14 +207,6 @@ def _magnitude(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _pair_error(k: int, k_prime: int, n_states: int) -> Optional[str]:
-    if k == k_prime:
-        return "balance identity needs two distinct states (k == k_prime)"
-    if not (0 <= k < n_states and 0 <= k_prime < n_states):
-        return f"pair indices ({k}, {k_prime}) out of range 0..{n_states - 1}"
-    return None
-
-
 def orthogonality_balance(result: SpectrumResult, pairs: Sequence[tuple[int, int]],
                           window: Optional[tuple[int, int]] = None,
                           identity_tol: Optional[float] = None
@@ -235,15 +227,26 @@ def orthogonality_balance(result: SpectrumResult, pairs: Sequence[tuple[int, int
     |E_k - conj(E_k')| |<k'|k>| up to rounding: for distinct real levels a
     gap within identity_tol means gamma0-orthogonal states, while for
     conjugate partners (E_k' = conj(E_k)) it vanishes whatever the overlap.
-    Pair indices that are not integers raise TypeError.
+    pairs that are not (k, k_prime) pairs of integers, and a window that is
+    not a pair of integers, raise TypeError.
     """
     op, grid, c = result.operator, result.grid, result.states
     n_states = len(c)
-    index = np.asarray(pairs).reshape(len(pairs), 2)
-    if len(index) and index.dtype.kind != "i":
+    try:
+        index = np.asarray(pairs) if len(pairs) else np.zeros((0, 2), dtype=int)
+    except ValueError:  # numpy refuses a ragged sequence
+        index = None
+    if index is None or index.shape != (len(pairs), 2):
+        raise TypeError("pairs must be a sequence of (k, k_prime) index pairs")
+    if index.dtype.kind != "i":
         raise TypeError(f"pair indices must be integers, not {index.dtype}")
+    if window is not None and not (np.shape(window) == (2,) and all(
+            _is_a(w, int, np.integer) for w in window)):
+        raise TypeError(f"window must be a pair of integer node indices, got {window!r}")
     k, kp = index.astype(int).T
-    valid = (k != kp) & (k >= 0) & (k < n_states) & (kp >= 0) & (kp < n_states)
+    distinct = k != kp
+    in_range = (k >= 0) & (k < n_states) & (kp >= 0) & (kp < n_states)
+    valid = distinct & in_range
     oracle = np.zeros(n_states)
     for i in np.unique(np.concatenate([k[valid], kp[valid]])).tolist():
         oracle[i] = reduced_residual_norm(
@@ -254,20 +257,24 @@ def orthogonality_balance(result: SpectrumResult, pairs: Sequence[tuple[int, int
     k_fails, kp_fails = valid & np.isin(k, fails), valid & np.isin(kp, fails)
 
     lo, hi = (0, grid.n_points - 1) if window is None else (int(window[0]), int(window[1]))
-    window_error = (None if 0 <= lo < hi <= grid.n_points - 1
-                    else f"window ({lo}, {hi}) is not a valid index range")
-    ok = valid & ~k_fails & ~kp_fails & (window_error is None)
+    window_ok = 0 <= lo < hi <= grid.n_points - 1
+    ok = valid & ~k_fails & ~kp_fails & window_ok
 
     failures = []
     for j in np.flatnonzero(~ok).tolist():
         kj, kpj = pairs[j]
-        error = _pair_error(kj, kpj, n_states)
-        for label, i, failed in (("k", kj, k_fails), ("k_prime", kpj, kp_fails)):
-            if error is None and failed[j]:
-                error = (f"state {label} fails the coupled-equation oracle "
-                         f"(residual {oracle[i]:.3e} > {ORACLE_FACTOR:g} x tol); "
-                         "balance identity is only defined for eigenpairs")
-        failures.append((kj, kpj, error or window_error))
+        if not distinct[j]:
+            error = "balance identity needs two distinct states (k == k_prime)"
+        elif not in_range[j]:
+            error = f"pair indices ({kj}, {kpj}) out of range 0..{n_states - 1}"
+        elif k_fails[j] or kp_fails[j]:
+            label, i = ("k", kj) if k_fails[j] else ("k_prime", kpj)
+            error = (f"state {label} fails the coupled-equation oracle "
+                     f"(residual {oracle[i]:.3e} > {ORACLE_FACTOR:g} x tol); "
+                     "balance identity is only defined for eigenpairs")
+        else:
+            error = f"window ({lo}, {hi}) is not a valid index range"
+        failures.append((kj, kpj, error))
 
     k, kp = k[ok], kp[ok]
     if len(k):

@@ -13,9 +13,10 @@ quadrature rule:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -27,9 +28,19 @@ BOUNDARIES = ("dirichlet", "periodic")
 SYMMETRY_REL_TOL = 1e-12
 
 
+def _is_a(value, *kinds) -> bool:
+    """isinstance(value, kinds), except for a bool (an int subclass)."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid on [x_min, x_max] with one of the two boundary flavours."""
+    """Uniform grid on [x_min, x_max] with one of the two boundary flavours.
+
+    The bounds are stored as floats and n_points as an int; a bound that is
+    not a finite real number, or an n_points that is not an integer, is a
+    GridError naming the field.
+    """
 
     x_min: float
     x_max: float
@@ -41,6 +52,14 @@ class Grid1D:
             raise GridError(
                 f"unknown boundary {self.boundary!r}; expected one of {BOUNDARIES}"
             )
+        for name in ("x_min", "x_max"):
+            value = getattr(self, name)
+            if not (_is_a(value, Real) and math.isfinite(value)):
+                raise GridError(f"{name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not _is_a(self.n_points, Integral):
+            raise GridError(f"n_points must be an integer, got {self.n_points!r}")
+        object.__setattr__(self, "n_points", int(self.n_points))
         if not self.x_min < self.x_max:
             raise GridError(
                 f"need x_min < x_max, got x_min={self.x_min} x_max={self.x_max}"
@@ -81,12 +100,6 @@ class Grid1D:
         return abs(self.x_min + self.x_max) <= SYMMETRY_REL_TOL * (self.x_max - self.x_min)
 
 
-def build_grid(x_min: float, x_max: float, n_points: int,
-               boundary: str = "dirichlet") -> Grid1D:
-    """Validate parameters and return the grid."""
-    return Grid1D(float(x_min), float(x_max), int(n_points), boundary)
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """Complex-valued samples tied to a specific grid."""
@@ -106,10 +119,6 @@ class GridFunction:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_callable(cls, grid: Grid1D, fn: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=complex) * np.ones(grid.n_points))
 
     @classmethod
     def constant(cls, grid: Grid1D, value: complex) -> "GridFunction":

@@ -117,15 +117,8 @@ def pt_vector_potential(profile: MassProfile, grid: Grid1D) -> GridFunction:
     return GridFunction(grid, a)
 
 
-@dataclass(frozen=True)
-class PTSymmetryReport:
-    residual: float
-    symmetric: bool
-    tol: float
-
-
-def check_pt_symmetry(f: GridFunction, tol: float = 1e-12) -> PTSymmetryReport:
-    """Measure max |f(-x) - conj(f(x))| over the nodes.
+def check_pt_symmetry(f: GridFunction) -> float:
+    """The PT residual max |f(-x) - conj(f(x))| over the nodes.
 
     Requires a grid symmetric about the origin so that -x lands on a node:
     dirichlet grids mirror j <-> n-1-j, periodic grids mirror j <-> (n-j) mod n.
@@ -142,8 +135,7 @@ def check_pt_symmetry(f: GridFunction, tol: float = 1e-12) -> PTSymmetryReport:
         mirror = n - 1 - idx
     else:
         mirror = (n - idx) % n
-    residual = float(np.max(np.abs(f.values[mirror] - np.conj(f.values))))
-    return PTSymmetryReport(residual=residual, symmetric=residual <= tol, tol=tol)
+    return float(np.max(np.abs(f.values[mirror] - np.conj(f.values))))
 
 
 # The one representation every operator and diagnostic is built in; the
@@ -177,16 +169,12 @@ class LorentzPotential:
         return self.v_t.grid
 
     @classmethod
-    def zero(cls, grid: Grid1D) -> "LorentzPotential":
-        z = GridFunction.constant(grid, 0.0)
-        return cls(v_t=z, v_sp=z, v_s=z, v_p=z)
-
-    @classmethod
     def from_channels(cls, grid: Grid1D,
                       v_t: Optional[GridFunction] = None,
                       v_sp: Optional[GridFunction] = None,
                       v_s: Optional[GridFunction] = None,
                       v_p: Optional[GridFunction] = None) -> "LorentzPotential":
+        """The given channels on grid, each one not given zero."""
         z = GridFunction.constant(grid, 0.0)
         return cls(v_t=v_t or z, v_sp=v_sp or z, v_s=v_s or z, v_p=v_p or z)
 

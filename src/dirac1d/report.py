@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import CHANNELS, RunConfig
+from .config import CHANNELS, FORMATS, RunConfig
 from .diagnostics import (BalanceTable, continuity_residual, gram_matrix,
                           normalize_result, orthogonality_balance)
 from .errors import ConvergenceError, Dirac1DError
@@ -33,10 +33,6 @@ from .lorentz import check_pt_symmetry, gamma0_hermiticity_residual, sample_mass
 from .solver import solve_spectrum
 
 MODES = ("spectrum", "diagnose", "check-pt")
-
-
-def f17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -98,14 +94,14 @@ def execute(cfg: RunConfig, mode: str, strict_pt: bool = False) -> RunReport:
     declared_pt = cfg.pt_channels()
     if grid.is_symmetric():
         names = CHANNELS + ("mass",)
-        checks = [check_pt_symmetry(f, tol=pt_tol) for f in
-                  [getattr(potential, c) for c in CHANNELS] + [mass]]
+        residual = np.array([check_pt_symmetry(f) for f in
+                             [getattr(potential, c) for c in CHANNELS] + [mass]])
         report.pt = {
             "channel": names,
             "declared_pt": np.array([name in declared_pt for name in names]),
-            "residual": np.array([pt.residual for pt in checks]),
-            "symmetric": np.array([pt.symmetric for pt in checks]),
-            "tol": np.array([pt.tol for pt in checks]),
+            "residual": residual,
+            "symmetric": residual <= pt_tol,
+            "tol": np.full(len(names), pt_tol),
         }
     else:
         report.notes.append(
@@ -265,7 +261,6 @@ def _cells(column, format_floats, format_text) -> list[str]:
 
 
 def _csv_floats(values: np.ndarray) -> list[str]:
-    # "%.17g" gives the digits of f17
     return list(map("%.17g".__mod__, values.tolist()))
 
 
@@ -355,9 +350,13 @@ OUTPUTS = tuple(name for _, name in _TABLES) + ("report.json",)
 def write_outputs(report: RunReport, out_dir: Path, formats: str) -> list[Path]:
     """Write spectrum/gram/balance/pt CSVs and/or report.json; returns paths.
 
-    Any of those five files that this run does not write is removed from
-    out_dir, so no artifact of an earlier run is left beside this one's.
+    formats is one of config.FORMATS; any other value raises before out_dir
+    is touched.  Any of those five files that this run does not write is
+    removed from out_dir, so no artifact of an earlier run is left beside
+    this one's.
     """
+    if formats not in FORMATS:
+        raise Dirac1DError(f"unknown output formats {formats!r}; expected one of {FORMATS}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = {"spectrum": report.spectrum,

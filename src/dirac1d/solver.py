@@ -32,18 +32,16 @@ scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, GridError
-from .grid import Grid1D, GridFunction
+from .grid import Grid1D, GridFunction, _is_a
 from .hamiltonian import DiracOperator, blocks_on_grid, hermiticity_of_operator
 from .lorentz import LorentzPotential
-
-REALITY_TAGS = ("real", "complex_pair_member", "complex_unpaired")
 
 # shooting root search: stop when the step is below SHOOTING_TOL relative to
 # |E| (see _converged); give up after SHOOTING_MAX_ITER steps
@@ -156,8 +154,9 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
     block has h00 == h11 (no space-vector channel), so those operators take
     the real symmetric routine; the kept columns are rotated back
     (_unrotated).  The general routine gets op.matrix itself.  Levels that
-    pass the reality test of classify_reality get Im E = 0 exactly, then
-    _canonical_order picks the lowest max_pairs.  Every returned pair is
+    pass the reality test (_is_real) get Im E = 0 exactly, then
+    _canonical_order picks the lowest max_pairs, and _reality_tags tags them.
+    max_pairs must be an integer >= 1.  Every returned pair is
     residual-checked against op.matrix and LAPACK's own eigenvalue:
     ||H v - E v||_2 / ||v||_2 must be at most tol (a NaN residual is not),
     otherwise the solve is reported as non-converged with the offending
@@ -165,8 +164,8 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
     and non-negative.  The kept eigenvector columns land, unnormalized, in
     one (K, n, 2) states stack; normalization lives in the diagnostics layer.
     """
-    if max_pairs < 1:
-        raise GridError(f"max_pairs must be positive, got {max_pairs}")
+    if not (_is_a(max_pairs, int, np.integer) and max_pairs >= 1):
+        raise GridError(f"max_pairs must be an integer >= 1, got {max_pairs!r}")
     if not (np.isfinite(tol) and tol > 0):
         raise GridError(f"tol must be finite and positive, got {tol}")
     if not (np.isfinite(reality_tol) and reality_tol >= 0):
@@ -199,14 +198,14 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
     # column layout [plus(active nodes), minus(active nodes)] -> (K, n, 2)
     states = np.zeros((len(keep), op.grid.n_points, 2), dtype=complex)
     states[:, op.active_index] = vk.T.reshape(len(keep), 2, -1).transpose(0, 2, 1)
-    result = SpectrumResult(
-        operator=op, energies=energies[keep], states=states, residuals=residuals,
-        classification=("real",) * len(keep), solver_tolerance=float(tol),
+    kept = energies[keep]
+    return SpectrumResult(
+        operator=op, energies=kept, states=states, residuals=residuals,
+        classification=_reality_tags(kept, reality_tol), solver_tolerance=float(tol),
     )
-    return classify_reality(result, tol=reality_tol)
 
 
-def classify_reality(result: SpectrumResult, tol: float = 1e-9) -> SpectrumResult:
+def _reality_tags(e: np.ndarray, tol: float) -> tuple[str, ...]:
     """Tag each eigenvalue real / conjugate-pair member / unpaired complex.
 
     Real means |Im E| <= tol * max(1, |Re E|).  The remaining eigenvalues are
@@ -214,7 +213,6 @@ def classify_reality(result: SpectrumResult, tol: float = 1e-9) -> SpectrumResul
     tolerance; leftovers are tagged complex_unpaired (which typically means
     the partner fell outside the retained low-|Re| window, not a bug).
     """
-    e = result.energies
     is_real = _is_real(e, tol)
     tags = np.where(is_real, "real", "").astype(object)
 
@@ -231,7 +229,7 @@ def classify_reality(result: SpectrumResult, tol: float = 1e-9) -> SpectrumResul
             open_idx.remove(best_j)
         else:
             tags[i] = "complex_unpaired"
-    return replace(result, classification=tuple(str(t) for t in tags))
+    return tuple(str(t) for t in tags)
 
 
 @dataclass(frozen=True)
@@ -480,11 +478,6 @@ def _converged(z_prev: complex, f_prev: complex, z: complex, f: complex,
     if abs(z - z_prev) < scale or f == 0.0:
         return True
     return f != f_prev and abs(f * (z - z_prev) / (f - f_prev)) < scale
-
-
-def _is_a(value, *kinds) -> bool:
-    """isinstance(value, kinds), except for a bool (an int subclass)."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,

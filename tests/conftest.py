@@ -11,9 +11,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from dirac1d import (DiracOperator, GridFunction, LorentzPotential,
+from dirac1d import (DiracOperator, Grid1D, GridFunction, LorentzPotential,
                      MassProfile, SpectrumResult, assemble_hamiltonian,
-                     build_grid, pt_vector_potential, sample_mass,
+                     pt_vector_potential, sample_mass,
                      solve_spectrum, solver)
 
 
@@ -37,9 +37,9 @@ def _timed_solve(op: DiracOperator, **kwargs) -> SolveCase:
 
 
 def free_operator(n_points: int, wilson_r: float) -> DiracOperator:
-    grid = build_grid(-np.pi, np.pi, n_points, boundary="periodic")
+    grid = Grid1D(-np.pi, np.pi, n_points, boundary="periodic")
     mass = sample_mass(MassProfile("constant", m0=1.0), grid)
-    return assemble_hamiltonian(grid, LorentzPotential.zero(grid), mass,
+    return assemble_hamiltonian(grid, LorentzPotential.from_channels(grid), mass,
                                 scheme="central_wilson", wilson_r=wilson_r)
 
 
@@ -51,7 +51,7 @@ def free_cases():
 
 
 def pt_operator(n_points: int) -> DiracOperator:
-    grid = build_grid(-10.0, 10.0, n_points, boundary="dirichlet")
+    grid = Grid1D(-10.0, 10.0, n_points, boundary="dirichlet")
     profile = MassProfile("quadratic_even", m0=1.0, alpha=0.1)
     mass = sample_mass(profile, grid)
     pot = LorentzPotential.from_channels(
@@ -70,7 +70,7 @@ def pt_cases():
 
 
 def absolute_scalar_operator(n_points: int) -> DiracOperator:
-    grid = build_grid(-12.0, 12.0, n_points, boundary="dirichlet")
+    grid = Grid1D(-12.0, 12.0, n_points, boundary="dirichlet")
     mass = sample_mass(MassProfile("constant", m0=1.0), grid)
     pot = LorentzPotential.from_channels(
         grid, v_s=GridFunction(grid, np.abs(grid.nodes)))

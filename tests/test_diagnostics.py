@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dirac1d import diagnostics, report
-from dirac1d import (GridError, GridFunction, LorentzPotential, MassProfile,
-                     SpectrumResult, assemble_hamiltonian, build_grid,
+from dirac1d import (Grid1D, GridError, GridFunction, LorentzPotential,
+                     MassProfile, SpectrumResult, assemble_hamiltonian,
                      continuity_residual, gram_matrix, normalize_result,
                      config_from_raw, execute, orthogonality_balance,
                      reduced_residual_norm, sample_mass, solve_spectrum)
@@ -18,8 +18,8 @@ from helpers import reference_balance_terms
 def stack_result(states, x_min=-2.0, x_max=2.0):
     """A SpectrumResult holding the given (K, n, 2) states on a free operator."""
     states = np.asarray(states, dtype=complex)
-    g = build_grid(x_min, x_max, states.shape[1])
-    op = assemble_hamiltonian(g, LorentzPotential.zero(g),
+    g = Grid1D(x_min, x_max, states.shape[1])
+    op = assemble_hamiltonian(g, LorentzPotential.from_channels(g),
                               sample_mass(MassProfile("constant", m0=1.0), g))
     k = len(states)
     return SpectrumResult(operator=op, energies=np.zeros(k), states=states,
@@ -83,8 +83,8 @@ def test_normalize_rejects_zero_state():
 
 def test_continuity_vanishes_for_exact_rest_state():
     n = 40
-    g = build_grid(-np.pi, np.pi, n, boundary="periodic")
-    op = assemble_hamiltonian(g, LorentzPotential.zero(g),
+    g = Grid1D(-np.pi, np.pi, n, boundary="periodic")
+    op = assemble_hamiltonian(g, LorentzPotential.from_channels(g),
                               sample_mass(MassProfile("constant", m0=1.0), g))
     rest = SpectrumResult(operator=op, energies=np.array([1.0]),
                           states=np.ones((1, n, 2)), residuals=np.zeros(1),
@@ -132,9 +132,9 @@ def test_gram_offdiagonal_for_imaginary_vector_channel(pt_cases):
 
 
 def test_gram_single_state():
-    gr = build_grid(-np.pi, np.pi, 24, boundary="periodic")
+    gr = Grid1D(-np.pi, np.pi, 24, boundary="periodic")
     mass = sample_mass(MassProfile("constant", m0=1.0), gr)
-    op = assemble_hamiltonian(gr, LorentzPotential.zero(gr), mass)
+    op = assemble_hamiltonian(gr, LorentzPotential.from_channels(gr), mass)
     result = normalize_result(solve_spectrum(op, max_pairs=1))
     g = gram_matrix(result)
     assert g.shape == (1, 1)
@@ -184,8 +184,15 @@ def test_balance_rejects_bad_pairs(pt_cases):
     reports, failures = orthogonality_balance(result, [(0, 1)], window=(300, 100))
     assert len(reports) == 0
     assert failures == [(0, 1, "window (300, 100) is not a valid index range")]
-    with pytest.raises(TypeError, match="integers"):
-        orthogonality_balance(result, [(1.0, 0)])
+    for pairs, window, name in (([(1.0, 0)], None, "integers"),
+                                ([1, 0], None, "pairs"),
+                                ([(1, 0, 2)], None, "pairs"),
+                                ([(1, 0), (2,)], None, "pairs"),
+                                ([(1, 0)], (2.7, 150.9), "window"),
+                                ([(1, 0)], (2, 150, 151), "window"),
+                                ([(1, 0)], 5, "window")):
+        with pytest.raises(TypeError, match=name):
+            orthogonality_balance(result, pairs, window=window)
 
 
 def test_balance_rejects_non_eigenpairs(pt_cases):
@@ -206,7 +213,7 @@ def test_balance_rejects_non_eigenpairs(pt_cases):
 def test_balance_potential_term_oracle():
     # for V_t = i W the anti-Hermitian density reduces to 2 i W phi'^dag phi,
     # so term_potential must equal that quadrature exactly
-    g = build_grid(-5.0, 5.0, 100)
+    g = Grid1D(-5.0, 5.0, 100)
     mass = sample_mass(MassProfile("constant", m0=1.0), g)
     w_vals = 0.4 * np.exp(-g.nodes ** 2)
     pot = LorentzPotential.from_channels(g, v_t=GridFunction(g, 1.0j * w_vals))
@@ -221,7 +228,7 @@ def test_balance_potential_term_oracle():
 
 
 def _channel_solve(boundary, x_max, n, wilson_r=1.0, max_pairs=12, **channels):
-    g = build_grid(-x_max, x_max, n, boundary=boundary)
+    g = Grid1D(-x_max, x_max, n, boundary=boundary)
     mass = sample_mass(MassProfile("constant", m0=1.0), g)
     pot = LorentzPotential.from_channels(
         g, **{name: GridFunction(g, f(g.nodes)) for name, f in channels.items()})

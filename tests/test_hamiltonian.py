@@ -3,19 +3,19 @@
 import numpy as np
 import pytest
 
-from dirac1d import (GridError, GridFunction, LorentzPotential,
+from dirac1d import (Grid1D, GridError, GridFunction, LorentzPotential,
                      MassProfile, assemble_hamiltonian,
                      hermiticity_of_operator, pt_vector_potential,
                      reduced_equations_rhs, reduced_residual_norm,
-                     sample_mass, build_grid, solve_spectrum)
+                     sample_mass, solve_spectrum)
 
 from helpers import reference_operator, symbol_eigenvector
 
 
 def free_parts(n, boundary="periodic", m=1.0):
-    g = build_grid(-np.pi, np.pi, n, boundary=boundary)
+    g = Grid1D(-np.pi, np.pi, n, boundary=boundary)
     mass = sample_mass(MassProfile("constant", m0=m), g)
-    return g, LorentzPotential.zero(g), mass
+    return g, LorentzPotential.from_channels(g), mass
 
 
 def test_matrix_size_and_active_nodes():
@@ -42,7 +42,7 @@ def test_input_validation():
             with pytest.raises(GridError,
                                match="wilson_r must be finite and non-negative"):
                 check(wilson_r=bad)
-    g2 = build_grid(-1.0, 1.0, 16)
+    g2 = Grid1D(-1.0, 1.0, 16)
     with pytest.raises(GridError, match="grid"):
         assemble_hamiltonian(g2, pot, mass)
 
@@ -86,9 +86,9 @@ def test_random_vector_is_not_an_eigenvector():
 def test_wilson_entries():
     # the Wilson term adds -(r/2h) {1, -2, 1} inside the mass coupling block
     n, r = 16, 0.7
-    g = build_grid(0.0, 1.5, n)
+    g = Grid1D(0.0, 1.5, n)
     mass = sample_mass(MassProfile("constant", m0=2.0), g)
-    op = assemble_hamiltonian(g, LorentzPotential.zero(g), mass, wilson_r=r)
+    op = assemble_hamiltonian(g, LorentzPotential.from_channels(g), mass, wilson_r=r)
     k = n - 2
     w = r / (2.0 * g.h)
     block = op.matrix[:k, k:]
@@ -102,7 +102,7 @@ def test_wilson_entries():
 
 def test_hermitian_for_real_channels():
     rng = np.random.default_rng(5)
-    g = build_grid(-3.0, 3.0, 40)
+    g = Grid1D(-3.0, 3.0, 40)
     mass = sample_mass(MassProfile("constant", m0=1.0), g)
     chans = {name: GridFunction(g, rng.normal(size=40) + 0.0j)
              for name in ("v_t", "v_sp", "v_s", "v_p")}
@@ -112,7 +112,7 @@ def test_hermitian_for_real_channels():
 
 
 def test_hermiticity_defect_set_by_imaginary_potential():
-    g = build_grid(-6.0, 6.0, 201)
+    g = Grid1D(-6.0, 6.0, 201)
     profile = MassProfile("quadratic_even", m0=1.0, alpha=1.0)
     mass = sample_mass(profile, g)
     a = pt_vector_potential(profile, g)
@@ -138,17 +138,17 @@ def test_matrix_is_built_once_and_read_only():
 def _reference_cases():
     """The operators of the bit-for-bit comparison, as (id, grid, pot, mass, r)."""
     rng = np.random.default_rng(31)
-    g = build_grid(-10.0, 10.0, 160)
+    g = Grid1D(-10.0, 10.0, 160)
     profile = MassProfile("quadratic_even", m0=1.0, alpha=0.1)
     pt = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
     yield "readme_pt", g, pt, sample_mass(profile, g), 1.0
 
-    g = build_grid(-6.0, 6.0, 90)
+    g = Grid1D(-6.0, 6.0, 90)
     scalar = LorentzPotential.from_channels(
         g, v_s=GridFunction(g, 0.5 * np.abs(g.nodes)))
     yield "dirichlet_scalar", g, scalar, sample_mass(MassProfile("constant"), g), 1.0
 
-    g = build_grid(-4.0, 4.0, 72, boundary="periodic")
+    g = Grid1D(-4.0, 4.0, 72, boundary="periodic")
     chans = {name: GridFunction(g, rng.normal(size=72))
              for name in ("v_t", "v_sp", "v_s", "v_p")}
     yield ("periodic_all_channels", g, LorentzPotential.from_channels(g, **chans),
@@ -157,7 +157,7 @@ def _reference_cases():
     g, pot, mass = free_parts(64)
     yield "free_periodic", g, pot, mass, 0.0
 
-    g = build_grid(-5.0, 5.0, 80)
+    g = Grid1D(-5.0, 5.0, 80)
     chans = {name: GridFunction(g, rng.normal(size=80) + 1j * rng.normal(size=80))
              for name in ("v_sp", "v_p")}
     yield ("complex_v_sp_v_p", g, LorentzPotential.from_channels(g, **chans),
@@ -174,9 +174,9 @@ def test_matrix_and_hermiticity_match_the_kron_reference_bit_for_bit(case):
 
 
 def test_massless_free_operator_is_hermitian():
-    g = build_grid(-2.0, 2.0, 20)
+    g = Grid1D(-2.0, 2.0, 20)
     zero_mass = GridFunction.constant(g, 0.0)  # bypasses the mass validator
-    op = assemble_hamiltonian(g, LorentzPotential.zero(g), zero_mass)
+    op = assemble_hamiltonian(g, LorentzPotential.from_channels(g), zero_mass)
     assert hermiticity_of_operator(op) == 0.0
 
 
@@ -187,7 +187,7 @@ def test_reduced_equations_match_matrix_action():
     for boundary in ("periodic", "dirichlet"):
         for r in (0.0, 1.3):
             n = 20
-            g = build_grid(-1.0, 1.0, n, boundary=boundary)
+            g = Grid1D(-1.0, 1.0, n, boundary=boundary)
             mass = sample_mass(MassProfile("constant", m0=1.0), g)
             chans = {name: GridFunction(g, rng.normal(size=n)
                                         + 1j * rng.normal(size=n))
@@ -212,8 +212,8 @@ def test_reduced_equations_match_matrix_action():
 
 def test_oracle_defaults_match_operator_defaults():
     # an eigenpair of the default operator passes the oracle at its defaults
-    g = build_grid(-5.0, 5.0, 100)
-    pot = LorentzPotential.zero(g)
+    g = Grid1D(-5.0, 5.0, 100)
+    pot = LorentzPotential.from_channels(g)
     mass = sample_mass(MassProfile("constant", m0=1.0), g)
     result = solve_spectrum(assemble_hamiltonian(g, pot, mass), max_pairs=6)
     for energy, state in zip(result.energies, result.states):
@@ -224,8 +224,8 @@ def test_oracle_defaults_match_operator_defaults():
 
 
 def test_reduced_residual_norm_rejects_zero_spinor():
-    g = build_grid(-1.0, 1.0, 12)
+    g = Grid1D(-1.0, 1.0, 12)
     z = GridFunction.constant(g, 0.0)
     mass = sample_mass(MassProfile("constant", m0=1.0), g)
     with pytest.raises(GridError, match="zero spinor"):
-        reduced_residual_norm(1.0, z, z, LorentzPotential.zero(g), mass)
+        reduced_residual_norm(1.0, z, z, LorentzPotential.from_channels(g), mass)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import dirac1d.report as pipeline
-from dirac1d import config_from_raw, execute
+from dirac1d import Dirac1DError, config_from_raw, execute
 from dirac1d.diagnostics import BalanceTable
 from dirac1d.report import CheckOutcome, RunReport, write_csv, write_outputs
 from helpers import reference_spectrum_columns
@@ -134,6 +134,17 @@ def test_empty_table_is_an_empty_list_and_no_csv(tmp_path):
     assert text == reference_json(report)
     doc = json.loads(text)
     assert doc["balance"] == [] and doc["gram"] == [] and doc["pt"] == []
+
+
+def test_unknown_formats_is_refused_before_out_dir_is_touched(tmp_path):
+    report = sample_report(spectrum=columns([ODD_ROW]), gram=np.eye(2))
+    earlier = sorted(p.name for p in write_outputs(report, tmp_path, "both"))
+    with pytest.raises(Dirac1DError, match="'xml'"):
+        write_outputs(report, tmp_path, "xml")
+    assert sorted(p.name for p in tmp_path.iterdir()) == earlier
+    with pytest.raises(Dirac1DError, match="'xml'"):
+        write_outputs(report, tmp_path / "new", "xml")
+    assert not (tmp_path / "new").exists()
 
 
 def test_write_csv_matches_the_per_cell_rule_on_a_sweep_summary(tmp_path):

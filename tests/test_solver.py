@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from dirac1d import (ConvergenceError, GridError, GridFunction,
-                     LorentzPotential, MassProfile, SpectrumResult,
-                     assemble_hamiltonian, build_grid, classify_reality,
+from dirac1d import (ConvergenceError, Grid1D, GridError, GridFunction,
+                     LorentzPotential, MassProfile, assemble_hamiltonian,
                      hermiticity_of_operator, pt_vector_potential,
                      sample_mass, shooting_solve, solve_spectrum)
 from dirac1d import solver
 from dirac1d.lorentz import local_blocks
 from dirac1d.solver import (_EYE, _coefficient_table, _evaluate_steps,
-                            _ordered_product, _step_polynomial, _step_quartics,
-                            _trajectory)
+                            _ordered_product, _reality_tags, _step_polynomial,
+                            _step_quartics, _trajectory)
 
 from conftest import pt_operator
 from helpers import (canonical_sorted, dispersion_multiset,
@@ -22,9 +21,9 @@ from helpers import (canonical_sorted, dispersion_multiset,
 
 
 def free_operator(n, m=1.0, wilson_r=1.0):
-    g = build_grid(-np.pi, np.pi, n, boundary="periodic")
+    g = Grid1D(-np.pi, np.pi, n, boundary="periodic")
     mass = sample_mass(MassProfile("constant", m0=m), g)
-    return assemble_hamiltonian(g, LorentzPotential.zero(g), mass,
+    return assemble_hamiltonian(g, LorentzPotential.from_channels(g), mass,
                                 wilson_r=wilson_r)
 
 
@@ -76,7 +75,7 @@ def scalar_box_operator(n=120, **channels):
     # V_s = |x| between hard walls: H = sigma_z p + sigma_x (M + V_s + Wilson)
     # anticommutes with sigma_y, so the spectrum is +-E symmetric; channels
     # adds other channels on top of that
-    g = build_grid(-8.0, 8.0, n)
+    g = Grid1D(-8.0, 8.0, n)
     mass = sample_mass(MassProfile("constant", m0=1.0), g)
     pot = LorentzPotential.from_channels(
         g, v_s=GridFunction(g, np.abs(g.nodes)), **channels)
@@ -106,7 +105,7 @@ def test_any_anti_hermitian_part_takes_general_solver(monkeypatch):
     # eigh reads one triangle and would drop this part silently, so the
     # Hermitian test must be exact, not a tolerance
     calls = spy_eigensolvers(monkeypatch)
-    g = build_grid(-8.0, 8.0, 120)
+    g = Grid1D(-8.0, 8.0, 120)
     op = scalar_box_operator(v_t=GridFunction.constant(g, 1e-300j))
     result = solve_spectrum(op, max_pairs=20)
     assert calls == ["eig"]
@@ -124,7 +123,7 @@ def test_real_hermitian_operators_reach_lapack_as_real_matrices(monkeypatch):
             seen.append((_name, matrix))
             return _real(matrix)
         monkeypatch.setattr(np.linalg, name, spy)
-    g = build_grid(-8.0, 8.0, 120)
+    g = Grid1D(-8.0, 8.0, 120)
     x = g.nodes
     cases = {
         "scalar box, Wilson": (scalar_box_operator(), np.float64),
@@ -148,7 +147,7 @@ def test_real_hermitian_operators_reach_lapack_as_real_matrices(monkeypatch):
         gap = np.max(np.abs(np.sort(result.energies.real) - oracle))
         assert gap <= 32 * np.finfo(float).eps * np.max(np.abs(oracle)), label
         assert np.all(result.energies.imag == 0.0), label
-    g = build_grid(-6.0, 6.0, 100)
+    g = Grid1D(-6.0, 6.0, 100)
     profile = MassProfile("quadratic_even", m0=1.0, alpha=0.1)
     op = assemble_hamiltonian(
         g, LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g)),
@@ -174,7 +173,7 @@ def test_rotated_matrix_realness_is_read_from_the_blocks():
                 for with_p in (False, True):
                     for _ in range(4):
                         n = int(rng.integers(8, 24))
-                        g = build_grid(-3.0, 3.0, n, boundary=boundary)
+                        g = Grid1D(-3.0, 3.0, n, boundary=boundary)
                         v_s, v_t, v_sp, v_p, m = rng.normal(size=(5, n))
                         channels = {"v_s": GridFunction(g, v_s),
                                     "v_t": GridFunction(g, v_t)}
@@ -187,7 +186,7 @@ def test_rotated_matrix_realness_is_read_from_the_blocks():
                         ops.append(assemble_hamiltonian(
                             g, LorentzPotential.from_channels(g, **channels),
                             mass, wilson_r=wilson_r))
-    g = build_grid(-3.0, 3.0, 20)
+    g = Grid1D(-3.0, 3.0, 20)
     rounded = assemble_hamiltonian(
         g, LorentzPotential.from_channels(g, v_t=GridFunction.constant(g, 1e20),
                                           v_sp=GridFunction.constant(g, 1.0)),
@@ -251,45 +250,34 @@ def test_eigenpairs_are_a_view_of_the_read_only_stack():
 
 def test_imaginary_parts_above_reality_tol_are_kept():
     # a constant v_t = 1e-6i shifts every level by exactly 1e-6i
-    g = build_grid(-8.0, 8.0, 120)
+    g = Grid1D(-8.0, 8.0, 120)
     op = scalar_box_operator(v_t=GridFunction.constant(g, 1e-6j))
     result = solve_spectrum(op, max_pairs=20)
     assert "real" not in result.classification
     assert np.allclose(result.energies.imag, 1e-6, rtol=1e-6, atol=0.0)
 
 
-def synthetic_result(energies):
-    g = build_grid(0.0, 1.0, 8)
-    mass = sample_mass(MassProfile("constant", m0=1.0), g)
-    op = assemble_hamiltonian(g, LorentzPotential.zero(g), mass)
-    k = len(energies)
-    states = np.zeros((k, 8, 2), dtype=complex)
-    states[:, :, 0] = 1.0
-    return SpectrumResult(operator=op, energies=np.array(energies, dtype=complex),
-                          states=states, residuals=np.zeros(k),
-                          classification=("real",) * k, solver_tolerance=1e-9)
+def reality_tags(energies):
+    return _reality_tags(np.array(energies, dtype=complex), 1e-9)
 
 
 def test_classify_tiny_imaginary_parts_as_real():
-    res = classify_reality(synthetic_result([2.0 + 1e-15j, 2.0 - 1e-15j]))
-    assert res.classification == ("real", "real")
+    assert reality_tags([2.0 + 1e-15j, 2.0 - 1e-15j]) == ("real", "real")
 
 
 def test_classify_conjugate_pair_and_real():
-    res = classify_reality(synthetic_result([1.0 + 0.5j, 1.0 - 0.5j, 3.0]))
-    assert res.classification == ("complex_pair_member",
-                                  "complex_pair_member", "real")
+    assert reality_tags([1.0 + 0.5j, 1.0 - 0.5j, 3.0]) == (
+        "complex_pair_member", "complex_pair_member", "real")
 
 
 def test_classify_partner_outside_window():
-    res = classify_reality(synthetic_result([1.0 + 0.5j, 3.0]))
-    assert res.classification == ("complex_unpaired", "real")
+    assert reality_tags([1.0 + 0.5j, 3.0]) == ("complex_unpaired", "real")
 
 
 def test_uniform_imaginary_shift_has_no_conjugate_partners():
     # H + iw: every eigenvalue moves to the same half-plane, so nothing pairs
     n = 32
-    g = build_grid(-np.pi, np.pi, n, boundary="periodic")
+    g = Grid1D(-np.pi, np.pi, n, boundary="periodic")
     mass = sample_mass(MassProfile("constant", m0=1.0), g)
     pot = LorentzPotential.from_channels(
         g, v_t=GridFunction.constant(g, 0.2j))
@@ -303,7 +291,7 @@ def test_broken_phase_comes_in_conjugate_pairs():
     # strongly imaginary odd potential i*c*x is PT-symmetric, so complex
     # eigenvalues must appear as conjugate pairs (in the full spectrum; the
     # retained low-|Re| window may cut a pair in half)
-    g = build_grid(-4.0, 4.0, 120)
+    g = Grid1D(-4.0, 4.0, 120)
     mass = sample_mass(MassProfile("constant", m0=1.0), g)
     pot = LorentzPotential.from_channels(
         g, v_t=GridFunction(g, 2.0j * g.nodes))
@@ -326,9 +314,9 @@ def test_broken_phase_comes_in_conjugate_pairs():
 # ------------------------------------------------------------------ shooting
 
 def box_parts(n=201, length=8.0):
-    g = build_grid(0.0, length, n)
+    g = Grid1D(0.0, length, n)
     mass = sample_mass(MassProfile("constant", m0=1.0), g)
-    return g, LorentzPotential.zero(g), mass
+    return g, LorentzPotential.from_channels(g), mass
 
 
 def test_shooting_free_box_against_quantization():
@@ -373,7 +361,7 @@ def test_shooting_complex_guesses_reach_root_of_flat_determinant():
     # v_t = 0.6 i x: |det| stays below 1e-12 over a wide region near the real
     # axis, so a fixed bound on |det| stops the search short of the root.
     # Reference: Newton on the same RK4 determinant in 40-digit arithmetic.
-    g = build_grid(-6.0, 6.0, 121)
+    g = Grid1D(-6.0, 6.0, 121)
     mass = sample_mass(MassProfile("constant", m0=1.0), g)
     pot = LorentzPotential.from_channels(g, v_t=GridFunction(g, 0.6j * g.nodes))
     root = 3.4165079898873747 - 0.8158225479949108j
@@ -389,7 +377,7 @@ def test_shooting_energy_converges_at_fourth_order():
     profile = MassProfile("quadratic_even", m0=1.0, alpha=1.0)
     energies = {}
     for n in (400, 800, 1600):
-        g = build_grid(-8.0, 8.0, n)
+        g = Grid1D(-8.0, 8.0, n)
         pot = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
         out = shooting_solve(g, pot, sample_mass(profile, g), energy_guess=1.6)
         energies[n] = out.energy
@@ -404,7 +392,7 @@ def four_channel_parts():
     Two masses: a double well, and one that varies by less than np.allclose
     resolves (so it must still be splined, not taken as constant).
     """
-    g = build_grid(-3.0, 3.0, 41)
+    g = Grid1D(-3.0, 3.0, 41)
     x = g.nodes
     pot = LorentzPotential.from_channels(
         g, v_t=GridFunction(g, 0.3j * x), v_sp=GridFunction.constant(g, 0.05),
@@ -539,7 +527,7 @@ def test_stacked_build_matches_the_per_segment_build_bit_for_bit():
     # even grids, and at n = 514 the padding adds a tree level
     profile = MassProfile("quadratic_even", m0=1.0, alpha=0.1)
     for n in (121, 514, 800, 801):
-        g = build_grid(-10.0, 10.0, n)
+        g = Grid1D(-10.0, 10.0, n)
         pot = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
         for substeps in (1, 2, 3):
             segments, spline, got = shooter_build(
@@ -561,7 +549,7 @@ def unit_aligned(a, b):
 def pt_overflow_parts():
     """alpha = 1 on [-14, 14], n = 1200: amplitudes grow to about e^928."""
     profile = MassProfile("quadratic_even", m0=1.0, alpha=1.0)
-    g = build_grid(-14.0, 14.0, 1200)
+    g = Grid1D(-14.0, 14.0, 1200)
     pot = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
     return g, pot, sample_mass(profile, g)
 
@@ -570,7 +558,7 @@ def test_prefix_scan_matches_sequential_node_pass():
     # the scan's segments against the retired node-by-node pass, at the
     # converged energy, on the overflow case (both segments rescaled) and on
     # v_t = 0.6 i x; measured worst entry 3.6e-16 over these solves
-    g = build_grid(-6.0, 6.0, 121)
+    g = Grid1D(-6.0, 6.0, 121)
     pot = LorentzPotential.from_channels(g, v_t=GridFunction(g, 0.6j * g.nodes))
     cases = [(pt_overflow_parts(), 1.6),
              ((g, pot, sample_mass(MassProfile("constant", m0=1.0), g)), 1.8 + 0.2j)]
@@ -617,7 +605,7 @@ def test_identity_padding_leaves_the_ordered_product_unchanged():
     profile = MassProfile("quadratic_even", m0=1.0, alpha=0.1)
     eps = np.finfo(float).eps
     for n, energy, exact in ((800, 1.63, True), (514, 1.7, False)):
-        g = build_grid(-10.0, 10.0, n)
+        g = Grid1D(-10.0, 10.0, n)
         pot = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
         steps, (k_left, k_right) = shooter_steps(g, pot, sample_mass(profile, g), energy)
         assert (steps.shape[-1], k_right) == (k_left, k_left - 2)
@@ -646,10 +634,10 @@ def test_shooting_non_convergence_reports_attainable_accuracy(monkeypatch):
 
 def test_shooting_input_validation():
     g, pot, mass = box_parts(n=64)
-    gp = build_grid(0.0, 8.0, 64, boundary="periodic")
+    gp = Grid1D(0.0, 8.0, 64, boundary="periodic")
     massp = sample_mass(MassProfile("constant", m0=1.0), gp)
     with pytest.raises(GridError, match="dirichlet"):
-        shooting_solve(gp, LorentzPotential.zero(gp), massp, 1.0)
+        shooting_solve(gp, LorentzPotential.from_channels(gp), massp, 1.0)
     # each unusable input is refused before any integration, by name
     for kwargs, name in (
             ({"energy_guess": float("nan")}, "energy_guess"),
@@ -668,8 +656,8 @@ def test_shooting_input_validation():
     # a potential or a mass sampled on another grid of the same size is
     # refused, as the operator refuses it (it gave 1.17153 and 1.26950 for
     # the level at 1.21632)
-    g = build_grid(-6.0, 6.0, 121)
-    other = build_grid(-8.0, 8.0, 121)
+    g = Grid1D(-6.0, 6.0, 121)
+    other = Grid1D(-8.0, 8.0, 121)
     profile = MassProfile("quadratic_even", m0=1.0, alpha=0.1)
     pot = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
     mass = sample_mass(profile, g)
@@ -685,6 +673,8 @@ def test_solve_spectrum_input_validation():
     op = pt_operator(40)
     for kwargs, name in (
             ({"max_pairs": 0}, "max_pairs"),
+            ({"max_pairs": True}, "max_pairs"),
+            ({"max_pairs": 2.5}, "max_pairs"),
             ({"tol": float("nan")}, "tol"),
             ({"tol": float("inf")}, "tol"),
             ({"tol": 0.0}, "tol"),
