@@ -227,8 +227,8 @@ def orthogonality_balance(result: SpectrumResult, pairs: Sequence[tuple[int, int
     |E_k - conj(E_k')| |<k'|k>| up to rounding: for distinct real levels a
     gap within identity_tol means gamma0-orthogonal states, while for
     conjugate partners (E_k' = conj(E_k)) it vanishes whatever the overlap.
-    pairs that are not (k, k_prime) pairs of integers, and a window that is
-    not a pair of integers, raise TypeError.
+    pairs that are not (k, k_prime) pairs of integers, signed or unsigned,
+    and a window that is not a pair of integers, raise TypeError.
     """
     op, grid, c = result.operator, result.grid, result.states
     n_states = len(c)
@@ -238,7 +238,7 @@ def orthogonality_balance(result: SpectrumResult, pairs: Sequence[tuple[int, int
         index = None
     if index is None or index.shape != (len(pairs), 2):
         raise TypeError("pairs must be a sequence of (k, k_prime) index pairs")
-    if index.dtype.kind != "i":
+    if index.dtype.kind not in "iu":
         raise TypeError(f"pair indices must be integers, not {index.dtype}")
     if window is not None and not (np.shape(window) == (2,) and all(
             _is_a(w, int, np.integer) for w in window)):

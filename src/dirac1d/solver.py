@@ -23,17 +23,18 @@ E.  Its five coefficients are built once per operator from one spline call
 on the local blocks, for both segments in one stack: the shorter segment is
 padded with its last node, and its zero-width substeps are exact identity
 steps.  The last build is kept for the next solve on the same nodes, blocks
-and substeps.  A trial energy evaluates them by Horner's rule in place, and
-the two midpoint states are the ordered products of the substeps, formed as
-one pairwise tree over both segments.  The converged state, an (n, 2) array,
-comes from a log-depth prefix scan over per-node matrices, with power-of-two
-scaling.
+and substeps.  Trial energies evaluate them by Horner's rule, the root
+search's start points together, and the two midpoint states are the ordered
+products of the substeps, formed as one pairwise tree over both segments and
+all the energies.  The converged state, an (n, 2) array, comes from a
+log-depth prefix scan over per-node matrices of the root's own substeps.  The
+tree and the scan rescale by exact powers of two every 8 levels, which
+changes no rounding, so no result depends on how often they rescale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Callable, Optional
 
 import numpy as np
@@ -291,6 +292,18 @@ def _plus_eye(scale: np.ndarray, poly: list) -> list:
     return [first] + [scale * c for c in poly[1:]]
 
 
+def _add_into(total: list, poly: list, weight: float) -> None:
+    """total += weight * poly, coefficient by coefficient.  poly is scaled in
+    place, and total[k] takes the sum in place once it is a full stack."""
+    for k, c in enumerate(poly):
+        if weight != 1.0:
+            c *= weight
+        if np.shape(total[k]) == c.shape:
+            total[k] += c
+        else:
+            total[k] = total[k] + c
+
+
 def _step_polynomial(table: np.ndarray, dx: np.ndarray) -> tuple:
     """RK4 substeps as a quartic in the trial energy.
 
@@ -303,24 +316,26 @@ def _step_polynomial(table: np.ndarray, dx: np.ndarray) -> tuple:
     (C0, ..., C4), each a (2, 2, len(dx)) stack with
     P(E) = C0 + E C1 + ... + E^4 C4; _evaluate_steps forms P(E).
 
-    Sums are accumulated in place, which rounds as the written expression
-    does, since a sum commutes exactly; a complex product keeps its operand
-    order, since numpy's vector loop fuses one of its two terms.
+    Each K is added to the running sum as soon as the next stage's
+    argument is formed from it, and then dropped, so no two K are alive at
+    once.  Sums are accumulated in place, which rounds as the written
+    expression does, since a sum commutes exactly; a complex product keeps
+    its operand order, since numpy's vector loop fuses one of its two terms.
     """
-    start, middle, end = (-_J * h for h in table)
-    k1 = [start, _J * _EYE]
-    k2 = _times_f(middle, _plus_eye(0.5 * dx, k1))
-    k3 = _times_f(middle, _plus_eye(0.5 * dx, k2))
-    k4 = _times_f(end, _plus_eye(dx, k3))
+    k1 = [-_J * table[0], _J * _EYE]
+    arg = _plus_eye(0.5 * dx, k1)
+    # K1 + 2 K2 + 2 K3 + K4; a 0.0 for a power of E that K1 lacks is still
+    # added, which turns -0.0 into 0.0 as the written sum does
+    total = k1 + [0.0] * 3
+    for h, scale, weight in ((table[1], 0.5 * dx, 2.0), (table[1], dx, 2.0),
+                             (table[2], None, 1.0)):
+        k = _times_f(-_J * h, arg)
+        if scale is not None:
+            arg = _plus_eye(scale, k)
+        _add_into(total, k, weight)
+        del k  # not alive while the next K is formed
     sixth = dx / 6.0
-    steps = []
-    for c1, c2, c3, c4 in zip_longest(k1, k2, k3, k4, fillvalue=0.0):
-        # (c1 + 2 c2 + 2 c3 + c4) dx / 6; a 0.0 past the end of k1, k2 or k3
-        # is still added, which turns -0.0 into 0.0 as the written sum does
-        total = 2.0 * c2
-        for term in (c1, 2.0 * c3, c4):
-            total = total + term if np.isscalar(total) else np.add(total, term, out=total)
-        steps.append(np.multiply(sixth, total, out=total))
+    steps = [np.multiply(sixth, c, out=c) for c in total]
     steps[0] += _EYE
     return tuple(steps)
 
@@ -356,14 +371,17 @@ def _step_quartics(nodes: np.ndarray, blocks: np.ndarray, substeps: int) -> tupl
     return poly
 
 
-def _evaluate_steps(poly: tuple, energy: complex, out: np.ndarray) -> np.ndarray:
-    """P(energy) of a step quartic by Horner's rule, written into out."""
-    np.multiply(poly[-1], energy, out=out)
-    for c in poly[-2:0:-1]:
-        out += c
-        out *= energy
-    out += poly[0]
-    return out
+def _evaluate_steps(poly: tuple, energies: np.ndarray) -> np.ndarray:
+    """P(E) of a step quartic by Horner's rule at each of B trial energies,
+    stacked as (2, 2, B, ...) from (2, 2, ...) coefficient stacks."""
+    def horner(energy: complex) -> np.ndarray:
+        out = poly[-1] * energy
+        for c in poly[-2:0:-1]:
+            out += c
+            out *= energy
+        out += poly[0]
+        return out
+    return np.stack([horner(e) for e in energies.tolist()], axis=2)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -371,26 +389,6 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = a[:, :1] * b[:1]
     out += a[:, 1:] * b[1:]
     return out
-
-
-def _ordered_product(steps: np.ndarray) -> np.ndarray:
-    """P_last ... P_0 along the last axis of a (2, 2, ..., K) stack, up to a
-    positive factor per product.
-
-    A pairwise tree: each level multiplies neighbours in one batched product,
-    so there are about log2 K levels.  Every partial product is divided by
-    its largest entry, which keeps the amplitudes of a growing solution far
-    from overflow; callers use the product only up to scale.  The axes
-    between the matrix axes and the last one (the shooter's segment axis)
-    are independent products.
-    """
-    while steps.shape[-1] > 1:
-        odd = steps.shape[-1] % 2
-        paired = _mul(steps[..., 1::2], steps[..., : steps.shape[-1] - odd : 2])
-        if odd:
-            paired = np.concatenate([paired, steps[..., -1:]], axis=-1)
-        steps = paired / np.abs(paired).max(axis=(0, 1))
-    return steps[..., 0]
 
 
 # a segment whose amplitude reaches 2**_RESCALE_EXPONENT (about 1e150) is
@@ -411,20 +409,59 @@ def _scale_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return k
 
 
+# one level in _RESCALE_EVERY of a tree product or prefix scan is rescaled by
+# a power of two (_scale_into), which leaves every entry below 1.  A 2x2
+# product of matrices whose entries are below 2**b has entries below
+# 2**(2b + 1), so the products of the next 7 levels stay below 2**127 and
+# those of the 8th, rescaled again, below 2**255, far from overflow
+_RESCALE_EVERY = 8
+
+
+def _ordered_product(steps: np.ndarray) -> np.ndarray:
+    """P_last ... P_0 along the last axis of a (2, 2, ..., K) stack, up to a
+    power of two per product.
+
+    A pairwise tree: each level multiplies neighbours in one batched product,
+    so there are about log2 K levels.  The third level and every
+    _RESCALE_EVERY-th after it, but not the first two, the widest, are
+    rescaled by exact powers of two (_scale_into), which changes no
+    rounding; callers use the product only up to scale.  From step entries
+    below 2**63 the first three levels stay below 2**511, and every later
+    one below 2**255 (see _RESCALE_EVERY), so the amplitudes of a growing
+    solution stay far from overflow.  The axes between the matrix axes and
+    the last one (the trial energies and the shooter's segments) are
+    independent products.
+    """
+    level = 0
+    while steps.shape[-1] > 1:
+        odd = steps.shape[-1] % 2
+        paired = _mul(steps[..., 1::2], steps[..., : steps.shape[-1] - odd : 2])
+        if odd:
+            paired = np.concatenate([paired, steps[..., -1:]], axis=-1)
+        if (level - 2) % _RESCALE_EVERY == 0:
+            _scale_into(paired, paired)
+        steps = paired
+        level += 1
+    return steps[..., 0]
+
+
 def _trajectory(steps: np.ndarray, substeps: int, y0: np.ndarray) -> np.ndarray:
     """The state at every node of every segment, from a (2, 2, S, W) stack.
 
     Each interval's substeps are first multiplied into one node matrix, for
     all S segments at once.  A Hillis-Steele prefix scan then gives every
     node's ordered product N_k ... N_0 in about log2(W / substeps) batched
-    levels.  Each prefix is held as a matrix scaled into [0.5, 1) and a
-    power of two (_scale_into), whose exponents add exactly in int64, so no
-    prefix overflows.  The powers reach the states through np.ldexp at the
-    end.  A segment whose amplitude reaches 2**_RESCALE_EXPONENT is divided
-    as a whole by the power of two of its largest state; only the shape
-    matters, and exponentially small values near its wall flushing to zero
-    is harmless.  Returns (S, W / substeps + 1, 2), y0 first; a segment's
-    identity padding repeats its last state.
+    levels.  Each prefix is held as a matrix and a power of two, whose
+    exponents add exactly in int64.  The node matrices and the prefixes of
+    every _RESCALE_EVERY-th level are scaled into [0.5, 1) (_scale_into), so
+    no prefix reaches 2**255; since every scaling is exact, the states are
+    bit for bit those of a scan that rescales every level.  The powers reach
+    the states through np.ldexp at the end.  A segment whose amplitude
+    reaches 2**_RESCALE_EXPONENT is divided as a whole by the power of two
+    of its largest state; only the shape matters, and exponentially small
+    values near its wall flushing to zero is harmless.  Returns
+    (S, W / substeps + 1, 2), y0 first; a segment's identity padding repeats
+    its last state.
     """
     by_node = steps.reshape(steps.shape[:-1] + (-1, substeps))
     nodes = by_node[..., 0]
@@ -435,11 +472,15 @@ def _trajectory(steps: np.ndarray, substeps: int, y0: np.ndarray) -> np.ndarray:
     prefix[..., 0] = _EYE
     power = np.zeros(prefix.shape[2:], dtype=np.int64)
     power[..., 1:] = _scale_into(nodes, prefix[..., 1:])
-    shift = 1
+    shift, level = 1, 1
     while shift < prefix.shape[-1]:
         prod = _mul(prefix[..., shift:], prefix[..., :-shift])
-        power[..., shift:] += power[..., :-shift] + _scale_into(prod, prefix[..., shift:])
-        shift *= 2
+        power[..., shift:] += power[..., :-shift]
+        if level % _RESCALE_EVERY == 0:
+            power[..., shift:] += _scale_into(prod, prefix[..., shift:])
+        else:
+            prefix[..., shift:] = prod
+        shift, level = 2 * shift, level + 1
     states = prefix[:, 0] * y0[0] + prefix[:, 1] * y0[1]
     top = (power + np.frexp(np.abs(states).max(axis=0))[1]).max(axis=-1, keepdims=True)
     power -= np.where(top > _RESCALE_EXPONENT, top, 0)
@@ -447,6 +488,24 @@ def _trajectory(steps: np.ndarray, substeps: int, y0: np.ndarray) -> np.ndarray:
     np.ldexp(states.real, power, out=np.moveaxis(out.real, -1, 0))
     np.ldexp(states.imag, power, out=np.moveaxis(out.imag, -1, 0))
     return out
+
+
+# the trial solution at each wall: phi_plus = 0, phi_minus = 1
+_Y_WALL = np.array([0.0, 1.0], dtype=complex)
+
+
+def _matching_determinants(poly: tuple, energies: np.ndarray) -> tuple:
+    """The (2, 2, B, 2, W) step stack and the B normalized matching
+    determinants det[u_left(mid), u_right(mid)] / (|u_left| |u_right|) at B
+    trial energies, from one Horner evaluation and one tree product."""
+    steps = _evaluate_steps(poly, energies)
+    # _Y_WALL = (0, 1): the midpoint states are the second columns; l0 is the
+    # first component of u_left at each energy
+    (l0, r0), (l1, r1) = _ordered_product(steps)[:, 1].transpose(0, 2, 1)
+    denom = np.hypot(abs(l0), abs(l1)) * np.hypot(abs(r0), abs(r1))
+    if not np.all(denom):
+        raise ConvergenceError("trial solution vanished; matching determinant degenerate")
+    return steps, (l0 * r1 - l1 * r0) / denom
 
 
 def _muller_step(za: complex, zb: complex, zc: complex,
@@ -510,17 +569,22 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
     coefficient stacks are expanded from the table once, for both segments
     together (_step_polynomial), and viewed as (2, 2, 2, W) stacks, W the
     longer segment's substep count; a zero-width substep is an exact identity
-    step.  A trial energy then costs four in-place Horner steps into one
-    buffer reused across trials (_evaluate_steps) and one pairwise tree
-    product over both segments (_ordered_product), which gives the two
-    midpoint states up to scale.  The padding changes no product, and the
-    tree is bit for bit the unpadded one unless the padding adds a tree
-    level, where it moves the product by about one ulp.  The state at the
-    converged energy comes from the same matrices, multiplied into one
-    matrix per node interval, and a prefix scan over those in about log2 n
-    batched levels, each prefix scaled by an exact power of two
-    (_trajectory); the padded nodes are sliced off, and the matched nodes
-    are ShootingResult.state.
+    step.  The start points of the root search, two or three, are then
+    evaluated by Horner's rule together (_evaluate_steps) and multiplied in
+    one pairwise tree over both segments and all of them (_ordered_product),
+    which gives each one's two midpoint states up to a power of two
+    (_matching_determinants); each step of the search is one more evaluation
+    and one more tree.  The tree rescales by exact powers of two every 8
+    levels, so its energies differ at rounding level (at most 4.6e-16 on the
+    shoot_levels solves of seeds 0-5, with the same iteration counts) from
+    those of a tree that divides by its largest entry at every level.  The
+    padding changes no product: the tree is the unpadded one, bit for bit
+    unless the padding adds a tree level, and up to a power of two if it
+    does.  The state at the converged energy comes from the last trial's
+    matrices, which are the root's, multiplied into one matrix per node
+    interval, and a prefix scan over those in about log2 n batched levels,
+    each prefix held with an exact power of two (_trajectory); the padded
+    nodes are sliced off, and the matched nodes are ShootingResult.state.
     """
     if grid.boundary != "dirichlet":
         raise GridError("shooting requires a dirichlet grid")
@@ -539,23 +603,13 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
 
     poly = _step_quartics(grid.nodes, blocks_on_grid(grid, pot, mass), substeps)
     mid = grid.n_points // 2
-    buf = np.empty_like(poly[0])
-    y_wall = np.array([0.0, 1.0], dtype=complex)
-
-    def det_at(energy: complex) -> complex:
-        # y_wall = (0, 1): the midpoint states are the second columns
-        ul, ur = _ordered_product(_evaluate_steps(poly, energy, buf))[:, 1].T
-        denom = np.linalg.norm(ul) * np.linalg.norm(ur)
-        if denom == 0.0:
-            raise ConvergenceError("trial solution vanished; matching determinant degenerate")
-        return (ul[0] * ur[1] - ul[1] * ur[0]) / denom
 
     step0 = 1e-4 * max(1.0, abs(energy_guess))
     if energy_guess.imag == 0.0:
         zs = [energy_guess, energy_guess + step0]
     else:
         zs = [energy_guess - step0, energy_guess + step0 * 1.0j, energy_guess]
-    fs = [det_at(z) for z in zs]
+    fs = list(_matching_determinants(poly, np.array(zs))[1])
     for iterations in range(1, SHOOTING_MAX_ITER + 1):
         if len(zs) == 3:
             z = _muller_step(*zs, *fs)
@@ -567,7 +621,8 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
             raise ConvergenceError(
                 f"no root within radius {radius:g} of guess {energy_guess:g}"
             )
-        zs, fs = zs[1:] + [z], fs[1:] + [det_at(z)]
+        steps, (f,) = _matching_determinants(poly, np.array([z]))
+        zs, fs = zs[1:] + [z], fs[1:] + [f]
         if _converged(zs[-2], fs[-2], zs[-1], fs[-1], SHOOTING_TOL):
             break
     else:
@@ -579,8 +634,8 @@ def shooting_solve(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
         )
     e1, f1 = zs[-1], fs[-1]
 
-    # assemble the matched global state at the converged energy
-    paths = _trajectory(_evaluate_steps(poly, e1, buf), substeps, y_wall)
+    # assemble the matched global state from the last trial's steps, at e1
+    paths = _trajectory(steps[:, :, 0], substeps, _Y_WALL)
     left, right = paths[0, : mid + 1], paths[1, : grid.n_points - mid][::-1]
     ul, ur = left[-1], right[0]
     c = int(np.argmax(np.abs(ur)))

@@ -1,16 +1,17 @@
 """Currents, normalization, continuity, Gram matrix and the balance identity."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from dirac1d import diagnostics, report
-from dirac1d import (Grid1D, GridError, GridFunction, LorentzPotential,
-                     MassProfile, SpectrumResult, assemble_hamiltonian,
-                     continuity_residual, gram_matrix, normalize_result,
-                     config_from_raw, execute, orthogonality_balance,
-                     reduced_residual_norm, sample_mass, solve_spectrum)
+from dirac1d import (BalanceTable, Grid1D, GridError, GridFunction,
+                     LorentzPotential, MassProfile, SpectrumResult,
+                     assemble_hamiltonian, continuity_residual, gram_matrix,
+                     normalize_result, config_from_raw, execute,
+                     orthogonality_balance, reduced_residual_norm,
+                     sample_mass, solve_spectrum)
 from dirac1d.grid import central_difference
 from helpers import reference_balance_terms
 
@@ -193,6 +194,22 @@ def test_balance_rejects_bad_pairs(pt_cases):
                                 ([(1, 0)], 5, "window")):
         with pytest.raises(TypeError, match=name):
             orthogonality_balance(result, pairs, window=window)
+
+
+def test_balance_accepts_unsigned_pair_indices(pt_cases):
+    # a uint32 pair array gives the table and the refusals of the same pairs
+    # as ints
+    result = pt_cases[400].result
+    pairs = [(1, 0), (2, 0), (2, 2), (0, 99)]
+    expected, expected_failures = orthogonality_balance(result, pairs)
+    table, failures = orthogonality_balance(result, np.array(pairs, dtype=np.uint32))
+    assert len(table) == 2 and failures == expected_failures
+    for field in fields(BalanceTable):
+        got, want = getattr(table, field.name), getattr(expected, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        else:
+            assert got == want
 
 
 def test_balance_rejects_non_eigenpairs(pt_cases):

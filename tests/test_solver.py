@@ -11,8 +11,9 @@ from dirac1d import (ConvergenceError, Grid1D, GridError, GridFunction,
 from dirac1d import solver
 from dirac1d.lorentz import local_blocks
 from dirac1d.solver import (_EYE, _coefficient_table, _evaluate_steps,
-                            _ordered_product, _reality_tags, _step_polynomial,
-                            _step_quartics, _trajectory)
+                            _matching_determinants, _ordered_product,
+                            _reality_tags, _step_polynomial, _step_quartics,
+                            _trajectory)
 
 from conftest import pt_operator
 from helpers import (canonical_sorted, dispersion_multiset,
@@ -457,13 +458,12 @@ def test_step_matrices_match_reference_rk4():
             stages = table.transpose(3, 0, 1, 2).reshape(2, 20, substeps, 3, 2, 2)
             dx = dx.reshape(2, 20, substeps)
             assert len(poly) == 5
-            buf = np.empty_like(poly[0])
             for energy in (1.3, 1.1 - 0.4j):
-                steps = _evaluate_steps(poly, energy, buf)
-                assert steps is buf
-                assert steps.shape == (2, 2, 2, 20 * substeps)
+                steps = _evaluate_steps(poly, np.array([energy]))
+                assert steps.shape == (2, 2, 1, 2, 20 * substeps)
+                steps = steps[:, :, 0]
                 paths = _trajectory(steps, substeps, y_wall)
-                # the tree product is known only up to a positive factor
+                # the tree product is known only up to a power of two
                 ends = _ordered_product(steps)[:, 1].T
                 for s, xs in enumerate(segments):
                     for i in range(20):
@@ -516,7 +516,7 @@ def shooter_steps(g, pot, mass, energy, substeps=2):
     """The shooter's (2, 2, 2, W) substep stack at energy, with the number
     of real (unpadded) substeps of each segment."""
     segments, _, poly = shooter_build(g, pot, mass, substeps)
-    steps = _evaluate_steps(poly, energy, np.empty_like(poly[0]))
+    steps = _evaluate_steps(poly, np.array([energy]))[:, :, 0]
     return steps, [(len(xs) - 1) * substeps for xs in segments]
 
 
@@ -599,11 +599,9 @@ def test_identity_padding_leaves_the_ordered_product_unchanged():
     # the right segment is the shorter one on an even grid.  At n = 800 its
     # 798 substeps and the padded 800 both take 10 tree levels, so its
     # midpoint column is bit for bit the unpadded one.  At n = 514 the padding
-    # takes 512 substeps to 514 and adds a level, whose one more division by
-    # the largest entry scales the column by a positive factor a few ulps
-    # from 1 at most (measured at E = 1.7: 1 + 2.2e-16, 0.08 eps left over)
+    # takes 512 substeps to 514 and adds a level; the levels rescale by exact
+    # powers of two, so the column is the unpadded one times a power of two
     profile = MassProfile("quadratic_even", m0=1.0, alpha=0.1)
-    eps = np.finfo(float).eps
     for n, energy, exact in ((800, 1.63, True), (514, 1.7, False)):
         g = Grid1D(-10.0, 10.0, n)
         pot = LorentzPotential.from_channels(g, v_t=pt_vector_potential(profile, g))
@@ -613,13 +611,10 @@ def test_identity_padding_leaves_the_ordered_product_unchanged():
                               np.broadcast_to(_EYE, (2, 2, 2)))
         padded = _ordered_product(steps)[:, 1, 1]
         unpadded = _ordered_product(steps[:, :, 1:, :k_right])[:, 1, 0]
-        if exact:
-            assert np.array_equal(padded, unpadded)
-        else:
-            factor = np.vdot(unpadded, padded) / np.vdot(unpadded, unpadded)
-            assert factor.real > 0.0 and abs(factor - 1.0) <= 4.0 * eps
-            assert (np.max(np.abs(padded - factor * unpadded))
-                    <= 2.0 * eps * np.max(np.abs(padded)))
+        power = (np.frexp(np.abs(padded).max())[1]
+                 - np.frexp(np.abs(unpadded).max())[1])
+        assert (power == 0) == exact
+        assert np.array_equal(padded, unpadded * 2.0 ** power)
 
 
 def test_shooting_non_convergence_reports_attainable_accuracy(monkeypatch):
@@ -691,8 +686,9 @@ def test_solve_spectrum_input_validation():
 def test_shooting_builds_energy_independent_work_once_per_operator(monkeypatch):
     # one spline, one spline call and one quartic per operator and substeps
     # (the memo starts empty, see conftest), however many solves and trial
-    # energies; one Horner evaluation and one tree product per trial energy
-    # serve both segments, and one more evaluation gives the spinor
+    # energies; one Horner evaluation and one tree product serve both
+    # segments and the root search's start points, one more each serves
+    # each step, and the spinor reuses the last step's matrices
     import scipy.interpolate
     g, pot, mass = box_parts()
     splines, calls, polys, evaluated, products = [], [], [], [], []
@@ -710,9 +706,9 @@ def test_shooting_builds_energy_independent_work_once_per_operator(monkeypatch):
         polys.append(1)
         return _step_polynomial(*args)
 
-    def counted_evaluate(poly, energy, out):
-        evaluated.append(out.shape)
-        return _evaluate_steps(poly, energy, out)
+    def counted_evaluate(poly, energies):
+        evaluated.append(len(energies))
+        return _evaluate_steps(poly, energies)
 
     def counted_product(steps):
         products.append(steps.shape)
@@ -723,22 +719,27 @@ def test_shooting_builds_energy_independent_work_once_per_operator(monkeypatch):
     monkeypatch.setattr(solver, "_evaluate_steps", counted_evaluate)
     monkeypatch.setattr(solver, "_ordered_product", counted_product)
     other_mass = sample_mass(MassProfile("constant", m0=1.1), g)
-    iterations, trials = set(), 0
+    iterations, trees = set(), 0
     # the last three solves change substeps, then the mass, then go back to
     # the first operator: each is a new build, since only the last is kept
-    for solves, (guess, substeps, m, builds) in enumerate((
+    for guess, substeps, m, builds in (
             (1.1, 2, mass, 1), (1.05 + 0.02j, 2, mass, 1), (1.27, 2, mass, 1),
-            (1.1, 3, mass, 2), (1.1, 2, other_mass, 3), (1.1, 2, mass, 4)), start=1):
+            (1.1, 3, mass, 2), (1.1, 2, other_mass, 3), (1.1, 2, mass, 4)):
         out = shooting_solve(g, pot, m, energy_guess=guess, substeps=substeps)
         iterations.add(out.iterations)
+        trees += 1 + out.iterations
+        assert (len(splines), len(calls), len(polys)) == (builds, builds, builds)
+        assert len(products) == len(evaluated) == trees
         # the root search starts from two points for a real guess (secant)
         # and three for a complex one (Muller)
-        trials += out.iterations + (2 if guess.imag == 0 else 3)
-        assert (len(splines), len(calls), len(polys)) == (builds, builds, builds)
-        assert (len(products), len(evaluated)) == (trials, trials + solves)
+        starts = 2 if guess.imag == 0 else 3
+        assert evaluated[-1 - out.iterations:] == [starts] + [1] * out.iterations
     assert len(iterations) > 1
-    # both segments of the n = 201 box, 100 intervals of 2 or 3 substeps
-    assert set(products) == set(evaluated) == {(2, 2, 2, 200), (2, 2, 2, 300)}
+    # both segments of the n = 201 box, 100 intervals of 2 or 3 substeps, at
+    # 1, 2 or 3 energies
+    assert {(shape[:2], shape[3]) for shape in products} == {((2, 2), 2)}
+    assert {(shape[2], shape[4]) for shape in products} == {
+        (1, 200), (2, 200), (3, 200), (1, 300), (2, 300)}
     # three stages of each of those 400 or 600 substeps
     assert calls == [(1200,), (1800,), (1200,), (1200,)]
 
@@ -780,6 +781,44 @@ def test_a_memoized_build_gives_the_cold_result_bit_for_bit():
     e1 = np.sqrt(1.0 + (np.pi / 10.0) ** 2)
     assert shooting_solve(*longer, 1.1).energy.real == pytest.approx(e1, abs=1e-6)
     assert shot_bits(shooting_solve(g, pot, mass, 1.1)) == expected
+
+
+def shoot_level_cases():
+    """The shoot_levels operator's three levels (alpha = 0.1, n = 800) and
+    the alpha = 1 overflow case from a real and a complex guess."""
+    op = pt_operator(800)
+    levels = (op.grid, op.potential, op.mass)
+    overflow = pt_overflow_parts()
+    return ((levels, 1.2187), (levels, -1.2187), (levels, 2.4785),
+            (overflow, 1.6), (overflow, 1.6 + 0.05j))
+
+
+def test_results_do_not_depend_on_the_rescaling_cadence(monkeypatch):
+    # the tree product and the prefix scan rescale by exact powers of two,
+    # so rescaling every level, every second one or every 8th gives the same
+    # energy, determinant, iteration count and state, bit for bit
+    cases = shoot_level_cases()
+    expected = [shot_bits(shooting_solve(*parts, guess)) for parts, guess in cases]
+    assert solver._RESCALE_EVERY == 8
+    for cadence in (1, 2, 8):
+        monkeypatch.setattr(solver, "_RESCALE_EVERY", cadence)
+        assert [shot_bits(shooting_solve(*parts, guess))
+                for parts, guess in cases] == expected
+
+
+def test_batched_start_determinants_equal_single_energy_ones():
+    # the root search's start points go through one evaluation and one
+    # tree; each energy's steps and determinant are bit for bit those of a
+    # batch of one
+    for (g, pot, mass), guess in shoot_level_cases()[2:]:
+        poly = _step_quartics(g.nodes, local_blocks(pot, mass), 2)
+        energies = np.array([guess - 1e-4, guess + 1e-4j, guess])
+        steps, dets = _matching_determinants(poly, energies)
+        assert steps.shape == (2, 2, 3, 2, g.n_points // 2 * 2)
+        for i in range(3):
+            one_steps, one = _matching_determinants(poly, energies[i:i + 1])
+            for got, batched in ((one_steps, steps[:, :, i:i + 1]), (one, dets[i:i + 1])):
+                assert np.array_equal(got.view(np.uint64), batched.view(np.uint64))
 
 
 def test_memoized_step_quartics_are_read_only():
