@@ -39,7 +39,8 @@ class Grid1D:
 
     The bounds are stored as floats and n_points as an int; a bound that is
     not a finite real number, or an n_points that is not an integer, is a
-    GridError naming the field.
+    GridError naming the field, and so are bounds whose distance, or the
+    inverse spacing 1/h, is not finite.
     """
 
     x_min: float
@@ -67,6 +68,13 @@ class Grid1D:
         if self.n_points < 8:
             raise GridError(
                 f"n_points={self.n_points} is too coarse; at least 8 nodes required"
+            )
+        h = self.h
+        if not (math.isfinite(self.x_max - self.x_min) and h > 0.0
+                and math.isfinite(1.0 / h)):
+            raise GridError(
+                f"x_min and x_max must be a finite distance apart with a finite "
+                f"1/h, got x_min={self.x_min}, x_max={self.x_max} (h = {h})"
             )
 
     @property

@@ -114,10 +114,22 @@ def blocks_on_grid(grid: Grid1D, pot: LorentzPotential, mass: GridFunction) -> n
 def assemble_hamiltonian(grid: Grid1D, pot: LorentzPotential, mass: GridFunction,
                          scheme: str = "central_wilson", wilson_r: float = 1.0
                          ) -> DiracOperator:
-    """The operator of the given couplings, with the blocks of its active nodes."""
+    """The operator of the given couplings, with the blocks of its active nodes.
+
+    A wilson_r whose on-site term 2w = 2 wilson_r/(2h), added to the mass
+    entries of the blocks, overflows is a GridError; Grid1D keeps 1/h, and
+    with it the central difference's 1/(2h), finite.
+    """
     wilson_r = _checked_wilson_r(scheme, wilson_r)
     act = slice(1, -1) if grid.boundary == "dirichlet" else slice(None)
     blocks = blocks_on_grid(grid, pot, mass)[act]
+    # the sum DiracOperator.matrix forms on the sigma_x diagonal
+    with np.errstate(over="ignore", invalid="ignore"):
+        onsite = 2.0 * (wilson_r / (2.0 * grid.h)) + blocks[:, [0, 1], [1, 0]]
+    if not np.isfinite(onsite).all():
+        raise GridError(
+            f"wilson_r = {wilson_r:g} overflows the operator on a grid with "
+            f"h = {grid.h:g}: the Wilson term wilson_r/(2h) is too large")
     blocks.flags.writeable = False
     return DiracOperator(grid=grid, scheme=scheme, wilson_r=wilson_r, mass=mass,
                          potential=pot, blocks=blocks)
@@ -132,20 +144,6 @@ def hermiticity_of_operator(op: DiracOperator) -> float:
     """
     b = op.blocks
     return float(np.max(np.abs(b - np.conj(np.swapaxes(b, 1, 2)))))
-
-
-def _shift(values: np.ndarray, offset: int, periodic: bool) -> np.ndarray:
-    """values[j + offset] with wrap-around or zero fill past a hard wall."""
-    if periodic:
-        return np.roll(values, -offset)
-    out = np.zeros_like(values)
-    if offset > 0:
-        out[:-offset] = values[offset:]
-    elif offset < 0:
-        out[-offset:] = values[:offset]
-    else:
-        out[:] = values
-    return out
 
 
 def reduced_equations_rhs(energy: complex, plus: GridFunction, minus: GridFunction,
@@ -165,31 +163,31 @@ def reduced_equations_rhs(energy: complex, plus: GridFunction, minus: GridFuncti
     g = plus.grid
     if minus.grid != g or pot.grid != g or mass.grid != g:
         raise GridError("all inputs must share one grid")
-    per = g.boundary == "periodic"
     h = g.h
     p = plus.values
     m = minus.values
 
-    def d_central(v: np.ndarray) -> np.ndarray:
-        return (_shift(v, +1, per) - _shift(v, -1, per)) / (2.0 * h)
+    # the neighbours v[j + 1] and v[j - 1] wrap on either boundary: on a
+    # dirichlet grid the wrapped samples reach only the wall rows, whose
+    # residual is set to zero below
+    def neighbours(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ext = np.concatenate((v[-1:], v, v[:1]))
+        return ext[2:], ext[:-2]
 
-    def second(v: np.ndarray) -> np.ndarray:
-        return _shift(v, +1, per) - 2.0 * v + _shift(v, -1, per)
-
+    p_up, p_down = neighbours(p)
+    m_up, m_down = neighbours(m)
     c = mass.values + pot.v_s.values
-    r_plus = (energy * p + 1.0j * d_central(p)
+    r_plus = (energy * p + 1.0j * ((p_up - p_down) / (2.0 * h))
               - (pot.v_t.values + pot.v_sp.values) * p
               - (c + 1.0j * pot.v_p.values) * m)
-    r_minus = (energy * m - 1.0j * d_central(m)
+    r_minus = (energy * m - 1.0j * ((m_up - m_down) / (2.0 * h))
                - (pot.v_t.values - pot.v_sp.values) * m
                - (c - 1.0j * pot.v_p.values) * p)
     if r != 0.0:
         w = r / (2.0 * h)
-        r_plus = r_plus + w * second(m)
-        r_minus = r_minus + w * second(p)
-    if not per:
-        r_plus = r_plus.copy()
-        r_minus = r_minus.copy()
+        r_plus = r_plus + w * (m_up - 2.0 * m + m_down)
+        r_minus = r_minus + w * (p_up - 2.0 * p + p_down)
+    if g.boundary == "dirichlet":
         r_plus[0] = r_plus[-1] = 0.0
         r_minus[0] = r_minus[-1] = 0.0
     return GridFunction(g, r_plus), GridFunction(g, r_minus)

@@ -201,14 +201,23 @@ def local_blocks(pot: LorentzPotential,
     non-derivative part of the Hamiltonian at each node.  Without a mass it
     is gamma0 V, the potential's part alone.  The assembled operator, the
     shooter's coefficients and the anti-Hermitian part are all built from it.
+    Finite samples can still sum past the largest double: a block that is
+    not finite is a GridError naming its first node.
     """
-    c = pot.v_s.values if mass is None else mass.values + pot.v_s.values
-    i_p = 1.0j * pot.v_p.values
     h = np.empty((pot.grid.n_points, 2, 2), dtype=complex)
-    h[:, 0, 0] = pot.v_t.values + pot.v_sp.values
-    h[:, 0, 1] = c + i_p
-    h[:, 1, 0] = c - i_p
-    h[:, 1, 1] = pot.v_t.values - pot.v_sp.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = pot.v_s.values if mass is None else mass.values + pot.v_s.values
+        i_p = 1.0j * pot.v_p.values
+        h[:, 0, 0] = pot.v_t.values + pot.v_sp.values
+        h[:, 0, 1] = c + i_p
+        h[:, 1, 0] = c - i_p
+        h[:, 1, 1] = pot.v_t.values - pot.v_sp.values
+    if not np.isfinite(h).all():
+        j = int(np.argmin(np.isfinite(h).all(axis=(1, 2))))
+        raise GridError(
+            f"the local block gamma0 (M + V) is not finite at node {j} "
+            f"(x = {pot.grid.nodes[j]:g}): the mass and the potential "
+            "channels overflow when summed")
     return h
 
 

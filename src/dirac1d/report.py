@@ -1,4 +1,4 @@
-"""Run pipelines (spectrum / diagnose / check-pt) and deterministic writers.
+"""The run pipeline (execute) and its deterministic writers.
 
 Every report table is a {header: column} dict: the spectrum table is built
 from the result's (K, n, 2) state stack, the PT table from the channel
@@ -28,9 +28,10 @@ from .config import CHANNELS, FORMATS, RunConfig
 from .diagnostics import (BalanceTable, continuity_residual, gram_matrix,
                           normalize_result, orthogonality_balance)
 from .errors import ConvergenceError, Dirac1DError
-from .hamiltonian import assemble_hamiltonian, hermiticity_of_operator
+from .hamiltonian import (DiracOperator, assemble_hamiltonian,
+                          hermiticity_of_operator)
 from .lorentz import check_pt_symmetry, gamma0_hermiticity_residual, sample_mass
-from .solver import solve_spectrum
+from .solver import SpectrumResult, solve_spectrum
 
 MODES = ("spectrum", "diagnose", "check-pt")
 
@@ -65,7 +66,13 @@ class RunReport:
 
 
 def execute(cfg: RunConfig, mode: str, strict_pt: bool = False) -> RunReport:
-    """Run one pipeline over a validated configuration."""
+    """Run one pipeline over a validated configuration.
+
+    The stages run in one order: build the grid, mass, potential and
+    operator; the PT stage; the solve; the spectrum table; the diagnostics.
+    The mode only decides where the run stops: check-pt after the PT stage,
+    which it always gates, and spectrum after the table.
+    """
     if mode not in MODES:
         raise Dirac1DError(f"unknown mode {mode!r}")
     report = RunReport(mode=mode, config=cfg.values)
@@ -74,150 +81,146 @@ def execute(cfg: RunConfig, mode: str, strict_pt: bool = False) -> RunReport:
     profile = cfg.build_mass_profile()
     mass = sample_mass(profile, grid)
     potential = cfg.build_potential(grid, profile)
-    scheme = cfg["solver"]["scheme"]
-    wilson_r = cfg["solver"]["wilson_r"]
-    tol = cfg["solver"]["tol"]
-    pt_tol = cfg["diagnostics"]["pt_tol"]
-    op = assemble_hamiltonian(grid, potential, mass, scheme=scheme,
-                              wilson_r=wilson_r)
+    s = cfg["solver"]
+    op = assemble_hamiltonian(grid, potential, mass, scheme=s["scheme"],
+                              wilson_r=s["wilson_r"])
+    report.grid_info = {"h": grid.h, "n_points": grid.n_points,
+                        "boundary": grid.boundary, "matrix_dim": op.size,
+                        "scheme": s["scheme"], "wilson_r": s["wilson_r"]}
 
-    report.grid_info = {
-        "h": grid.h,
-        "n_points": grid.n_points,
-        "boundary": grid.boundary,
-        "matrix_dim": op.size,
-        "scheme": scheme,
-        "wilson_r": wilson_r,
-    }
-
-    # PT symmetry of each channel (informational; gating below)
-    declared_pt = cfg.pt_channels()
-    if grid.is_symmetric():
-        names = CHANNELS + ("mass",)
-        residual = np.array([check_pt_symmetry(f) for f in
-                             [getattr(potential, c) for c in CHANNELS] + [mass]])
-        report.pt = {
-            "channel": names,
-            "declared_pt": np.array([name in declared_pt for name in names]),
-            "residual": residual,
-            "symmetric": residual <= pt_tol,
-            "tol": np.full(len(names), pt_tol),
-        }
-    else:
-        report.notes.append(
-            "grid is not symmetric about the origin; PT checks skipped"
-        )
-
-    gate_pt = strict_pt or mode == "check-pt"
-    if gate_pt:
-        if not grid.is_symmetric():
-            report.checks.append(CheckOutcome(
-                "pt_symmetry", False,
-                "grid not symmetric about the origin; PT symmetry undefined"))
-        elif declared_pt:
-            pt = report.pt
-            bad = np.flatnonzero(pt["declared_pt"] & ~pt["symmetric"]).tolist()
-            if bad:
-                detail = "; ".join(
-                    f"{pt['channel'][i]} residual {pt['residual'][i]:.3e} "
-                    f"> {pt['tol'][i]:g}" for i in bad)
-                report.checks.append(CheckOutcome("pt_symmetry", False, detail))
-            else:
-                worst = max(pt["residual"][pt["declared_pt"]].tolist())
-                report.checks.append(CheckOutcome(
-                    "pt_symmetry", True,
-                    f"all declared channels within {pt_tol:g} "
-                    f"(worst {worst:.3e})"))
-        else:
-            report.checks.append(CheckOutcome(
-                "pt_symmetry", True, "no channel declared pt_from_mass"))
-
+    pt_only = mode == "check-pt"
+    _pt_stage(report, cfg, op, gate=strict_pt or pt_only)
     report.hermiticity["gamma0_potential"] = gamma0_hermiticity_residual(
         potential)
-
-    if mode == "check-pt":
+    if pt_only:
         return report
 
     report.hermiticity["operator"] = hermiticity_of_operator(op)
-
     try:
-        result = solve_spectrum(op, tol=tol,
-                                max_pairs=cfg["solver"]["max_pairs"],
+        result = solve_spectrum(op, tol=s["tol"], max_pairs=s["max_pairs"],
                                 reality_tol=cfg["diagnostics"]["reality_tol"])
     except ConvergenceError as exc:
         report.checks.append(CheckOutcome("solver_convergence", False, str(exc)))
         return report
     report.checks.append(CheckOutcome(
         "solver_convergence", True,
-        f"max residual {float(np.max(result.residuals)):.3e} <= {tol:g}"))
-
+        f"max residual {float(np.max(result.residuals)):.3e} <= {s['tol']:g}"))
     unpaired = sum(1 for t in result.classification if t == "complex_unpaired")
     report.checks.append(CheckOutcome(
         "conjugate_pairing", unpaired == 0,
         "all complex eigenvalues conjugate-paired" if unpaired == 0
         else f"{unpaired} unpaired complex eigenvalue(s)"))
 
-    if mode == "diagnose":
-        result = normalize_result(result)
-
+    # normalize_result replaces only the states, so the table is the same
+    # before and after it
     e = result.energies
     report.spectrum = {"index": np.arange(len(e)), "energy_re": e.real,
                        "energy_im": e.imag, "residual": result.residuals,
                        "classification": result.classification}
+    if mode == "spectrum":
+        return report
 
-    if mode == "diagnose":
-        if grid.boundary == "dirichlet":
-            # |phi_plus| + |phi_minus| at the nodes next to the two walls;
-            # hypot is what abs(complex) computes, np.abs rounds differently
-            a = np.hypot(result.states.real, result.states.imag).sum(axis=2)
-            tail = np.maximum(a[:, 1], a[:, -2])
-        else:
-            tail = np.zeros(len(e))
-        report.spectrum["tail_amplitude"] = tail
-        report.spectrum["continuity_max"] = np.abs(
-            continuity_residual(result)).max(axis=1)
-        report.gram = gram_matrix(result)
-
-        d = cfg["diagnostics"]
-        window = None
-        if d["window"] is not None:
-            window = (grid.nearest_node(d["window"][0]),
-                      grid.nearest_node(d["window"][1]))
-        identity_tol = None if d["identity_tol"] == "auto" else d["identity_tol"]
-        pairs = list(d["balance_pairs"])
-        if not pairs:
-            low = min(d["balance_lowest"], len(result.energies))
-            pairs = [(k, kp) for k in range(low) for kp in range(k)]
-        table, failures = orthogonality_balance(
-            result, pairs, window=window, identity_tol=identity_tol)
-        report.checks.extend(
-            CheckOutcome("balance_identity", False, f"pair ({k},{kp}): {why}")
-            for k, kp, why in failures)
-        report.balance = table
-        if len(table):
-            # Python's max, as over the per-pair residuals: NaN reads the same
-            bad = table.identity_residual[~table.identity_ok].tolist()
-            report.checks.append(CheckOutcome(
-                "balance_identity", not bad,
-                f"{len(table)} pair(s), worst residual "
-                f"{max(table.identity_residual.tolist()):.3e}"
-                if not bad else
-                f"{len(bad)} pair(s) exceed tolerance, worst {max(bad):.3e}"))
-
-        # current conservation is only an exit-relevant check for Hermitian
-        # potentials; PT runs legitimately violate it and just report values
-        if report.hermiticity["gamma0_potential"] <= 1e-14:
-            scale = 100.0 * grid.h ** 2
-            worst = max(report.spectrum["continuity_max"].tolist(), default=0.0)
-            report.checks.append(CheckOutcome(
-                "continuity_conserved", worst <= scale,
-                f"max residual {worst:.3e} vs bound {scale:.3e}"))
-        else:
-            report.notes.append(
-                "potential has an anti-Hermitian part; continuity residuals "
-                "reported but not gated")
-
+    _diagnostics_stage(report, cfg, result)
     return report
+
+
+def _pt_stage(report: RunReport, cfg: RunConfig, op: DiracOperator,
+              gate: bool) -> None:
+    """The PT table of the operator's four channels and mass, or a note when
+    the grid is not symmetric about the origin; with gate, the pt_symmetry
+    check of the channels declared pt_from_mass."""
+    pt_tol = cfg["diagnostics"]["pt_tol"]
+    declared = cfg.pt_channels()
+    if op.grid.is_symmetric():
+        names = CHANNELS + ("mass",)
+        residual = np.array([check_pt_symmetry(f) for f in
+                             [getattr(op.potential, c) for c in CHANNELS]
+                             + [op.mass]])
+        declared_pt = np.array([name in declared for name in names])
+        symmetric = residual <= pt_tol
+        report.pt = {"channel": names, "declared_pt": declared_pt,
+                     "residual": residual, "symmetric": symmetric,
+                     "tol": np.full(len(names), pt_tol)}
+        bad = np.flatnonzero(declared_pt & ~symmetric).tolist()
+        if bad:
+            outcome = CheckOutcome("pt_symmetry", False, "; ".join(
+                f"{names[i]} residual {residual[i]:.3e} > {pt_tol:g}"
+                for i in bad))
+        elif declared:
+            worst = max(residual[declared_pt].tolist())
+            outcome = CheckOutcome(
+                "pt_symmetry", True,
+                f"all declared channels within {pt_tol:g} (worst {worst:.3e})")
+        else:
+            outcome = CheckOutcome("pt_symmetry", True,
+                                   "no channel declared pt_from_mass")
+    else:
+        report.notes.append(
+            "grid is not symmetric about the origin; PT checks skipped")
+        outcome = CheckOutcome(
+            "pt_symmetry", False,
+            "grid not symmetric about the origin; PT symmetry undefined")
+    if gate:
+        report.checks.append(outcome)
+
+
+def _diagnostics_stage(report: RunReport, cfg: RunConfig,
+                       result: SpectrumResult) -> None:
+    """Normalize the states, then add their tail amplitudes and continuity
+    residuals to the spectrum table, the Gram matrix, the balance table
+    and its checks, and the continuity check."""
+    result = normalize_result(result)
+    grid = result.grid
+    if grid.boundary == "dirichlet":
+        # |phi_plus| + |phi_minus| at the nodes next to the two walls;
+        # hypot is what abs(complex) computes, np.abs rounds differently
+        a = np.hypot(result.states.real, result.states.imag).sum(axis=2)
+        tail = np.maximum(a[:, 1], a[:, -2])
+    else:
+        tail = np.zeros(len(result.energies))
+    report.spectrum["tail_amplitude"] = tail
+    report.spectrum["continuity_max"] = np.abs(
+        continuity_residual(result)).max(axis=1)
+    report.gram = gram_matrix(result)
+
+    d = cfg["diagnostics"]
+    window = None
+    if d["window"] is not None:
+        window = (grid.nearest_node(d["window"][0]),
+                  grid.nearest_node(d["window"][1]))
+    identity_tol = None if d["identity_tol"] == "auto" else d["identity_tol"]
+    pairs = list(d["balance_pairs"])
+    if not pairs:
+        low = min(d["balance_lowest"], len(result.energies))
+        pairs = [(k, kp) for k in range(low) for kp in range(k)]
+    table, failures = orthogonality_balance(
+        result, pairs, window=window, identity_tol=identity_tol)
+    report.checks.extend(
+        CheckOutcome("balance_identity", False, f"pair ({k},{kp}): {why}")
+        for k, kp, why in failures)
+    report.balance = table
+    if len(table):
+        # Python's max, as over the per-pair residuals: NaN reads the same
+        bad = table.identity_residual[~table.identity_ok].tolist()
+        report.checks.append(CheckOutcome(
+            "balance_identity", not bad,
+            f"{len(table)} pair(s), worst residual "
+            f"{max(table.identity_residual.tolist()):.3e}"
+            if not bad else
+            f"{len(bad)} pair(s) exceed tolerance, worst {max(bad):.3e}"))
+
+    # current conservation is only an exit-relevant check for Hermitian
+    # potentials; PT runs legitimately violate it and just report values
+    if report.hermiticity["gamma0_potential"] <= 1e-14:
+        scale = 100.0 * grid.h ** 2
+        worst = max(report.spectrum["continuity_max"].tolist(), default=0.0)
+        report.checks.append(CheckOutcome(
+            "continuity_conserved", worst <= scale,
+            f"max residual {worst:.3e} vs bound {scale:.3e}"))
+    else:
+        report.notes.append(
+            "potential has an anti-Hermitian part; continuity residuals "
+            "reported but not gated")
 
 
 _CSV_QUOTE = re.compile(r'[,"\r\n]')

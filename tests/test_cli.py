@@ -157,9 +157,52 @@ def test_check_pt_strict_fails_for_asymmetric_mass(tmp_path, capsys):
     assert code == 2
     assert "check pt_symmetry: FAIL" in captured.out
     assert "pt_symmetry" in captured.err
-    # check-pt stops before assembling the operator
+    # check-pt stops before the eigensolve
     assert not (tmp_path / "out" / "spectrum.csv").exists()
     assert (tmp_path / "out" / "pt_check.csv").exists()
+
+
+def test_a_pt_config_on_an_asymmetric_grid_is_noted_or_gated(tmp_path, capsys):
+    ini = write_ini(tmp_path, PT_INI.replace("x_min = -6.0", "x_min = -8.0")
+                    .replace("x_max = 6.0", "x_max = 10.0"))
+    out = tmp_path / "out"
+    assert main(["diagnose", str(ini), "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "note: grid is not symmetric about the origin; PT checks skipped" in text
+    assert "check pt_symmetry" not in text
+    assert (out / "spectrum.csv").exists()
+    assert not (out / "pt_check.csv").exists()
+    for argv in (["diagnose", "--strict-pt"], ["check-pt"]):
+        assert main([argv[0], str(ini), "--out", str(out), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert ("check pt_symmetry: FAIL (grid not symmetric about the origin; "
+                "PT symmetry undefined)") in captured.out
+        assert captured.err == "FAILED checks: pt_symmetry\n"
+        assert not (out / "pt_check.csv").exists()
+
+
+def test_output_lands_beside_the_config_or_in_the_working_directory(
+        tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    ini = write_ini(sub, FREE_INI + "\n[output]\ndirectory = res\n")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    # output.directory is relative to the config file, whatever the cwd
+    for cwd, arg in ((tmp_path, "sub/run.ini"), (elsewhere, str(ini))):
+        monkeypatch.chdir(cwd)
+        assert main(["spectrum", arg]) == 0
+        assert (sub / "res" / "spectrum.csv").is_file()
+        for p in (sub / "res").iterdir():
+            p.unlink()
+    # no directory and no --out: <config stem>_out under the cwd
+    plain = write_ini(sub, FREE_INI, name="plain.ini")
+    monkeypatch.chdir(elsewhere)
+    assert main(["spectrum", str(plain)]) == 0
+    assert sorted(p.name for p in (elsewhere / "plain_out").iterdir()) == [
+        "pt_check.csv", "spectrum.csv"]
+    assert sorted(p.name for p in elsewhere.iterdir()) == ["plain_out"]
+    assert sorted(p.name for p in (sub / "res").iterdir()) == []
 
 
 def test_json_format_writes_single_report(tmp_path):
@@ -423,6 +466,58 @@ def test_an_overflowing_eigensolve_fails_convergence_without_warnings(
     assert main([command, str(ini), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "FAILED checks: solver_convergence\n"
     assert [str(w.message) for w in recwarn] == []
+
+
+SMALL_BOX = textwrap.dedent("""\
+    [grid]
+    x_min = -5.0
+    x_max = 5.0
+    n_points = 40
+
+    [mass]
+    family = constant
+    """)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "diagnose", "check-pt"])
+@pytest.mark.parametrize("extra, message", [
+    ("m0 = 1e308\n[potential]\nv_s = constant:1e308\n",
+     "the local block gamma0 (M + V) is not finite at node 0 (x = -5)"),
+    ("[potential]\nv_t = constant:1e308\nv_sp = constant:1e308\n",
+     "the local block gamma0 (M + V) is not finite at node 0 (x = -5)"),
+    ("[solver]\nwilson_r = 1e308\n[potential]\nv_t = constant:1j\n",
+     "wilson_r = 1e+308 overflows the operator"),
+    ("[solver]\nwilson_r = 1e308\n", "wilson_r = 1e+308 overflows the operator"),
+], ids=["mass_and_v_s", "v_t_and_v_sp", "wilson_r_pt", "wilson_r_hermitian"])
+def test_an_operator_that_overflows_exits_one_without_warnings(
+        tmp_path, capsys, recwarn, command, extra, message):
+    # every sample is finite, but a block sum or the Wilson weight is not
+    ini = write_ini(tmp_path, SMALL_BOX + extra)
+    out = tmp_path / "out"
+    assert main([command, str(ini), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"dirac1d: error: {message}")
+    assert len(captured.err.splitlines()) == 1
+    assert [str(w.message) for w in recwarn] == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", ["1e308", "1e-320"])
+def test_a_grid_spacing_that_is_not_usable_exits_one_without_warnings(
+        tmp_path, capsys, recwarn, bound):
+    ini = write_ini(tmp_path, f"[grid]\nx_min = -{bound}\nx_max = {bound}\n"
+                    "n_points = 10\n\n[mass]\nfamily = constant\n")
+    out = tmp_path / "out"
+    assert main(["diagnose", str(ini), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"dirac1d: error: x_min and x_max must be a finite distance apart "
+        f"with a finite 1/h, got x_min=-{float(bound)!r}, x_max={float(bound)!r}")
+    assert len(captured.err.splitlines()) == 1
+    assert [str(w.message) for w in recwarn] == []
+    assert not out.exists()
 
 
 def test_a_run_without_flags_validates_its_config_once(tmp_path, monkeypatch):

@@ -47,7 +47,10 @@ def test_fields_are_coerced_and_checked_by_name():
                        ((-np.inf, 1.0, 12), "x_min"),
                        ((-1.0, np.nan, 12), "x_max"),
                        ((False, 1.0, 12), "x_min"),
-                       ((-1.0, "1", 12), "x_max")):
+                       ((-1.0, "1", 12), "x_max"),
+                       ((-1e308, 1e308, 10), "x_min and x_max"),
+                       ((-1e-320, 1e-320, 10), "x_min and x_max"),
+                       ((0.0, 5e-324, 10), "x_min and x_max")):
         with pytest.raises(GridError, match=rf"^{name} must be"):
             Grid1D(*args)
 

@@ -45,6 +45,12 @@ def test_input_validation():
     g2 = Grid1D(-1.0, 1.0, 16)
     with pytest.raises(GridError, match="grid"):
         assemble_hamiltonian(g2, pot, mass)
+    # a finite wilson_r whose on-site Wilson term 2w = wilson_r/h, or w
+    # itself, overflows
+    big = float(np.finfo(float).max)
+    for r in (big, 0.75 * big * (2.0 * g.h)):
+        with pytest.raises(GridError, match=r"wilson_r = \S+ overflows"):
+            assemble_hamiltonian(g, pot, mass, wilson_r=r)
 
 
 def test_constant_spinor_is_exact_rest_state():

@@ -66,6 +66,12 @@ def test_induced_potential_closed_forms():
     a_const = pt_vector_potential(MassProfile("constant", m0=3.0), g5)
     assert np.all(a_const.values == 0.0)
 
+    g_pos = Grid1D(1.0, 5.0, 9)  # min x = 1 >= h = 0.5, clear of the pole
+    x = g_pos.nodes
+    a_inv = pt_vector_potential(MassProfile("inverse_linear", m0=2.0, lam=1.5), g_pos)
+    assert np.allclose(a_inv.values, 0.5j * (-1.5 / x**2) / (2.0 + 1.5 / x),
+                       rtol=1e-15, atol=0.0)
+
 
 def test_induced_potential_purely_imaginary():
     g = Grid1D(-4.0, 4.0, 33)
@@ -169,6 +175,20 @@ def test_local_blocks_match_channel_decomposition():
         for j in (0, 5, 11):
             expected = GAMMA0 @ (m_values[j] * np.eye(2) + gamma_form(chans, j))
             assert np.allclose(stack[j], expected, atol=1e-15)
+
+
+def test_local_blocks_that_overflow_name_their_first_node():
+    # every sample is finite, but the block sums are not: no warning, and
+    # the anti-Hermitian part, built from the blocks, refuses them alike
+    g = Grid1D(-5.0, 5.0, 11)  # integer nodes
+    big = np.zeros(11)
+    big[[6, 9]] = 1e308
+    v = GridFunction(g, big)
+    pot = LorentzPotential.from_channels(g, v_t=v, v_sp=v)
+    for build in (lambda: local_blocks(pot), lambda: pot.anti_hermitian,
+                  lambda: local_blocks(LorentzPotential.from_channels(g, v_s=v), v)):
+        with pytest.raises(GridError, match=r"not finite at node 6 \(x = 1\)"):
+            build()
 
 
 def test_anti_hermitian_matches_gamma_form():

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 import dirac1d.report as pipeline
-from dirac1d import Dirac1DError, config_from_raw, execute
+from dirac1d import (Dirac1DError, assemble_hamiltonian, config_from_raw,
+                     execute, normalize_result, orthogonality_balance,
+                     sample_mass, solve_spectrum)
 from dirac1d.diagnostics import BalanceTable
 from dirac1d.report import CheckOutcome, RunReport, write_csv, write_outputs
 from helpers import reference_spectrum_columns
@@ -213,6 +215,27 @@ def test_diagnose_artifacts_match_the_per_pair_reference(tmp_path):
     for table, name in ((report.spectrum, "spectrum.csv"),
                         (report.pt, "pt_check.csv")):
         assert (tmp_path / name).read_text() == reference_csv(rows_of(table))
+
+
+def test_a_windowed_diagnose_balances_the_normalized_states_at_the_nearest_nodes(
+        tmp_path):
+    cfg = config_from_raw({**PT_RAW, "diagnostics": {"balance_lowest": "4",
+                                                     "window": "-2:2"}})
+    write_outputs(execute(cfg, "diagnose"), tmp_path, "csv")
+
+    grid = cfg.build_grid()
+    profile = cfg.build_mass_profile()
+    op = assemble_hamiltonian(grid, cfg.build_potential(grid, profile),
+                              sample_mass(profile, grid))
+    result = normalize_result(solve_spectrum(op))
+    window = (grid.nearest_node(-2.0), grid.nearest_node(2.0))
+    assert 0 < window[0] < window[1] < grid.n_points - 1
+    table, failures = orthogonality_balance(
+        result, [(k, kp) for k in range(4) for kp in range(k)], window=window)
+    assert failures == [] and len(table) == 6 and table.window == window
+    assert np.all(table.term_boundary != 0.0)  # an interior window has a flux
+    assert (tmp_path / "balance.csv").read_text() == reference_csv(
+        reference_balance_rows(table))
 
 
 def _raw(x_max, n_points, mass, potential, boundary="dirichlet", max_pairs=12):

@@ -660,6 +660,12 @@ def test_shooting_input_validation():
     for parts in ((other, pot, mass), (g, pot, sample_mass(profile, other))):
         with pytest.raises(GridError, match="operator grid"):
             shooting_solve(*parts, 1.2)
+    # finite samples whose local block M + V_s overflows
+    g = Grid1D(-5.0, 5.0, 40)
+    mass = sample_mass(MassProfile("constant", m0=1e308), g)
+    pot = LorentzPotential.from_channels(g, v_s=GridFunction.constant(g, 1e308))
+    with pytest.raises(GridError, match="not finite at node 0"):
+        shooting_solve(g, pot, mass, 1.0)
 
 
 def test_solve_spectrum_input_validation():
