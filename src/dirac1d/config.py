@@ -301,15 +301,22 @@ def config_from_raw(raw: dict[str, dict[str, str]],
 
 
 def parse_config(path) -> RunConfig:
-    """Read, validate and default-fill an INI run configuration."""
+    """Read, validate and default-fill an INI run configuration (UTF-8)."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {str(path)!r} not found")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {str(path)!r} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc.strerror}") from None
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive
     try:
-        parser.read(path)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path.name}: {exc}") from None
+        # configparser quotes the offending line on lines of its own
+        raise ConfigError(f"cannot parse {path.name}: {' '.join(str(exc).split())}") from None
     raw = {sec: dict(parser.items(sec)) for sec in parser.sections()}
     return config_from_raw(raw, path=path)

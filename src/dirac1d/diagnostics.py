@@ -18,9 +18,10 @@ what the balance report quantifies.
 
 Every function here works on a result's whole (K, n, 2) state stack at once:
 normalization, the continuity residual of every state as one (K, n) array,
-the K x K Gram matrix and the balance terms.  The balance identity of all
-pairs comes back as one BalanceTable of per-pair columns, gathered from the
-K x K term matrices.
+the K x K Gram matrix, the balance terms and the oracle norms of the
+states the balance pairs use.  The balance identity of all pairs comes back
+as one BalanceTable of per-pair columns, gathered from the K x K term
+matrices.
 """
 
 from __future__ import annotations
@@ -217,11 +218,11 @@ def orthogonality_balance(result: SpectrumResult, pairs: Sequence[tuple[int, int
     each refused one, both in the order of pairs.  A pair is refused when
     its states are not distinct or out of range, when either state fails
     the coupled-equation oracle (residual norm within ORACLE_FACTOR * solver
-    tolerance, run once per state) or when the window is invalid.  window,
-    when given, is an inclusive pair of node indices; the flux term is then
-    taken at the window edges and the quadrature restricted to h-weighted
-    sums over the window, which keeps the identity exact at the stencil
-    level.  identity_tol defaults to AUTO_IDENTITY_TOL; a pair closes when
+    tolerance, one call on every state the pairs use) or when the window is
+    invalid.  window, when given, is an inclusive pair of node indices; the
+    flux term is then taken at the window edges and the quadrature
+    restricted to h-weighted sums over the window, which keeps the identity
+    exact at the stencil level.  identity_tol defaults to AUTO_IDENTITY_TOL; a pair closes when
     its residual is within identity_tol * max(1, |terms|).  The
     orthogonality gap |term_boundary - term_potential| equals
     |E_k - conj(E_k')| |<k'|k>| up to rounding: for distinct real levels a
@@ -247,12 +248,12 @@ def orthogonality_balance(result: SpectrumResult, pairs: Sequence[tuple[int, int
     distinct = k != kp
     in_range = (k >= 0) & (k < n_states) & (kp >= 0) & (kp < n_states)
     valid = distinct & in_range
+    used = np.unique(np.concatenate([k[valid], kp[valid]]))
     oracle = np.zeros(n_states)
-    for i in np.unique(np.concatenate([k[valid], kp[valid]])).tolist():
-        oracle[i] = reduced_residual_norm(
-            result.energies[i], GridFunction(grid, c[i, :, 0]),
-            GridFunction(grid, c[i, :, 1]), op.potential, op.mass,
-            scheme=op.scheme, wilson_r=op.wilson_r)
+    oracle[used] = reduced_residual_norm(
+        result.energies[used], GridFunction(grid, c[used, :, 0]),
+        GridFunction(grid, c[used, :, 1]), op.potential, op.mass,
+        scheme=op.scheme, wilson_r=op.wilson_r)
     fails = np.flatnonzero(oracle > ORACLE_FACTOR * result.solver_tolerance)
     k_fails, kp_fails = valid & np.isin(k, fails), valid & np.isin(kp, fails)
 

@@ -110,14 +110,15 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex-valued samples tied to a specific grid."""
+    """Complex samples tied to a grid: one function, or a stack of them,
+    with the grid's nodes on the last axis."""
 
     grid: Grid1D
     values: np.ndarray
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid.n_points,):
+        if v.shape[-1:] != (self.grid.n_points,):
             raise GridError(
                 f"values shape {v.shape} does not match grid with "
                 f"{self.grid.n_points} nodes"

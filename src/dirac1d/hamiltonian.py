@@ -105,9 +105,12 @@ class DiracOperator:
 
 def blocks_on_grid(grid: Grid1D, pot: LorentzPotential, mass: GridFunction) -> np.ndarray:
     """local_blocks(pot, mass) at every node of grid; a GridError unless the
-    mass and the potential both live on grid."""
+    mass and the potential both live on grid and the mass is one function."""
     if mass.grid != grid or pot.grid != grid:
         raise GridError("mass and potential must live on the operator grid")
+    if mass.values.ndim != 1:
+        raise GridError(f"the mass must be one function, not a stack of shape "
+                        f"{mass.values.shape}")
     return local_blocks(pot, mass)
 
 
@@ -146,10 +149,10 @@ def hermiticity_of_operator(op: DiracOperator) -> float:
     return float(np.max(np.abs(b - np.conj(np.swapaxes(b, 1, 2)))))
 
 
-def reduced_equations_rhs(energy: complex, plus: GridFunction, minus: GridFunction,
-                          pot: LorentzPotential, mass: GridFunction,
-                          scheme: str = "central_wilson", wilson_r: float = 1.0
-                          ) -> tuple[GridFunction, GridFunction]:
+def reduced_equations_rhs(energy: complex | np.ndarray, plus: GridFunction,
+                          minus: GridFunction, pot: LorentzPotential,
+                          mass: GridFunction, scheme: str = "central_wilson",
+                          wilson_r: float = 1.0) -> tuple[GridFunction, GridFunction]:
     """Pointwise residuals of the two coupled first-order equations.
 
     Evaluates E*phi - (rhs of the coupled equations) node by node with shift
@@ -157,7 +160,8 @@ def reduced_equations_rhs(energy: complex, plus: GridFunction, minus: GridFuncti
     oracle for solver output.  The stencil convention matches the operator:
     pass the operator's scheme/wilson_r to test one of its eigenpairs.  On
     dirichlet grids the wall rows are not equations (values pinned) and the
-    residual there is reported as zero.
+    residual there is reported as zero.  plus and minus hold one state or a
+    stack of them, of one shape, and energy holds one value per state.
     """
     r = _checked_wilson_r(scheme, wilson_r)
     g = plus.grid
@@ -166,13 +170,24 @@ def reduced_equations_rhs(energy: complex, plus: GridFunction, minus: GridFuncti
     h = g.h
     p = plus.values
     m = minus.values
+    if p.shape != m.shape:
+        raise GridError(f"plus and minus must have one shape, got {p.shape} "
+                        f"and {m.shape}")
+    if mass.values.ndim != 1:
+        raise GridError(f"the mass must be one function, not a stack of shape "
+                        f"{mass.values.shape}")
+    energy = np.asarray(energy)
+    if energy.shape != p.shape[:-1]:
+        raise GridError(f"need one energy per state: energy shape {energy.shape} "
+                        f"for states of shape {p.shape}")
+    energy = energy[..., None]
 
     # the neighbours v[j + 1] and v[j - 1] wrap on either boundary: on a
     # dirichlet grid the wrapped samples reach only the wall rows, whose
     # residual is set to zero below
     def neighbours(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ext = np.concatenate((v[-1:], v, v[:1]))
-        return ext[2:], ext[:-2]
+        ext = np.concatenate((v[..., -1:], v, v[..., :1]), axis=-1)
+        return ext[..., 2:], ext[..., :-2]
 
     p_up, p_down = neighbours(p)
     m_up, m_down = neighbours(m)
@@ -188,19 +203,22 @@ def reduced_equations_rhs(energy: complex, plus: GridFunction, minus: GridFuncti
         r_plus = r_plus + w * (m_up - 2.0 * m + m_down)
         r_minus = r_minus + w * (p_up - 2.0 * p + p_down)
     if g.boundary == "dirichlet":
-        r_plus[0] = r_plus[-1] = 0.0
-        r_minus[0] = r_minus[-1] = 0.0
+        r_plus[..., 0] = r_plus[..., -1] = 0.0
+        r_minus[..., 0] = r_minus[..., -1] = 0.0
     return GridFunction(g, r_plus), GridFunction(g, r_minus)
 
 
-def reduced_residual_norm(energy: complex, plus: GridFunction, minus: GridFunction,
-                          pot: LorentzPotential, mass: GridFunction,
-                          scheme: str = "central_wilson", wilson_r: float = 1.0
-                          ) -> float:
-    """Relative l2 norm of the reduced-equation residuals."""
+def reduced_residual_norm(energy: complex | np.ndarray, plus: GridFunction,
+                          minus: GridFunction, pot: LorentzPotential,
+                          mass: GridFunction, scheme: str = "central_wilson",
+                          wilson_r: float = 1.0) -> float | np.ndarray:
+    """Relative l2 norm of the reduced-equation residuals: a float for one
+    state, an array of one norm per state for a stack."""
     rp, rm = reduced_equations_rhs(energy, plus, minus, pot, mass, scheme, wilson_r)
-    num = np.sum(np.abs(rp.values) ** 2) + np.sum(np.abs(rm.values) ** 2)
-    den = np.sum(np.abs(plus.values) ** 2) + np.sum(np.abs(minus.values) ** 2)
-    if den == 0.0:
+    num = (np.sum(np.abs(rp.values) ** 2, axis=-1)
+           + np.sum(np.abs(rm.values) ** 2, axis=-1))
+    den = (np.sum(np.abs(plus.values) ** 2, axis=-1)
+           + np.sum(np.abs(minus.values) ** 2, axis=-1))
+    if np.any(den == 0.0):
         raise GridError("zero spinor has no residual norm")
-    return float(np.sqrt(num / den))
+    return np.sqrt(num / den)

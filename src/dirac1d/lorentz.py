@@ -93,7 +93,8 @@ def sample_mass(profile: MassProfile, grid: Grid1D) -> GridFunction:
         raise MassError(
             "inverse_linear mass: grid node within one spacing of the pole at x=0"
         )
-    m = profile.mass(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = profile.mass(x)
     if not np.all(np.isfinite(m)):
         raise MassError("mass profile not finite on the grid")
     if np.any(m == 0.0):
@@ -110,18 +111,29 @@ def pt_vector_potential(profile: MassProfile, grid: Grid1D) -> GridFunction:
     """The vector potential A = (i/2) M'/M generated by the mass profile.
 
     Uses the family's analytic derivative, never a finite difference, so the
-    result carries no discretization error of its own.
+    result carries no discretization error of its own.  A value that is not
+    finite (M' overflows, or M is so small that M'/M does) is a MassError
+    naming its first node.
     """
     m = sample_mass(profile, grid)  # validates M != 0 on the nodes
-    a = 0.5j * profile.dmass_dx(grid.nodes) / m.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = 0.5j * profile.dmass_dx(grid.nodes) / m.values
+    finite = np.isfinite(a)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise MassError(
+            f"the mass-induced vector potential (i/2) M'/M is not finite at "
+            f"node {j} (x = {grid.nodes[j]:g})")
     return GridFunction(grid, a)
 
 
 def check_pt_symmetry(f: GridFunction) -> float:
-    """The PT residual max |f(-x) - conj(f(x))| over the nodes.
+    """The PT residual max |f(-x) - conj(f(x))| over the nodes, and over
+    every function of a stack.
 
     Requires a grid symmetric about the origin so that -x lands on a node:
-    dirichlet grids mirror j <-> n-1-j, periodic grids mirror j <-> (n-j) mod n.
+    dirichlet grids mirror j <-> n-1-j, periodic grids mirror j <-> (n-j) mod n,
+    along the last axis.
     """
     g = f.grid
     if not g.is_symmetric():
@@ -135,7 +147,7 @@ def check_pt_symmetry(f: GridFunction) -> float:
         mirror = n - 1 - idx
     else:
         mirror = (n - idx) % n
-    return float(np.max(np.abs(f.values[mirror] - np.conj(f.values))))
+    return float(np.max(np.abs(f.values[..., mirror] - np.conj(f.values))))
 
 
 # The one representation every operator and diagnostic is built in; the
@@ -151,7 +163,8 @@ del _g
 
 @dataclass(frozen=True)
 class LorentzPotential:
-    """The four static channels: time-vector, space-vector, scalar, pseudoscalar."""
+    """The four static channels: time-vector, space-vector, scalar,
+    pseudoscalar; each one function on one grid."""
 
     v_t: GridFunction
     v_sp: GridFunction
@@ -160,9 +173,13 @@ class LorentzPotential:
 
     def __post_init__(self) -> None:
         g = self.v_t.grid
-        for name in ("v_sp", "v_s", "v_p"):
-            if getattr(self, name).grid != g:
+        for name in ("v_t", "v_sp", "v_s", "v_p"):
+            channel = getattr(self, name)
+            if channel.grid != g:
                 raise GridError(f"potential channel {name} lives on a different grid")
+            if channel.values.ndim != 1:
+                raise GridError(f"potential channel {name} must be one function, "
+                                f"not a stack of shape {channel.values.shape}")
 
     @property
     def grid(self) -> Grid1D:

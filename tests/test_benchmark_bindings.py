@@ -1,4 +1,4 @@
-"""The benchmark tracer's view of the package.
+"""The benchmark tracer's and verifier's view of the package.
 
 perfbench/tracing.py wraps dirac1d functions by (module, attribute) and
 reads a few attributes of what they return.  A refactor that removes or
@@ -10,6 +10,7 @@ read zero.
 
 import importlib
 import importlib.util
+import sys
 import textwrap
 from pathlib import Path
 
@@ -17,14 +18,20 @@ import dirac1d.cli as cli
 from conftest import pt_operator
 from dirac1d import solve_spectrum
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracing")
 
 
 def test_every_wrapped_binding_exists():
@@ -78,3 +85,25 @@ def test_a_traced_diagnose_reaches_every_layer(tmp_path):
     assert len(names) == 5 and sorted(p.name for p in traced.iterdir()) == names
     for name in names:
         assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_the_verifier_passes_a_tiny_many_states_diagnose(tmp_path):
+    # perfbench/verify.py gates every diagnose operation with the one-state
+    # form of the reduced-equation oracle, on eigenvectors of its own; the
+    # traced run checks all its balanced states in one oracle call
+    verify, workloads = load_perfbench("verify"), load_perfbench("workloads")
+    tracer = load_tracing().Tracer()
+    work = workloads.make("many_states_diagnose", workloads.DEFAULT_SEED, tiny=True)
+    ini, out = tmp_path / "run.ini", tmp_path / "out"
+    ini.write_text(work.ini)
+    with tracer.operation(0):
+        assert cli.main(["diagnose", str(ini), "--out", str(out),
+                         *work.cli_args]) == 0
+    assert tracer.layer_metrics(0)["hamiltonian.oracle_calls"] == 1
+    gate = verify.CliGate(work, str(ini), None)
+    assert gate.check({"rc": 0, "out": out}) is None
+    energies, _ = verify.read_spectrum(out)
+    assert len(energies) == work.max_pairs
+    for energy in energies:
+        residual = gate.oracle_residual(energy)
+        assert isinstance(residual, float) and residual <= gate.tol

@@ -520,6 +520,93 @@ def test_a_grid_spacing_that_is_not_usable_exits_one_without_warnings(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "diagnose", "check-pt"])
+@pytest.mark.parametrize("mass, potential, message", [
+    ("family = quadratic_even\nalpha = 1e308", "zero",
+     "mass profile not finite on the grid"),
+    ("family = double_well\nlam = 1e308\na = 1", "zero",
+     "mass profile not finite on the grid"),
+    ("family = linear\nm0 = 1e308\nlam = 1e308", "zero",
+     "mass profile not finite on the grid"),
+    ("family = linear\nm0 = 5e-324\nlam = 1e-10", "pt_from_mass",
+     "the mass-induced vector potential (i/2) M'/M is not finite at node 20 (x = 0)"),
+], ids=["quadratic_even", "double_well", "linear", "induced_potential"])
+def test_a_mass_that_overflows_exits_one_without_warnings(
+        tmp_path, capsys, recwarn, command, mass, potential, message):
+    n = 41 if potential == "pt_from_mass" else 40
+    ini = write_ini(tmp_path, f"[grid]\nx_min = -6.0\nx_max = 6.0\nn_points = {n}\n\n"
+                    f"[mass]\n{mass}\n\n[potential]\nv_t = {potential}\n")
+    out = tmp_path / "out"
+    assert main([command, str(ini), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"dirac1d: error: {message}\n"
+    assert [str(w.message) for w in recwarn] == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe", "config file '{path}' is not UTF-8 text: 'utf-8' codec can't "
+                  "decode byte 0xff in position 0: invalid start byte"),
+    (None, "cannot read config file '{path}': Is a directory"),
+    (b"x = 1\n", "cannot parse run.ini: File contains no section headers. "
+                 "file: '{path}', line: 1 'x = 1\\n'"),
+    (b"[mass\nfamily = constant\n", "cannot parse run.ini: File contains no "
+     "section headers. file: '{path}', line: 1 '[mass\\n'"),
+    (b"[grid]\nx_min = 1\nx_min = 2\n", "cannot parse run.ini: While reading from "
+     "'{path}' [line 3]: option 'x_min' in section 'grid' already exists"),
+], ids=["not_utf8", "directory", "no_section", "broken_header", "duplicate_key"])
+def test_an_unreadable_config_exits_one_with_one_line(tmp_path, capsys, content,
+                                                      message):
+    path = tmp_path / "run.ini"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    for command in ("spectrum", "diagnose", "check-pt"):
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dirac1d: error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("[diagnostics]\nwindow = a:b\n",
+     "diagnostics.window: malformed window 'a:b'; expected 'x_lo:x_hi'"),
+    ("[diagnostics]\nwindow = 1:2:3\n",
+     "diagnostics.window: malformed window '1:2:3'; expected 'x_lo:x_hi'"),
+    ("v_s = constant:abc\n", "potential.v_s: cannot parse 'abc' as a number"),
+], ids=["window_a_b", "window_three_parts", "channel_not_a_number"])
+def test_a_malformed_value_exits_one_with_one_line(tmp_path, capsys, extra, message):
+    ini = write_ini(tmp_path, PT_INI + extra)
+    assert main(["diagnose", str(ini), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"dirac1d: error: {message}\n"
+
+
+def test_an_output_path_that_is_a_file_exits_one(tmp_path, capsys):
+    ini = write_ini(tmp_path, PT_INI.replace("n_points = 100", "n_points = 40"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["diagnose", str(ini), "--out", str(taken)]) == 1
+    assert capsys.readouterr().err == (
+        f"dirac1d: error: [Errno 17] File exists: '{taken}'\n")
+    assert main(["sweep", str(ini), "--param", "mass.alpha", "--values", "0.1",
+                 "--out", str(taken)]) == 1
+    assert capsys.readouterr().err == (
+        f"dirac1d: error: [Errno 20] Not a directory: '{taken / '000_0.1'}'\n")
+    assert taken.read_text() == ""
+
+
+def test_a_balance_identity_beyond_tolerance_exits_two(tmp_path, capsys):
+    ini = write_ini(tmp_path, PT_INI.replace("n_points = 100", "n_points = 40")
+                    + "\n[diagnostics]\nidentity_tol = 1e-300\n")
+    assert main(["diagnose", str(ini), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "FAILED checks: balance_identity\n"
+    assert "check balance_identity: FAIL (15 pair(s) exceed tolerance, worst " \
+        in captured.out
+
+
 def test_a_run_without_flags_validates_its_config_once(tmp_path, monkeypatch):
     # validation rebuilds the grid, mass and channels and re-reads file:
     # tables; a flag re-validates the config with the flag applied

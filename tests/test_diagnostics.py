@@ -364,18 +364,26 @@ def test_balance_table_gathers_pairs_in_order(pt_cases):
 
 
 def test_balance_runs_the_oracle_once_per_state(pt_cases, monkeypatch):
+    # one oracle call per balance, on the stacks of every state its valid
+    # pairs use, in state order
     result = normalize_result(pt_cases[400].result)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return reduced_residual_norm(*args, **kwargs)
+    def counted(energy, plus, minus, *args, **kwargs):
+        calls.append((energy, plus.values, minus.values))
+        return reduced_residual_norm(energy, plus, minus, *args, **kwargs)
 
     monkeypatch.setattr(diagnostics, "reduced_residual_norm", counted)
-    reports, _ = orthogonality_balance(result, _all_pairs(result))
-    assert len(reports) == 12 * 11
-    assert sorted(calls, key=lambda e: (e.real, e.imag)) == sorted(
-        result.energies, key=lambda e: (e.real, e.imag))
+    s = result.states
+    for pairs, used, evaluated in ((_all_pairs(result), list(range(12)), 12 * 11),
+                                   ([(3, 1), (0, 3), (2, 2), (5, 99)], [0, 1, 3], 2),
+                                   ([(2, 2)], [], 0)):
+        calls.clear()
+        reports, _ = orthogonality_balance(result, pairs)
+        assert len(reports) == evaluated and len(calls) == 1
+        energy, plus, minus = calls[0]
+        assert np.array_equal(energy, result.energies[used])
+        assert np.array_equal(plus, s[used, :, 0]) and np.array_equal(minus, s[used, :, 1])
 
 
 PT_RAW = {"grid": {"x_min": "-6.0", "x_max": "6.0", "n_points": "100"},

@@ -90,6 +90,12 @@ def test_grid_function_validates_shape_and_finiteness():
     assert np.all(f.values == 2.0 + 1.0j)
     with pytest.raises(ValueError):
         f.values[0] = 0.0
+    # a stack of functions keeps the grid's nodes on its last axis
+    stack = GridFunction(g, np.ones((3, 2, 8)))
+    assert stack.values.shape == (3, 2, 8) and not stack.values.flags.writeable
+    for shape in ((8, 3), (), (3, 9)):
+        with pytest.raises(GridError, match="shape"):
+            GridFunction(g, np.zeros(shape))
 
 
 def test_central_derivative_second_order_on_sine():

@@ -45,6 +45,23 @@ def test_input_validation():
     g2 = Grid1D(-1.0, 1.0, 16)
     with pytest.raises(GridError, match="grid"):
         assemble_hamiltonian(g2, pot, mass)
+    z2 = GridFunction.constant(g2, 1.0)
+    with pytest.raises(GridError, match="all inputs must share one grid"):
+        reduced_residual_norm(1.0, z, z2, pot, mass)
+    # the mass is one function; the oracle's state stacks come in one shape
+    # with one energy per state
+    stacked = GridFunction(g, np.ones((2, 16)))
+    for check in (lambda: assemble_hamiltonian(g, pot, stacked),
+                  lambda: reduced_residual_norm(1.0, z, z, pot, stacked)):
+        with pytest.raises(GridError, match=r"the mass must be one function, "
+                                            r"not a stack of shape \(2, 16\)"):
+            check()
+    with pytest.raises(GridError, match=r"plus and minus must have one shape, "
+                                        r"got \(2, 16\) and \(16,\)"):
+        reduced_equations_rhs(np.ones(2), stacked, z, pot, mass)
+    for energy in (1.0, np.ones(3), np.ones((2, 1))):
+        with pytest.raises(GridError, match="one energy per state"):
+            reduced_residual_norm(energy, stacked, stacked, pot, mass)
     # a finite wilson_r whose on-site Wilson term 2w = wilson_r/h, or w
     # itself, overflows
     big = float(np.finfo(float).max)
@@ -229,9 +246,46 @@ def test_oracle_defaults_match_operator_defaults():
         assert max(np.max(np.abs(rp.values)), np.max(np.abs(rm.values))) <= 1e-12
 
 
+def test_stacked_oracle_equals_one_state_calls_bit_for_bit():
+    # residual arrays and norms of a (K, n) stack are those of K one-state
+    # calls, bit for bit, on PT and random complex channels
+    rng = np.random.default_rng(26)
+    for boundary in ("dirichlet", "periodic"):
+        for n, r in ((9, 0.0), (40, 0.7), (40, 1.0)):
+            g = Grid1D(-6.0, 6.0, n, boundary=boundary)
+            profile = MassProfile("quadratic_even", m0=1.0, alpha=0.1)
+            mass = sample_mass(profile, g)
+            pt = LorentzPotential.from_channels(
+                g, v_t=pt_vector_potential(profile, g))
+            noisy = LorentzPotential.from_channels(g, **{
+                name: GridFunction(g, rng.normal(size=n) + 1j * rng.normal(size=n))
+                for name in ("v_t", "v_sp", "v_s", "v_p")})
+            for pot in (pt, noisy):
+                states = rng.normal(size=(5, 2, n)) + 1j * rng.normal(size=(5, 2, n))
+                energies = rng.normal(size=5) + 1j * rng.normal(size=5)
+                plus, minus = GridFunction(g, states[:, 0]), GridFunction(g, states[:, 1])
+                norms = reduced_residual_norm(energies, plus, minus, pot, mass,
+                                              wilson_r=r)
+                rp, rm = reduced_equations_rhs(energies, plus, minus, pot, mass,
+                                               wilson_r=r)
+                for i, (e, (p, m)) in enumerate(zip(energies, states)):
+                    args = (e, GridFunction(g, p), GridFunction(g, m), pot, mass)
+                    one = reduced_residual_norm(*args, wilson_r=r)
+                    rp1, rm1 = reduced_equations_rhs(*args, wilson_r=r)
+                    assert np.float64(one).view(np.uint64) == norms[i].view(np.uint64)
+                    for got, want in ((rp.values[i], rp1.values),
+                                      (rm.values[i], rm1.values)):
+                        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_reduced_residual_norm_rejects_zero_spinor():
     g = Grid1D(-1.0, 1.0, 12)
     z = GridFunction.constant(g, 0.0)
     mass = sample_mass(MassProfile("constant", m0=1.0), g)
+    pot = LorentzPotential.from_channels(g)
     with pytest.raises(GridError, match="zero spinor"):
-        reduced_residual_norm(1.0, z, z, LorentzPotential.from_channels(g), mass)
+        reduced_residual_norm(1.0, z, z, pot, mass)
+    # one zero state in a stack is enough
+    stack = GridFunction(g, np.stack([np.ones(12), np.zeros(12)]))
+    with pytest.raises(GridError, match="zero spinor"):
+        reduced_residual_norm(np.ones(2), stack, stack, pot, mass)

@@ -105,6 +105,15 @@ def test_pt_symmetry_periodic_mirror_and_real_channel():
     assert check_pt_symmetry(const) == 0.0
 
 
+def test_pt_check_of_a_stack_mirrors_each_function():
+    for boundary in ("dirichlet", "periodic"):
+        g = Grid1D(-3.0, 3.0, 24, boundary=boundary)
+        even, odd = np.cos(g.nodes), np.sin(g.nodes)
+        rows = [GridFunction(g, v) for v in (even, 1.0j * odd, odd)]
+        stack = GridFunction(g, np.stack([f.values for f in rows]))
+        assert check_pt_symmetry(stack) == max(map(check_pt_symmetry, rows)) > 0.5
+
+
 def test_pt_check_needs_symmetric_grid():
     g = Grid1D(0.0, 2.0, 16)
     with pytest.raises(GridError, match="symmetric"):
@@ -205,6 +214,15 @@ def test_channels_must_share_grid():
     g2 = Grid1D(-1.0, 1.0, 10)
     with pytest.raises(GridError, match="different grid"):
         LorentzPotential.from_channels(g1, v_s=GridFunction.constant(g2, 1.0))
+
+
+def test_each_channel_must_be_one_function():
+    g = Grid1D(-1.0, 1.0, 9)
+    stack = GridFunction(g, np.zeros((2, 9)))
+    for name in ("v_t", "v_sp", "v_s", "v_p"):
+        with pytest.raises(GridError, match=rf"channel {name} must be one function, "
+                                            r"not a stack of shape \(2, 9\)"):
+            LorentzPotential.from_channels(g, **{name: stack})
 
 
 # ------------------------------------------------ gamma0-metric Hermiticity

@@ -205,6 +205,11 @@ PT_RAW = {"grid": {"x_min": "-6.0", "x_max": "6.0", "n_points": "100"},
           "diagnostics": {"balance_lowest": "8"}}
 
 
+def test_an_unknown_mode_is_refused():
+    with pytest.raises(Dirac1DError, match="^unknown mode 'solve'$"):
+        execute(config_from_raw(PT_RAW), "solve")
+
+
 def test_diagnose_artifacts_match_the_per_pair_reference(tmp_path):
     report = execute(config_from_raw(PT_RAW), "diagnose")
     assert len(report.balance) == 28

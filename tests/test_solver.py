@@ -1,5 +1,7 @@
 """Matrix eigensolve (ordering, residual gate, reality tags) and shooting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -247,6 +249,15 @@ def test_eigenpairs_are_a_view_of_the_read_only_stack():
     for array in (result.energies, result.states):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+def test_a_mis_shaped_state_stack_is_refused():
+    result = solve_spectrum(scalar_box_operator(n=40), max_pairs=6)
+    good = np.asarray(result.states)
+    for states in (good[:5], good[:, :39], np.zeros((6, 40, 3)), good[0]):
+        with pytest.raises(GridError, match=r"states must be a \(K, n_points, 2\) "
+                                            "stack of K energies"):
+            replace(result, states=states)
 
 
 def test_imaginary_parts_above_reality_tol_are_kept():
