@@ -301,12 +301,12 @@ def config_from_raw(raw: dict[str, dict[str, str]],
 
 
 def parse_config(path) -> RunConfig:
-    """Read, validate and default-fill an INI run configuration (UTF-8)."""
+    """Read, validate and default-fill an INI run configuration (UTF-8, BOM or not)."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {str(path)!r} not found")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {str(path)!r} is not UTF-8 text: {exc}") from None
     except OSError as exc:

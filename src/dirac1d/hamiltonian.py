@@ -105,12 +105,9 @@ class DiracOperator:
 
 def blocks_on_grid(grid: Grid1D, pot: LorentzPotential, mass: GridFunction) -> np.ndarray:
     """local_blocks(pot, mass) at every node of grid; a GridError unless the
-    mass and the potential both live on grid and the mass is one function."""
+    mass and the potential both live on grid."""
     if mass.grid != grid or pot.grid != grid:
         raise GridError("mass and potential must live on the operator grid")
-    if mass.values.ndim != 1:
-        raise GridError(f"the mass must be one function, not a stack of shape "
-                        f"{mass.values.shape}")
     return local_blocks(pot, mass)
 
 

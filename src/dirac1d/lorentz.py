@@ -219,8 +219,14 @@ def local_blocks(pot: LorentzPotential,
     is gamma0 V, the potential's part alone.  The assembled operator, the
     shooter's coefficients and the anti-Hermitian part are all built from it.
     Finite samples can still sum past the largest double: a block that is
-    not finite is a GridError naming its first node.
+    not finite is a GridError naming its first node.  A stacked mass, or one
+    on another grid than the potential, is a GridError too.
     """
+    if mass is not None and mass.grid != pot.grid:
+        raise GridError("the mass and the potential must live on one grid")
+    if mass is not None and mass.values.ndim != 1:
+        raise GridError(f"the mass must be one function, not a stack of shape "
+                        f"{mass.values.shape}")
     h = np.empty((pot.grid.n_points, 2, 2), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         c = pot.v_s.values if mass is None else mass.values + pot.v_s.values

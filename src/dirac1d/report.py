@@ -3,15 +3,15 @@
 Every report table is a {header: column} dict: the spectrum table is built
 from the result's (K, n, 2) state stack, the PT table from the channel
 checks, and the Gram and balance tables from the matrix and the
-BalanceTable.  The writers pick each column's formatter from its numpy
-dtype kind alone (floats, ints, bools, else text), and a float column
-formats each distinct bit pattern once; the CSVs and report.json hold the
-same rows.  Reports carry no timestamps or timing so repeated runs of the
-same configuration produce byte-identical CSV and JSON artifacts.  The
-CSVs write floats as %.17g (17 significant digits, enough to round-trip a
-double).  report.json is exactly json.dumps(indent=2, sort_keys=True) of
-the document: floats in Python's shortest round-trip repr, non-finite ones
-as NaN, Infinity and -Infinity.
+BalanceTable.  The writers spell one table at a time, picking each
+column's rule from its numpy dtype kind alone (floats, ints, bools, else
+text), and the CSV and report.json share the cells.  A float is Python's
+shortest round-trip repr, formatted once per distinct bit pattern, in both
+files; only report.json spells the non-finite ones as NaN, Infinity and
+-Infinity, where the CSVs keep nan, inf and -inf.  report.json is exactly
+json.dumps(indent=2, sort_keys=True) of the document.  Reports carry no
+timestamps or timing so repeated runs of the same configuration produce
+byte-identical CSV and JSON artifacts.
 """
 
 from __future__ import annotations
@@ -236,51 +236,35 @@ def _csv_cell(v) -> str:
 _BOOLS = {False: "false", True: "true"}
 
 
-def _distinct_cells(column, format_floats) -> list[str]:
-    """The column's floats formatted by format_floats, which is handed each
-    distinct bit pattern once.
+def _column_cells(column) -> tuple[list[str], list[str]]:
+    """The column's (CSV, JSON) cells, by its numpy dtype kind.
 
-    Keyed on bits, not values: 0.0 == -0.0 but the two are written apart.
+    A float is float.__repr__ in both files, formatted once per distinct bit
+    pattern (bits, not values: 0.0 == -0.0 but the two are written apart),
+    and only report.json spells the non-finite ones as json does.  Ints
+    (int.__repr__) and bools (true/false) are one list for both files; text
+    is _csv_cell in the CSV and json.dumps in report.json.
     """
-    bits, inverse = np.unique(np.ascontiguousarray(column, dtype=np.float64)
-                              .view(np.uint64), return_inverse=True)
-    cells = np.array(format_floats(bits.view(np.float64)), dtype=object)
-    return cells[inverse].tolist()
-
-
-def _cells(column, format_floats, format_text) -> list[str]:
-    """The column's cells, formatted by its numpy dtype kind: floats by
-    format_floats, ints by int.__repr__, bools as true/false, and anything
-    else, one cell at a time, by format_text."""
     values = np.asarray(column)
     kind = values.dtype.kind
     if kind == "f":
-        return _distinct_cells(values, format_floats)
+        bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64)
+                                  .view(np.uint64), return_inverse=True)
+        distinct = bits.view(np.float64)
+        cells = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+        csv_cells = cells[inverse].tolist()
+        nonfinite = np.flatnonzero(~np.isfinite(distinct))
+        if not nonfinite.size:
+            return csv_cells, csv_cells
+        cells[nonfinite] = list(map(json.dumps, distinct[nonfinite].tolist()))
+        return csv_cells, cells[inverse].tolist()
     if kind in "iu":
-        return list(map(int.__repr__, values.tolist()))
-    if kind == "b":
-        return list(map(_BOOLS.__getitem__, values.tolist()))
-    return list(map(format_text, column))
-
-
-def _csv_floats(values: np.ndarray) -> list[str]:
-    return list(map("%.17g".__mod__, values.tolist()))
-
-
-def _csv_cells(column) -> list[str]:
-    return _cells(column, _csv_floats, _csv_cell)
-
-
-def _json_floats(values: np.ndarray) -> list[str]:
-    """float.__repr__, with NaN, Infinity and -Infinity as json writes them."""
-    cells = list(map(float.__repr__, values.tolist()))
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        cells[i] = json.dumps(float(values[i]))
-    return cells
-
-
-def _json_cells(column) -> list[str]:
-    return _cells(column, _json_floats, json.dumps)
+        cells = list(map(int.__repr__, values.tolist()))
+    elif kind == "b":
+        cells = list(map(_BOOLS.__getitem__, values.tolist()))
+    else:
+        return list(map(_csv_cell, column)), list(map(json.dumps, column))
+    return cells, cells
 
 
 def _gram_columns(g: np.ndarray) -> dict[str, np.ndarray]:
@@ -311,34 +295,39 @@ def _n_rows(table: dict[str, list]) -> int:
     return len(next(iter(table.values()), ()))
 
 
-def write_csv(path: Path, table: dict[str, list]) -> None:
-    """Write a {header: column} table as CSV: the header line, then the rows."""
-    cells = [_csv_cells(column) for column in table.values()]
-    lines = [",".join(table), *map(",".join, zip(*cells))]
+def _write_csv(path: Path, columns: dict[str, list[str]]) -> None:
+    lines = [",".join(columns), *map(",".join, zip(*columns.values()))]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _json_rows(table: dict[str, list]) -> str:
-    """The table as the list of row objects json.dumps(indent=2,
+def write_csv(path: Path, table: dict[str, list]) -> None:
+    """Write a {header: column} table as CSV: the header line, then the rows."""
+    _write_csv(path, {key: _column_cells(column)[0]
+                      for key, column in table.items()})
+
+
+def _json_rows(columns: dict[str, list[str]]) -> str:
+    """The table of JSON cells as the list of row objects json.dumps(indent=2,
     sort_keys=True) writes for a key of the top-level object."""
-    if not _n_rows(table):
+    if not _n_rows(columns):
         return "[]"
-    keys = sorted(table)
+    keys = sorted(columns)
     template = "    {\n%s\n    }" % ",\n".join(
         "      %s: %%s" % json.dumps(key).replace("%", "%%") for key in keys)
-    rows = zip(*(_json_cells(table[key]) for key in keys))
+    rows = zip(*(columns[key] for key in keys))
     return "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n  ]"
 
 
-def _report_json(doc: dict, tables: dict[str, dict]) -> str:
-    """json.dumps({**doc, **tables}, indent=2, sort_keys=True) + "\n".
+def _report_json(doc: dict, tables: dict[str, str]) -> str:
+    """json.dumps({**doc, **tables}, indent=2, sort_keys=True) + "\n", given
+    each table as the text _json_rows writes for it.
 
     Each value of doc is written by json.dumps, indented one level; the
     tables are spliced in at their sorted-key positions.
     """
     parts = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
              for key, value in doc.items()}
-    parts.update((key, _json_rows(table)) for key, table in tables.items())
+    parts.update(tables)
     return "{\n%s\n}\n" % ",\n".join(
         f"  {json.dumps(key)}: {parts[key]}" for key in sorted(parts))
 
@@ -369,12 +358,19 @@ def write_outputs(report: RunReport, out_dir: Path, formats: str) -> list[Path]:
     if report.gram is not None:
         tables["gram"] = _gram_columns(report.gram)
     written: list[Path] = []
+    json_tables: dict[str, str] = {}
 
-    if formats in ("csv", "both"):
-        for key, name in _TABLES:
-            if key in tables and _n_rows(tables[key]):
-                write_csv(out_dir / name, tables[key])
-                written.append(out_dir / name)
+    for key, name in _TABLES:
+        if key not in tables:
+            continue
+        csv_cells, json_cells = {}, {}
+        for header, column in tables[key].items():
+            csv_cells[header], json_cells[header] = _column_cells(column)
+        if formats in ("csv", "both") and _n_rows(csv_cells):
+            _write_csv(out_dir / name, csv_cells)
+            written.append(out_dir / name)
+        if formats in ("json", "both"):
+            json_tables[key] = _json_rows(json_cells)
 
     if formats in ("json", "both"):
         doc = {"mode": report.mode, "config": report.config,
@@ -382,7 +378,7 @@ def write_outputs(report: RunReport, out_dir: Path, formats: str) -> list[Path]:
                "checks": [asdict(c) for c in report.checks],
                "notes": report.notes, "passed": report.passed}
         p = out_dir / "report.json"
-        p.write_text(_report_json(doc, tables))
+        p.write_text(_report_json(doc, json_tables))
         written.append(p)
 
     for name in OUTPUTS:

@@ -668,6 +668,34 @@ def test_a_rerun_into_one_directory_leaves_no_stale_artifacts(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
 
+def test_each_format_writes_the_same_bytes_as_both(tmp_path):
+    # the PT table has a text column; the window makes the balance terms
+    # carry a boundary flux
+    ini = write_ini(tmp_path, PT_INI + "\n[diagnostics]\nbalance_lowest = 6\n"
+                                       "window = -2:2\n")
+    files = {}
+    for formats in ("csv", "json", "both"):
+        out = tmp_path / formats
+        assert main(["diagnose", str(ini), "--out", str(out),
+                     "--format", formats]) == 0
+        files[formats] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(files["csv"]) == sorted(ARTIFACTS[:4])
+    assert sorted(files["json"]) == ["report.json"]
+    assert sorted(files["both"]) == sorted(ARTIFACTS)
+    for name in ARTIFACTS[:4]:
+        assert files["csv"][name] == files["both"][name], name
+    # report.json echoes the formats it was written with, and only there
+    # may the two differ
+    echo = b'"formats": "%s"'
+    assert files["json"]["report.json"].count(echo % b"json") == 1
+    assert (files["json"]["report.json"].replace(echo % b"json", echo % b"both")
+            == files["both"]["report.json"])
+    balance = json.loads(files["both"]["report.json"])["balance"]
+    assert len(balance) == 15
+    assert all(row["term_boundary_re"] or row["term_boundary_im"]
+               for row in balance)
+
+
 def test_report_json_with_complex_levels_is_what_json_dumps_writes(tmp_path):
     ini = write_ini(tmp_path, textwrap.dedent("""\
         [grid]

@@ -249,6 +249,21 @@ def test_missing_file():
         parse_config("/nonexistent/run.ini")
 
 
+def test_a_byte_order_mark_is_dropped_and_other_encodings_refused(tmp_path):
+    # editors on Windows often start a UTF-8 file with the mark EF BB BF
+    text = MINIMAL + "\n; the scalar potential 0.5·|x|\n[potential]\nv_s = abs:0.5\n"
+    plain = parse_config(write(tmp_path, text))
+    marked = tmp_path / "bom.ini"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    cfg = parse_config(marked)
+    assert (cfg.values, cfg.raw) == (plain.values, plain.raw)
+    latin = tmp_path / "latin.ini"
+    latin.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ConfigError, match=f"config file {str(latin)!r} is not "
+                                          "UTF-8 text"):
+        parse_config(latin)
+
+
 def test_report_json_echoes_effective_config(tmp_path):
     import json
     text = MINIMAL + "\n[diagnostics]\nbalance_pairs = 1:0\nwindow = -1.0:1.0\n"

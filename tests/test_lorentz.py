@@ -200,6 +200,20 @@ def test_local_blocks_that_overflow_name_their_first_node():
             build()
 
 
+def test_local_blocks_refuse_a_stacked_mass_and_a_mass_on_another_grid():
+    g = Grid1D(-1.0, 1.0, 9)
+    pot = LorentzPotential.from_channels(g, v_s=GridFunction.constant(g, 0.5))
+    with pytest.raises(GridError, match=r"the mass must be one function, "
+                                        r"not a stack of shape \(2, 9\)"):
+        local_blocks(pot, GridFunction(g, np.ones((2, 9))))
+    # same size, other span: the nodes differ, so the sum would mix them
+    other = GridFunction.constant(Grid1D(-2.0, 2.0, 9), 1.0)
+    with pytest.raises(GridError, match="the mass and the potential must live "
+                                        "on one grid"):
+        local_blocks(pot, other)
+    assert np.all(local_blocks(pot, GridFunction.constant(g, 1.0))[:, 0, 1] == 1.5)
+
+
 def test_anti_hermitian_matches_gamma_form():
     g, chans = random_channels(5, 12)
     pot = LorentzPotential.from_channels(g, **chans)

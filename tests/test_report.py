@@ -2,13 +2,15 @@
 
 report.json must equal json.dumps(doc, indent=2, sort_keys=True) of the
 row-dict document, and each CSV must equal what the per-cell rule below
-writes: 17 significant digits for floats, true/false for booleans, str()
-for the rest, quoted when it holds a comma, a quote or a line break.  The
-balance rows of the reference document are read one pair at a time from
-the BalanceTable's columns, and the spectrum table's columns are
-checked bit for bit against a per-state computation.
+writes: repr() for floats (the shortest spelling that parses back to the
+same double, as report.json spells every finite float), true/false for
+booleans, str() for the rest, quoted when it holds a comma, a quote or a
+line break.  The balance rows of the reference document are read one pair
+at a time from the BalanceTable's columns, and the spectrum table's
+columns are checked bit for bit against a per-state computation.
 """
 
+import csv
 import json
 import math
 
@@ -47,7 +49,7 @@ def reference_csv(rows: list[dict]) -> str:
         if isinstance(v, bool):
             return "true" if v else "false"
         if isinstance(v, (float, np.floating)):
-            return format(float(v), ".17g")
+            return repr(float(v))
         text = str(v)
         if any(c in text for c in ',"\r\n'):
             return '"' + text.replace('"', '""') + '"'
@@ -123,8 +125,8 @@ def test_one_row_of_odd_values_matches_the_per_cell_rules(tmp_path):
     assert '"nan": NaN' in text and '"minus_inf": -Infinity' in text
     gram_csv = (tmp_path / "gram.csv").read_text()
     assert gram_csv == reference_csv(reference_gram_rows(g))
-    # the CSV writes 17 digits, report.json the shortest round-trip repr
-    assert "6.9389997830256336e-18" in gram_csv
+    # both files write the shortest round-trip repr
+    assert "6.938999783025634e-18" in gram_csv
     assert "6.938999783025634e-18" in text
 
 
@@ -197,6 +199,44 @@ def test_balance_table_columns_write_what_the_per_pair_rows_write(tmp_path):
     assert text == reference_json(report)
     assert '"identity_residual": -0.0' in text
     assert '"identity_residual": NaN' in text
+
+
+def test_every_float_cell_parses_back_to_its_bits_and_reads_alike_in_both_files(
+        tmp_path):
+    rng = np.random.default_rng(20261020)
+    # raw bit patterns reach every exponent, subnormals included; the
+    # writers spell NaN without its sign or payload, so only the canonical
+    # NaN goes in
+    bits = rng.integers(0, 2**64, size=2000, dtype=np.uint64, endpoint=False)
+    drawn = bits.view(np.float64)
+    drawn = drawn[np.isfinite(drawn)]
+    special = [-0.0, 0.0, 5e-324, -5e-324, np.finfo(float).max,
+               -np.finfo(float).max, math.nan, math.inf, -math.inf, 1e-12, 0.1]
+    n = len(special) * 20
+    table = {"index": np.arange(n), "drawn": drawn[:n],
+             "normal": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+             "special": np.array(special * 20)}
+    write_outputs(sample_report(spectrum=table), tmp_path, "both")
+
+    with open(tmp_path / "spectrum.csv", newline="") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    # the literal spellings, not the parsed values
+    json_rows = json.loads((tmp_path / "report.json").read_text(),
+                           parse_float=str, parse_constant=str)["spectrum"]
+    for key in ("drawn", "normal", "special"):
+        want = table[key].view(np.uint64)
+        csv_cells = [row[key] for row in csv_rows]
+        json_cells = [row[key] for row in json_rows]
+        for cells in (csv_cells, json_cells):
+            got = np.array([float(c) for c in cells]).view(np.uint64)
+            assert np.array_equal(got, want), key
+        finite = np.isfinite(table[key])
+        assert [c for c, f in zip(csv_cells, finite) if f] == [
+            c for c, f in zip(json_cells, finite) if f], key
+    assert {row["special"] for row in csv_rows} >= {"nan", "inf", "-inf",
+                                                     "-0.0", "1e-12"}
+    assert {row["special"] for row in json_rows} >= {"NaN", "Infinity",
+                                                      "-Infinity"}
 
 
 PT_RAW = {"grid": {"x_min": "-6.0", "x_max": "6.0", "n_points": "100"},
