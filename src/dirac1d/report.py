@@ -192,7 +192,7 @@ def _diagnostics_stage(report: RunReport, cfg: RunConfig,
     pairs = list(d["balance_pairs"])
     if not pairs:
         low = min(d["balance_lowest"], len(result.energies))
-        pairs = [(k, kp) for k in range(low) for kp in range(k)]
+        pairs = np.stack(np.tril_indices(low, -1), axis=1)
     table, failures = orthogonality_balance(
         result, pairs, window=window, identity_tol=identity_tol)
     report.checks.extend(
@@ -259,7 +259,9 @@ def _column_cells(column) -> tuple[list[str], list[str]]:
         cells[nonfinite] = list(map(json.dumps, distinct[nonfinite].tolist()))
         return csv_cells, cells[inverse].tolist()
     if kind in "iu":
-        cells = list(map(int.__repr__, values.tolist()))
+        distinct, inverse = np.unique(values, return_inverse=True)
+        cells = np.array(list(map(int.__repr__, distinct.tolist())), dtype=object)
+        cells = cells[inverse].tolist()
     elif kind == "b":
         cells = list(map(_BOOLS.__getitem__, values.tolist()))
     else:
@@ -295,9 +297,23 @@ def _n_rows(table: dict[str, list]) -> int:
     return len(next(iter(table.values()), ()))
 
 
+def _joined_rows(head: str, cells: list[list[str]],
+                 separators: list[str]) -> list[str]:
+    """The parts of a table's text, for one "".join: head, then every row as
+    cell i of each column followed by separators[i]."""
+    n_rows = len(cells[0]) if cells else 0
+    step = 2 * len(cells)
+    parts = [head] * (1 + step * n_rows)
+    for i, (column, separator) in enumerate(zip(cells, separators)):
+        parts[1 + 2 * i::step] = column
+        parts[2 + 2 * i::step] = [separator] * n_rows
+    return parts
+
+
 def _write_csv(path: Path, columns: dict[str, list[str]]) -> None:
-    lines = [",".join(columns), *map(",".join, zip(*columns.values()))]
-    path.write_text("\n".join(lines) + "\n")
+    separators = [","] * (len(columns) - 1) + ["\n"]
+    path.write_text("".join(_joined_rows(",".join(columns) + "\n",
+                                         list(columns.values()), separators)))
 
 
 def write_csv(path: Path, table: dict[str, list]) -> None:
@@ -306,30 +322,40 @@ def write_csv(path: Path, table: dict[str, list]) -> None:
                       for key, column in table.items()})
 
 
-def _json_rows(columns: dict[str, list[str]]) -> str:
-    """The table of JSON cells as the list of row objects json.dumps(indent=2,
-    sort_keys=True) writes for a key of the top-level object."""
+def _json_rows(columns: dict[str, list[str]]) -> list[str]:
+    """The parts of the list of row objects json.dumps(indent=2,
+    sort_keys=True) writes for the table under a key of the top-level
+    object, given the table's JSON cells."""
     if not _n_rows(columns):
-        return "[]"
+        return ["[]"]
     keys = sorted(columns)
-    template = "    {\n%s\n    }" % ",\n".join(
-        "      %s: %%s" % json.dumps(key).replace("%", "%%") for key in keys)
-    rows = zip(*(columns[key] for key in keys))
-    return "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n  ]"
+    names = list(map(json.dumps, keys))
+    first = f"\n    {{\n      {names[0]}: "
+    separators = [f",\n      {name}: " for name in names[1:]] + ["\n    }," + first]
+    parts = _joined_rows("[" + first, [columns[key] for key in keys], separators)
+    parts[-1] = "\n    }\n  ]"
+    return parts
 
 
-def _report_json(doc: dict, tables: dict[str, str]) -> str:
+def _report_json(doc: dict, tables: dict[str, list[str]]) -> str:
     """json.dumps({**doc, **tables}, indent=2, sort_keys=True) + "\n", given
-    each table as the text _json_rows writes for it.
+    each table as the parts _json_rows writes for it.
 
     Each value of doc is written by json.dumps, indented one level; the
-    tables are spliced in at their sorted-key positions.
+    tables' parts are spliced in at their sorted-key positions, and the
+    whole text is one join.
     """
-    parts = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-             for key, value in doc.items()}
-    parts.update(tables)
-    return "{\n%s\n}\n" % ",\n".join(
-        f"  {json.dumps(key)}: {parts[key]}" for key in sorted(parts))
+    parts = ["{"]
+    for key in sorted({*doc, *tables}):
+        parts.append(f"\n  {json.dumps(key)}: ")
+        if key in tables:
+            parts.extend(tables[key])
+        else:
+            parts.append(json.dumps(doc[key], indent=2, sort_keys=True)
+                         .replace("\n", "\n  "))
+        parts.append(",")
+    parts[-1] = "\n}\n"
+    return "".join(parts)
 
 
 # (table key, CSV file name) in writing order; report.json holds the same
@@ -358,7 +384,7 @@ def write_outputs(report: RunReport, out_dir: Path, formats: str) -> list[Path]:
     if report.gram is not None:
         tables["gram"] = _gram_columns(report.gram)
     written: list[Path] = []
-    json_tables: dict[str, str] = {}
+    json_tables: dict[str, list[str]] = {}
 
     for key, name in _TABLES:
         if key not in tables:

@@ -115,18 +115,27 @@ def _rotated(h: np.ndarray, real: bool) -> np.ndarray:
     With H = [[A, B], [C, D]] in K x K blocks of the [plus, minus] layout,
     U^dagger H U = 1/2 [[A + D + i(C - B), B + C - i(A - D)],
                         [B + C + i(A - D), A + D - i(C - B)]].
-    For an exactly Hermitian H this is exactly Hermitian too.  The kinetic,
-    Wilson, mass, scalar, time-vector and pseudoscalar parts rotate to real
-    entries, so its imaginary part is exactly zero when every active block
-    has h00 == h11, i.e. no space-vector channel; the caller reads that from
-    the blocks and passes it as real.
+    Only the entries DiracOperator.matrix writes are read: node j with j and
+    with j +- 1 mod K (the wrapped corners hold +0 on a dirichlet grid, and
+    every other entry rotates to +0), so the formula runs on O(K) values
+    and no K x K block is formed.  For an exactly Hermitian H this is exactly
+    Hermitian too.  The kinetic, Wilson, mass, scalar, time-vector and
+    pseudoscalar parts rotate to real entries, so its imaginary part is
+    exactly zero when every active block has h00 == h11, i.e. no
+    space-vector channel; the caller reads that from the blocks and passes
+    it as real.
     """
     k = h.shape[0] // 2
-    a, b, c, d = h[:k, :k], h[:k, k:], h[k:, :k], h[k:, k:]
+    node = np.repeat(np.arange(k), 3)
+    near = (node + np.tile([-1, 0, 1], k)) % k
+    band = h.reshape(2, k, 2, k)[:, node, :, near]  # (3K, 2, 2)
+    a, b, c, d = band[:, 0, 0], band[:, 0, 1], band[:, 1, 0], band[:, 1, 1]
     s, t = 0.5 * (a + d), 0.5j * (c - b)
     u, v = 0.5 * (b + c), 0.5j * (a - d)
-    m = np.block([[s + t, u - v], [u + v, s - t]])
-    return m.real if real else m
+    rotated = np.stack((s + t, u - v, u + v, s - t), axis=1).reshape(-1, 2, 2)
+    m = np.zeros((2, k, 2, k), dtype=float if real else complex)
+    m[:, node, :, near] = rotated.real if real else rotated
+    return m.reshape(2 * k, 2 * k)
 
 
 def _unrotated(u: np.ndarray) -> np.ndarray:

@@ -161,34 +161,49 @@ def test_real_hermitian_operators_reach_lapack_as_real_matrices(monkeypatch):
     assert name == "eig" and matrix is op.matrix
 
 
+def reference_rotated(h, real):
+    """U^dagger H U by dense K x K block arithmetic, the form the band
+    rotation replaced, kept apart from it so the two can be checked against
+    each other bit for bit."""
+    k = h.shape[0] // 2
+    a, b, c, d = h[:k, :k], h[:k, k:], h[k:, :k], h[k:, k:]
+    s, t = 0.5 * (a + d), 0.5j * (c - b)
+    u, v = 0.5 * (b + c), 0.5j * (a - d)
+    m = np.block([[s + t, u - v], [u + v, s - t]])
+    return m.real if real else m
+
+
+def random_operator(rng, n, boundary, wilson_r, with_sp=True, with_p=True):
+    """A random exactly Hermitian operator; V_sp, when present, sits on a
+    few nodes only, so walls can hide it."""
+    g = Grid1D(-3.0, 3.0, n, boundary=boundary)
+    v_s, v_t, v_sp, v_p, m = rng.normal(size=(5, n))
+    channels = {"v_s": GridFunction(g, v_s), "v_t": GridFunction(g, v_t)}
+    if with_sp:
+        channels["v_sp"] = GridFunction(g, v_sp * (rng.random(n) < 0.3))
+    if with_p:
+        channels["v_p"] = GridFunction(g, v_p)
+    return assemble_hamiltonian(g, LorentzPotential.from_channels(g, **channels),
+                                GridFunction(g, 1.0 + m), wilson_r=wilson_r)
+
+
 def test_rotated_matrix_realness_is_read_from_the_blocks():
     # U^dagger H U of an exactly Hermitian operator is real exactly when
     # every active block has h00 == h11: the blocks' test against the
     # imaginary part of the whole rotated matrix, on random Hermitian
     # operators over both boundaries and wilson_r in {0, 0.7, 1}, with and
-    # without V_sp (on a few nodes only, so walls can hide it) and V_p, and
-    # on a V_sp = 1 that V_t = 1e20 rounds away
+    # without V_sp and V_p, on the smallest grid (n = 8) of each boundary,
+    # and on a V_sp = 1 that V_t = 1e20 rounds away.  The band rotation
+    # must give the dense block formula's matrix bit for bit.
     rng = np.random.default_rng(20)
     ops = []
     for boundary in ("dirichlet", "periodic"):
         for wilson_r in (0.0, 0.7, 1.0):
             for with_sp in (False, True):
                 for with_p in (False, True):
-                    for _ in range(4):
-                        n = int(rng.integers(8, 24))
-                        g = Grid1D(-3.0, 3.0, n, boundary=boundary)
-                        v_s, v_t, v_sp, v_p, m = rng.normal(size=(5, n))
-                        channels = {"v_s": GridFunction(g, v_s),
-                                    "v_t": GridFunction(g, v_t)}
-                        if with_sp:
-                            channels["v_sp"] = GridFunction(
-                                g, v_sp * (rng.random(n) < 0.3))
-                        if with_p:
-                            channels["v_p"] = GridFunction(g, v_p)
-                        mass = GridFunction(g, 1.0 + m)
-                        ops.append(assemble_hamiltonian(
-                            g, LorentzPotential.from_channels(g, **channels),
-                            mass, wilson_r=wilson_r))
+                    ops.extend(random_operator(rng, n, boundary, wilson_r,
+                                               with_sp, with_p)
+                               for n in [8, *rng.integers(9, 24, size=3)])
     g = Grid1D(-3.0, 3.0, 20)
     rounded = assemble_hamiltonian(
         g, LorentzPotential.from_channels(g, v_t=GridFunction.constant(g, 1e20),
@@ -198,15 +213,35 @@ def test_rotated_matrix_realness_is_read_from_the_blocks():
     outcomes = []
     for op in ops:
         assert hermiticity_of_operator(op) == 0.0
-        full = solver._rotated(op.matrix, False)
+        full = reference_rotated(op.matrix, False)
+        assert np.array_equal(solver._rotated(op.matrix, False).view(np.uint64),
+                              full.view(np.uint64))
         real = np.array_equal(op.blocks[:, 0, 0], op.blocks[:, 1, 1])
         assert real == (not full.imag.any())
         got = solver._rotated(op.matrix, real)
-        expected = full.real if real else full
-        assert got.dtype == expected.dtype
+        expected = reference_rotated(op.matrix, real)
+        assert got.dtype == expected.dtype and got.flags.c_contiguous
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
         outcomes.append(real)
     assert outcomes[-1] and set(outcomes) == {True, False}
+
+
+def test_the_operator_writes_only_the_entries_the_rotation_reads():
+    # _rotated reads node j with j and j +- 1 mod K in each of the four
+    # K x K blocks; a wider stencil would be dropped from the eigh solve
+    rng = np.random.default_rng(21)
+    for boundary in ("dirichlet", "periodic"):
+        for wilson_r in (0.0, 1.0):
+            for n in (8, 9, 31):
+                op = random_operator(rng, n, boundary, wilson_r)
+                k = len(op.blocks)
+                node = np.arange(k)
+                read = np.zeros((k, k), dtype=bool)
+                for step in (-1, 0, 1):
+                    read[node, (node + step) % k] = True
+                blocks = op.matrix.reshape(2, k, 2, k).transpose(0, 2, 1, 3)
+                assert not blocks[:, :, ~read].any()
+                assert blocks[:, :, read].any()
 
 
 def test_states_are_the_kept_columns_on_the_full_grid(monkeypatch):
