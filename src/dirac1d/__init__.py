@@ -7,7 +7,7 @@ from .diagnostics import (BalanceTable, continuity_residual, gram_matrix,
                           normalize_result, orthogonality_balance)
 from .errors import (ConfigError, ConvergenceError, Dirac1DError, GridError,
                      MassError)
-from .grid import Grid1D, GridFunction
+from .grid import Grid1D, GridFunction, central_difference
 from .hamiltonian import (DiracOperator, assemble_hamiltonian,
                           hermiticity_of_operator, reduced_equations_rhs,
                           reduced_residual_norm)
@@ -25,7 +25,8 @@ __all__ = [
     "DiracOperator", "GAMMA0", "GAMMA1", "GAMMA5", "Grid1D", "GridError",
     "GridFunction", "LorentzPotential", "MassError", "MassProfile",
     "RunConfig", "RunReport", "ShootingResult", "SpectrumResult",
-    "assemble_hamiltonian", "check_pt_symmetry", "config_from_raw",
+    "assemble_hamiltonian", "central_difference", "check_pt_symmetry",
+    "config_from_raw",
     "continuity_residual", "execute", "gamma0_hermiticity_residual",
     "gram_matrix", "hermiticity_of_operator", "local_blocks",
     "normalize_result", "orthogonality_balance", "parse_config",

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GridError
-from .grid import GridFunction, _is_a, central_difference
+from .grid import GridFunction, _is_a
 from .hamiltonian import reduced_residual_norm
 from .lorentz import GAMMA0, GAMMA1
 from .solver import SpectrumResult
@@ -85,26 +85,47 @@ def normalize_result(result: SpectrumResult) -> SpectrumResult:
     return replace(result, states=states * np.array(factors)[:, None, None])
 
 
+def _edge_current(states: np.ndarray, wilson_r: float) -> np.ndarray:
+    """The current the lattice operator conserves, as (K, n): entry j is the
+    flux across the edge from node j to node j + 1 of every state.
+
+        Re(phi_j^dag sigma_z phi_j+1) + wilson_r Im(phi_j^dag sigma_x phi_j+1)
+
+    from the central difference and the Wilson term: -i times the k = k'
+    boundary bilinears of _edge_flux, and in the continuum limit j1.  The
+    last edge wraps to node 0, so a dirichlet state, zero at both walls,
+    carries no flux through it.
+    """
+    p, m = np.moveaxis(states, -1, 0)
+    p_up, m_up = np.roll(p, -1, axis=-1), np.roll(m, -1, axis=-1)
+    p, m = np.conj(p), np.conj(m)
+    return ((p * p_up - m * m_up).real
+            + wilson_r * (p * m_up + m * p_up).imag)
+
+
 def continuity_residual(result: SpectrumResult) -> np.ndarray:
     """Stationary continuity check R_k(x) of every kept state, as (K, n).
 
-        R = 2 Im(E) j0 + d(j1)/dx + i phibar (V - gamma0 V^dag gamma0) phi
+        R = 2 Im(E) j0 + div J + i phibar (V - gamma0 V^dag gamma0) phi
 
-    with the current j^mu = phibar gamma^mu phi, in the fixed representation
-    j0 = |phi_plus|^2 + |phi_minus|^2 and j1 = |phi_plus|^2 - |phi_minus|^2.
-    R vanishes where the current is conserved.  The derivative is the central
-    difference, so for discrete eigenstates R floors at its truncation
-    error, not at zero.
+    with j0 = |phi_plus|^2 + |phi_minus|^2 and J the lattice current of
+    _edge_current, whose divergence at node j is the difference of the fluxes
+    on its two edges over the node's quadrature weight.  R is the residual
+    of the operator's own continuity equation, source term included, so it
+    vanishes to rounding for every eigenstate, Hermitian or not; the source
+    2 Im(E) j0 + i phibar (...) phi carries any non-conservation.
     """
     c = result.states
     d = _densities(c)
-    # j1 goes complex before the stencil: numpy's complex division by 2h
-    # rounds differently from the real one
-    dj1 = central_difference((d[..., 0] - d[..., 1]).astype(complex), result.grid)
-    anti = np.einsum("kna,nab,knb->kn", np.conj(c) @ GAMMA0,
-                     result.operator.potential.anti_hermitian, c)
+    flux = _edge_current(c, result.operator.wilson_r)
+    div = (flux - np.roll(flux, 1, axis=-1)) / result.grid.quadrature_weights
+    a = result.operator.potential.anti_hermitian
+    p, m = np.moveaxis(c, -1, 0)
+    # phibar = (conj(phi_minus), conj(phi_plus)): gamma0 swaps the components
+    anti = (np.conj(m) * (a[:, 0, 0] * p + a[:, 0, 1] * m)
+            + np.conj(p) * (a[:, 1, 0] * p + a[:, 1, 1] * m))
     return (2.0 * result.energies.imag[:, None] * (d[..., 0] + d[..., 1])
-            + dj1 + 1.0j * anti)
+            + div + 1.0j * anti)
 
 
 def _overlap(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:

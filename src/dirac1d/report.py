@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .config import CHANNELS, FORMATS, RunConfig
-from .diagnostics import (BalanceTable, continuity_residual, gram_matrix,
-                          normalize_result, orthogonality_balance)
+from .diagnostics import (AUTO_IDENTITY_TOL, BalanceTable, continuity_residual,
+                          gram_matrix, normalize_result, orthogonality_balance)
 from .errors import ConvergenceError, Dirac1DError
 from .hamiltonian import (DiracOperator, assemble_hamiltonian,
                           hermiticity_of_operator)
@@ -209,10 +209,11 @@ def _diagnostics_stage(report: RunReport, cfg: RunConfig,
             if not bad else
             f"{len(bad)} pair(s) exceed tolerance, worst {max(bad):.3e}"))
 
-    # current conservation is only an exit-relevant check for Hermitian
-    # potentials; PT runs legitimately violate it and just report values
+    # the continuity check gates Hermitian potentials only; other runs
+    # report R with a note.  R closes at rounding: its flux terms are at
+    # most (1 + wilson_r) j0 / h, and a normalized j0 is at most 1 / h
     if report.hermiticity["gamma0_potential"] <= 1e-14:
-        scale = 100.0 * grid.h ** 2
+        scale = AUTO_IDENTITY_TOL * (1.0 + result.operator.wilson_r) / grid.h ** 2
         worst = max(report.spectrum["continuity_max"].tolist(), default=0.0)
         report.checks.append(CheckOutcome(
             "continuity_conserved", worst <= scale,

@@ -3,7 +3,6 @@
 import numpy as np
 
 from dirac1d import GAMMA0, GAMMA1
-from dirac1d.grid import central_difference
 from dirac1d.lorentz import GAMMA5, local_blocks
 from dirac1d.solver import _step_polynomial
 
@@ -146,22 +145,27 @@ def reference_spectrum_columns(result) -> dict[str, np.ndarray]:
     """The diagnose spectrum table of a normalized result, one state at a time.
 
     The per-state loop the column form replaced, kept apart from it so the
-    two can be checked against each other bit for bit: j0 and j1 of each
-    state held as complex arrays, the central difference of j1, the
-    anti-Hermitian bilinear by a per-state einsum, the continuity maximum by
-    np.abs over the state's residual, and tail_amplitude from abs(complex)
-    at the two nodes next to the walls (0 on periodic grids).
+    two can be checked against each other bit for bit: j0 of each state, the
+    lattice current on each edge from the state and its neighbours shifted
+    by concatenation, its divergence over the quadrature weights, the
+    anti-Hermitian bilinear as the adjoint row times the matrix-vector
+    product at each node, the continuity maximum by np.abs over the state's
+    residual, and tail_amplitude from abs(complex) at the two nodes next to
+    the walls (0 on periodic grids).
     """
     grid = result.grid
+    wilson_r = result.operator.wilson_r
     anti = result.operator.potential.anti_hermitian
     near_wall = (1, grid.n_points - 2) if grid.boundary == "dirichlet" else ()
     rows = []
     for i, (energy, col) in enumerate(zip(result.energies.tolist(), result.states)):
         d = col.real ** 2 + col.imag ** 2
-        j0, j1 = (d[:, 0] + d[:, 1]).astype(complex), (d[:, 0] - d[:, 1]).astype(complex)
-        bilinear = np.einsum("na,nab,nb->n", np.conj(col) @ GAMMA0, anti, col)
-        r = (2.0 * energy.imag * j0 + central_difference(j1, grid)
-             + 1.0j * bilinear)
+        bar, up = np.conj(col), np.concatenate((col[1:], col[:1]))
+        flux = ((bar[:, 0] * up[:, 0] - bar[:, 1] * up[:, 1]).real
+                + wilson_r * (bar[:, 0] * up[:, 1] + bar[:, 1] * up[:, 0]).imag)
+        div = (flux - np.concatenate((flux[-1:], flux[:-1]))) / grid.quadrature_weights
+        bilinear = np.sum((bar @ GAMMA0) * (anti @ col[:, :, None])[:, :, 0], axis=1)
+        r = 2.0 * energy.imag * (d[:, 0] + d[:, 1]) + div + 1.0j * bilinear
         tail = max((abs(col[j, 0]) + abs(col[j, 1]) for j in near_wall), default=0.0)
         rows.append((i, energy.real, energy.imag, float(result.residuals[i]),
                      result.classification[i], tail, float(np.max(np.abs(r)))))

@@ -96,9 +96,9 @@ def test_continuity_vanishes_for_exact_rest_state():
 
 
 def test_continuity_floors_at_rounding_for_hermitian_states(scalar_cases):
-    # real channels conserve the current; with this operator the eigenvectors
-    # carry |phi_plus| = |phi_minus| nodewise, so j1 vanishes identically and
-    # the residual sits at rounding level rather than at the stencil error
+    # real channels conserve the current, and R is the lattice operator's own
+    # continuity equation, so it sits at rounding level, not at a stencil
+    # error
     result = normalize_result(scalar_cases[200].result)
     for r in continuity_residual(result)[:4]:
         assert np.max(np.abs(r)) <= 1e-12
@@ -114,6 +114,66 @@ def test_continuity_detects_genuine_nonconservation(pt_cases):
     # identity residual that measures our bookkeeping error
     assert np.max(np.abs(dj1)) > 10.0 * np.max(np.abs(r))
     assert np.max(np.abs(dj1)) > 1e-3
+
+
+# Hermitian double-well operators with a space-vector channel: the states
+# carry |phi_plus| != |phi_minus|, so j1 is no longer the conserved current
+DOUBLE_WELL_V_SP = {
+    "grid": {"x_min": "-6.0", "x_max": "6.0", "n_points": "200"},
+    "mass": {"family": "double_well", "m0": "1.0", "lam": "0.3", "a": "1.5"},
+    "potential": {"v_s": "abs:0.5", "v_sp": "constant:0.3"}}
+
+
+def continuity_check(rep):
+    (check,) = [c for c in rep.checks if c.name == "continuity_conserved"]
+    return check
+
+
+@pytest.mark.parametrize("wilson_r", ["0", "1"])
+def test_hermitian_space_vector_states_conserve_the_lattice_current(wilson_r):
+    raw = {**DOUBLE_WELL_V_SP, "solver": {"wilson_r": wilson_r}}
+    rep = execute(config_from_raw(raw), "diagnose")
+    assert rep.passed and continuity_check(rep).passed
+    h = rep.grid_info["h"]
+    assert max(rep.spectrum["continuity_max"]) <= 1e-12 <= 100.0 * h ** 2
+
+
+def test_continuity_without_the_wilson_flux_fails(monkeypatch):
+    # the Wilson term carries part of the conserved current; a residual
+    # built from the central-difference flux alone is off by O(1)
+    edge_current = diagnostics._edge_current
+    monkeypatch.setattr(diagnostics, "_edge_current",
+                        lambda states, wilson_r: edge_current(states, 0.0))
+    rep = execute(config_from_raw(DOUBLE_WELL_V_SP), "diagnose")
+    assert not continuity_check(rep).passed
+    assert max(rep.spectrum["continuity_max"]) > 1e-3
+
+
+def test_edge_current_across_a_window_is_the_balance_boundary_term(pt_cases):
+    # the continuity residual's flux on the window's outer edges is the
+    # k = k' boundary term of the balance identity, on the PT operator and on
+    # a periodic one, with windows at the walls and in the interior
+    g = Grid1D(-5.0, 5.0, 96, boundary="periodic")
+    rng = np.random.default_rng(5)
+    periodic = assemble_hamiltonian(
+        g, LorentzPotential.from_channels(
+            g, v_t=GridFunction(g, 0.3j * g.nodes), v_sp=GridFunction.constant(g, 0.1),
+            v_s=GridFunction(g, rng.normal(size=96))),
+        sample_mass(MassProfile("constant", m0=1.0), g), wilson_r=0.7)
+    for result in (normalize_result(pt_cases[200].result),
+                   normalize_result(solve_spectrum(periodic, max_pairs=8))):
+        n = result.grid.n_points
+        flux = diagnostics._edge_current(result.states, result.operator.wilson_r)
+        assert np.max(np.abs(continuity_residual(result))) <= 1e-11
+        largest = 0.0
+        for lo, hi in ((0, n - 1), (1, n // 2), (n // 3, n - 1), (n // 3, 2 * n // 3)):
+            _, boundary, _ = diagnostics._balance_terms(
+                result, lo, hi, np.full(hi - lo + 1, result.grid.h))
+            want = np.diagonal(boundary)
+            got = 1.0j * (flux[:, hi] - flux[:, lo - 1])
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+            largest = max(largest, np.max(np.abs(want)))
+        assert largest > 1e-3  # some window sees a real flux
 
 
 def test_gram_orthonormal_for_real_channels(scalar_cases):

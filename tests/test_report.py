@@ -44,7 +44,7 @@ def rows_of(table: dict) -> list[dict]:
     return [dict(zip(table, row)) for row in zip(*cols)]
 
 
-def reference_csv(rows: list[dict]) -> str:
+def reference_csv(rows: list[dict], header=None) -> str:
     def cell(v):
         if isinstance(v, bool):
             return "true" if v else "false"
@@ -55,7 +55,7 @@ def reference_csv(rows: list[dict]) -> str:
             return '"' + text.replace('"', '""') + '"'
         return text
 
-    cols = list(rows[0])
+    cols = list(rows[0]) if header is None else list(header)
     lines = [",".join(cols)]
     lines.extend(",".join(cell(row[c]) for c in cols) for row in rows)
     return "\n".join(lines) + "\n"
@@ -163,6 +163,42 @@ def test_write_csv_matches_the_per_cell_rule_on_a_sweep_summary(tmp_path):
     assert path.read_text() == reference_csv(rows)
     write_csv(path, {key: [] for key in rows[0]})
     assert path.read_text() == ",".join(rows[0]) + "\n"
+
+
+SWEEP_HEADER = ("value", "passed", "min_abs_im_e", "n_complex_pairs",
+                "identity_residual", "error")
+# tables at the edges of the row assembler: one column, one row, text cells
+# that need CSV quoting over several rows (with repeated, negative, large
+# and unsigned ints), and the header-only summary of an empty sweep
+TABLE_SHAPES = {
+    "one_column": {"x": [0.1, -0.0, math.nan, 0.1, 7.0]},
+    "one_row": columns([ODD_ROW]),
+    "quoted_text": {
+        "name": ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "plain", ""],
+        "k": np.array([3, -1, 3, 2**62, 0, -1]),
+        "u": np.array([5, 0, 5, 2**64 - 1, 1, 0], dtype=np.uint64),
+        "ok": np.array([True, False, True, True, False, False]),
+        "x": np.array([1.5, -0.0, 1.5, math.inf, 1e-300, 2.0])},
+    "empty_sweep_summary": {key: [] for key in SWEEP_HEADER},
+}
+
+
+@pytest.mark.parametrize("shape", TABLE_SHAPES)
+def test_table_shapes_match_the_per_row_references(tmp_path, shape):
+    def text(path):  # a bare \r is data, not a line end
+        with open(path, newline="") as fh:
+            return fh.read()
+
+    table = TABLE_SHAPES[shape]
+    rows = rows_of(table)
+    write_csv(tmp_path / "table.csv", table)
+    assert text(tmp_path / "table.csv") == reference_csv(rows, table)
+    report = sample_report(spectrum=table)
+    written = write_outputs(report, tmp_path / "out", "both")
+    assert (tmp_path / "out" / "spectrum.csv" in written) == bool(rows)
+    if rows:
+        assert text(tmp_path / "out" / "spectrum.csv") == reference_csv(rows)
+    assert (tmp_path / "out" / "report.json").read_text() == reference_json(report)
 
 
 # every float whose bits a value-keyed dedupe would merge or split wrongly:
