@@ -26,9 +26,9 @@ __all__ = [
     "GridFunction", "LorentzPotential", "MassError", "MassProfile",
     "RunConfig", "RunReport", "ShootingResult", "SpectrumResult",
     "assemble_hamiltonian", "central_difference", "check_pt_symmetry",
-    "config_from_raw",
-    "continuity_residual", "execute", "gamma0_hermiticity_residual",
-    "gram_matrix", "hermiticity_of_operator", "local_blocks",
+    "config_from_raw", "continuity_residual", "execute",
+    "gamma0_hermiticity_residual", "gram_matrix", "hermiticity_of_operator",
+    "local_blocks",
     "normalize_result", "orthogonality_balance", "parse_config",
     "pt_vector_potential", "reduced_equations_rhs", "reduced_residual_norm",
     "sample_mass", "shooting_solve", "solve_spectrum", "write_outputs",

@@ -243,8 +243,9 @@ def _column_cells(column) -> tuple[list[str], list[str]]:
     A float is float.__repr__ in both files, formatted once per distinct bit
     pattern (bits, not values: 0.0 == -0.0 but the two are written apart),
     and only report.json spells the non-finite ones as json does.  Ints
-    (int.__repr__) and bools (true/false) are one list for both files; text
-    is _csv_cell in the CSV and json.dumps in report.json.
+    (int.__repr__, once per distinct value) and bools (true/false) are one
+    list for both files; text is _csv_cell in the CSV and json.dumps in
+    report.json.
     """
     values = np.asarray(column)
     kind = values.dtype.kind
