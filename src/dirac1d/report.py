@@ -209,19 +209,14 @@ def _diagnostics_stage(report: RunReport, cfg: RunConfig,
             if not bad else
             f"{len(bad)} pair(s) exceed tolerance, worst {max(bad):.3e}"))
 
-    # the continuity check gates Hermitian potentials only; other runs
-    # report R with a note.  R closes at rounding: its flux terms are at
-    # most (1 + wilson_r) j0 / h, and a normalized j0 is at most 1 / h
-    if report.hermiticity["gamma0_potential"] <= 1e-14:
-        scale = AUTO_IDENTITY_TOL * (1.0 + result.operator.wilson_r) / grid.h ** 2
-        worst = max(report.spectrum["continuity_max"].tolist(), default=0.0)
-        report.checks.append(CheckOutcome(
-            "continuity_conserved", worst <= scale,
-            f"max residual {worst:.3e} vs bound {scale:.3e}"))
-    else:
-        report.notes.append(
-            "potential has an anti-Hermitian part; continuity residuals "
-            "reported but not gated")
+    # R includes the source terms, so it closes at rounding for every
+    # eigenstate, Hermitian or not: its flux terms are at most
+    # (1 + wilson_r) j0 / h, and a normalized j0 is at most 1 / h
+    scale = AUTO_IDENTITY_TOL * (1.0 + result.operator.wilson_r) / grid.h ** 2
+    worst = max(report.spectrum["continuity_max"].tolist(), default=0.0)
+    report.checks.append(CheckOutcome(
+        "continuity_conserved", worst <= scale,
+        f"max residual {worst:.3e} vs bound {scale:.3e}"))
 
 
 _CSV_QUOTE = re.compile(r'[,"\r\n]')

@@ -1,18 +1,21 @@
 """Eigenvalue solvers: dense matrix diagonalization and two-sided shooting.
 
-The matrix path hands an exactly Hermitian operator to LAPACK's Hermitian
-eigensolver and any other (e.g. PT-symmetric) operator to the general one,
-and wraps either output in checked form, ordered by one rule that does not
-depend on which routine ran or on rounding: a SpectrumResult holding the
-operator, the energies and the kept states as one (K, n, 2) stack.  The
-Hermitian routine works in the spinor basis rotated by
-U = (1 - i sigma_1)/sqrt(2), which maps sigma_3 to sigma_2 and sigma_2 to
--sigma_3: there -i sigma_3 d/dx is real, and so is the whole operator when
-the mass and the scalar, time-vector and pseudoscalar channels are real and
-the space-vector channel vanishes (the real Hermitian baseline, on either
-boundary, with or without the Wilson term).  Such an operator takes LAPACK's
-real symmetric eigensolver; a Hermitian one with a space-vector part, the
-complex Hermitian one.
+The matrix path solves an exactly Hermitian operator in a rotated spinor
+basis and hands any other (e.g. PT-symmetric) operator to LAPACK's general
+eigensolver, and wraps the output in checked form, ordered by one rule that
+does not depend on which routine ran or on rounding: a SpectrumResult
+holding the operator, the energies and the kept states as one (K, n, 2)
+stack.  The rotation is U = (1 - i sigma_1)/sqrt(2), which maps sigma_3 to
+sigma_2 and sigma_2 to -sigma_3: there -i sigma_3 d/dx is real, and so is
+the whole operator when the mass and the scalar, time-vector and
+pseudoscalar channels are real and the space-vector channel vanishes (the
+real Hermitian baseline, on either boundary, with or without the Wilson
+term).  When only the mass, scalar and space-vector channels are present,
+H anticommutes with sigma_y, the rotated matrix is [[0, A], [A^H, 0]] in
+K x K blocks, and one SVD of A gives the levels +-s, exact zero modes
+chirality-pure.  Any other Hermitian operator takes LAPACK's Hermitian
+eigensolver, real symmetric when the rotated matrix is real.  The residual
+gate applies the operator's stencil from its blocks in O(K) per pair.
 
 The shooting path integrates the coupled first-order system from both walls
 with classical RK4 and drives the 2x2 matching determinant at the midpoint to
@@ -148,6 +151,62 @@ def _unrotated(u: np.ndarray) -> np.ndarray:
     return np.concatenate([top - 1j * bot, bot - 1j * top])
 
 
+def _chiral_svd(a: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The 2K eigenvalues of the chiral matrix [[0, A], [A^H, 0]], from one
+    SVD A = X diag(s) Y^H of its K x K block A, and what _chiral_columns
+    builds the eigenvectors from.
+
+    Eigenvalue slot i is -s_i with eigenvector (x_i, -y_i)/sqrt(2), slot
+    K + i is +s_i with (x_i, y_i)/sqrt(2).  A singular value at or below
+    s.max() K eps, np.linalg.matrix_rank's rule, is an exact zero mode: both
+    its slots get the eigenvalue 0.0 (never -0.0), and _chiral_columns gives
+    them the chirality-pure (x_i, 0) and (0, y_i), not mixtures whose
+    weights rounding picks.
+    """
+    x, s, yh = np.linalg.svd(a)
+    zero = s <= len(s) * np.finfo(s.dtype).eps * s.max()  # s.max() K overflows first
+    w = np.concatenate([-s, s])
+    w[np.concatenate([zero, zero])] = 0.0
+    return w, (x, yh, zero)
+
+
+def _chiral_columns(x: np.ndarray, yh: np.ndarray, zero: np.ndarray,
+                    keep: np.ndarray) -> np.ndarray:
+    """The eigenvector columns of _chiral_svd's slots keep, and only those."""
+    k = len(zero)
+    i, plus = keep % k, keep >= k
+    top = np.full(len(keep), np.sqrt(0.5))
+    bot = np.where(plus, top, -top)
+    pure = zero[i]  # (x_i, 0) in slot i, (0, y_i) in slot K + i
+    top[pure], bot[pure] = ~plus[pure], plus[pure]
+    return np.concatenate([x[:, i] * top, yh[i].conj().T * bot])
+
+
+def _applied(op: DiracOperator, v: np.ndarray) -> np.ndarray:
+    """H v for columns v in the [plus, minus] layout, from op.blocks, grid.h
+    and wilson_r in O(K) per column: the stencil DiracOperator.matrix
+    writes, never the matrix itself.  Node j takes -+i/(2h) (v_{j+1} -
+    v_{j-1}) on sigma_z, -w (v_{j+1} + v_{j-1}) in sigma_x with
+    w = wilson_r/(2h), and its block plus 2w sigma_x, summed as the matrix
+    sums them; neighbours wrap on a periodic grid and are zero past a wall.
+    """
+    k = len(op.blocks)
+    x = v.reshape(2, k, -1)
+    nxt, prv = np.roll(x, -1, axis=1), np.roll(x, 1, axis=1)
+    if op.grid.boundary != "periodic":
+        nxt[:, -1] = prv[:, 0] = 0.0
+    out = -_J * (1.0 / (2.0 * op.grid.h)) * (nxt - prv)
+    onsite = op.blocks
+    if op.wilson_r != 0.0:
+        w = op.wilson_r / (2.0 * op.grid.h)
+        out -= w * (nxt + prv)[::-1]
+        onsite = onsite.copy()
+        onsite[:, [0, 1], [1, 0]] += 2.0 * w
+    d = onsite.transpose(1, 2, 0)[..., None]  # (2, 2, K, 1)
+    out += d[:, 0] * x[0] + d[:, 1] * x[1]
+    return out.reshape(2 * k, -1)
+
+
 # an operator that overflows in the solve gives NaN residuals, which fail the
 # residual gate
 @np.errstate(over="ignore", invalid="ignore")
@@ -156,23 +215,28 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
     """Diagonalize, snap real levels, order canonically, keep max_pairs.
 
     An exactly Hermitian operator (hermiticity_of_operator == 0: every
-    active block equals its conjugate transpose) goes to LAPACK's
-    Hermitian eigensolver, anything else to the general one: the
-    Hermitian routine reads one triangle only and would drop an
-    anti-Hermitian part of any size.  The Hermitian routine gets H in the
-    rotated spinor basis (_rotated), which is real exactly when every active
-    block has h00 == h11 (no space-vector channel), so those operators take
-    the real symmetric routine; the kept columns are rotated back
-    (_unrotated).  The general routine gets op.matrix itself.  Levels that
-    pass the reality test (_is_real) get Im E = 0 exactly, then
-    _canonical_order picks the lowest max_pairs, and _reality_tags tags them.
-    max_pairs must be an integer >= 1.  Every returned pair is
-    residual-checked against op.matrix and LAPACK's own eigenvalue:
-    ||H v - E v||_2 / ||v||_2 must be at most tol (a NaN residual is not),
-    otherwise the solve is reported as non-converged with the offending
-    residuals listed.  tol must be finite and positive, reality_tol finite
-    and non-negative.  The kept eigenvector columns land, unnormalized, in
-    one (K, n, 2) states stack; normalization lives in the diagnostics layer.
+    active block equals its conjugate transpose) is solved in the rotated
+    spinor basis (_rotated), anything else by LAPACK's general eigensolver
+    on op.matrix itself: the Hermitian routines read one triangle or one
+    block only and would drop an anti-Hermitian part of any size.  The
+    rotated matrix is real exactly when every active block has
+    h00 == h11 (no space-vector channel).  When both of its diagonal K x K
+    blocks are exactly zero (only the mass, scalar and space-vector
+    channels: H anticommutes with sigma_y), it is [[0, A], [A^H, 0]], and
+    one SVD of A gives its spectrum +-s (_chiral_svd), exact zero modes
+    chirality-pure; any other rotated matrix goes to LAPACK's Hermitian
+    eigensolver, the real symmetric one when it is real.  Either way only
+    the kept columns are rotated back (_unrotated).  Levels that pass the
+    reality test (_is_real) get Im E = 0 exactly, then _canonical_order
+    picks the lowest max_pairs, and _reality_tags tags them.  max_pairs
+    must be an integer >= 1.  Every returned pair is residual-checked
+    against the operator's stencil (_applied, O(K) per pair) and the
+    routine's own eigenvalue: ||H v - E v||_2 / ||v||_2 must be at most tol
+    (a NaN residual is not), otherwise the solve is reported as
+    non-converged with the offending residuals listed.  tol must be finite
+    and positive, reality_tol finite and non-negative.  The kept
+    eigenvector columns land, unnormalized, in one (K, n, 2) states stack;
+    normalization lives in the diagnostics layer.
     """
     if not (_is_a(max_pairs, int, np.integer) and max_pairs >= 1):
         raise GridError(f"max_pairs must be an integer >= 1, got {max_pairs!r}")
@@ -180,22 +244,34 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
         raise GridError(f"tol must be finite and positive, got {tol}")
     if not (np.isfinite(reality_tol) and reality_tol >= 0):
         raise GridError(f"reality_tol must be finite and non-negative, got {reality_tol}")
-    h = op.matrix
     hermitian = hermiticity_of_operator(op) == 0.0
-    if hermitian:  # the rotated matrix lives only as eigh's argument
+    chiral = None
+    if hermitian:  # the rotated matrix lives only as the solver's argument
         real = np.array_equal(op.blocks[:, 0, 0], op.blocks[:, 1, 1])
-        w, v = np.linalg.eigh(_rotated(h, real))
+        m = _rotated(op.matrix, real)
+        k = len(op.blocks)
+        # an overflowed rotation goes to eigh too, which returns NaN
+        # quietly where the SVD's LAPACK routine prints an error message
+        if m[:k, :k].any() or m[k:, k:].any() or not np.isfinite(m[:k, k:]).all():
+            w, v = np.linalg.eigh(m)
+        else:
+            w, chiral = _chiral_svd(m[:k, k:])
+        del m
     else:
-        w, v = np.linalg.eig(h)
+        w, v = np.linalg.eig(op.matrix)
     energies = w.astype(complex)
     energies.imag[_is_real(energies, reality_tol)] = 0.0
     keep = _canonical_order(energies, reality_tol)[:max_pairs]
 
-    vk = v[:, keep]
-    del v  # free the full eigenvector matrix before the stack is allocated
+    if chiral is None:
+        vk = v[:, keep]
+        del v  # free the full eigenvector matrix before the stack is allocated
+    else:
+        vk = _chiral_columns(*chiral, keep)
+        del chiral  # and the SVD's factors
     if hermitian:
         vk = _unrotated(vk)
-    residuals = (np.linalg.norm(h @ vk - vk * w[keep], axis=0)
+    residuals = (np.linalg.norm(_applied(op, vk) - vk * w[keep], axis=0)
                  / np.linalg.norm(vk, axis=0))
     bad = np.nonzero(~(residuals <= tol))[0]  # NaN fails too
     if bad.size:

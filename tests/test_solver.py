@@ -54,15 +54,18 @@ def test_ordering_and_truncation():
     assert np.all(result.residuals <= result.solver_tolerance)
 
 
-def spy_eigensolvers(monkeypatch):
-    """Record which LAPACK eigensolver each solve calls, by name, in order."""
-    calls = []
-    for name in ("eig", "eigh"):
-        real = getattr(np.linalg, name)
+EIGENSOLVERS = ("eig", "eigh", "svd")
 
-        def spy(matrix, _real=real, _name=name):
-            calls.append(_name)
-            return _real(matrix)
+
+def spy_eigensolvers(monkeypatch, record=lambda name, matrix, out: name):
+    """Record each LAPACK eigensolver or SVD call of the solves, in order:
+    record(name, matrix, output), by default the routine's name."""
+    calls = []
+    for name in EIGENSOLVERS:
+        def spy(matrix, _real=getattr(np.linalg, name), _name=name):
+            out = _real(matrix)
+            calls.append(record(_name, matrix, out))
+            return out
         monkeypatch.setattr(np.linalg, name, spy)
     return calls
 
@@ -71,7 +74,7 @@ def test_unreachable_tolerance_raises(monkeypatch):
     calls = spy_eigensolvers(monkeypatch)
     with pytest.raises(ConvergenceError, match="residual"):
         solve_spectrum(free_operator(32), tol=1e-16)
-    assert calls == ["eigh"]
+    assert calls == ["svd"]
 
 
 def scalar_box_operator(n=120, **channels):
@@ -98,7 +101,7 @@ def test_plus_minus_ties_order_negative_first():
 def test_exactly_hermitian_operator_gives_real_energies(monkeypatch):
     calls = spy_eigensolvers(monkeypatch)
     result = solve_spectrum(scalar_box_operator(), max_pairs=20)
-    assert calls == ["eigh"]
+    assert calls == ["svd"]
     assert np.all(result.energies.imag == 0.0)
     assert np.all(result.residuals <= result.solver_tolerance)
     assert set(result.classification) == {"real"}
@@ -116,34 +119,43 @@ def test_any_anti_hermitian_part_takes_general_solver(monkeypatch):
     assert set(result.classification) == {"real"}
 
 
-def test_real_hermitian_operators_reach_lapack_as_real_matrices(monkeypatch):
-    # in the spinor basis rotated by (1 - i sigma_1)/sqrt(2) the operator is
-    # real for real mass, V_s, V_t and V_p without V_sp, on either boundary
-    # and with or without the Wilson term; V_sp makes it complex
-    seen = []
-    for name in ("eig", "eigh"):
-        def spy(matrix, _real=getattr(np.linalg, name), _name=name):
-            seen.append((_name, matrix))
-            return _real(matrix)
-        monkeypatch.setattr(np.linalg, name, spy)
+def hermitian_cases():
+    """{label: (operator, the routine it takes, its argument's dtype)}.
+
+    In the spinor basis rotated by (1 - i sigma_1)/sqrt(2) the operator is
+    real for real mass, V_s, V_t and V_p without V_sp, on either boundary
+    and with or without the Wilson term; V_sp makes it complex.  With only
+    the mass, V_s and V_sp its diagonal K x K blocks are zero, and the SVD
+    of the upper-right block solves it; V_t or V_p, however small, fills
+    them, and eigh solves the whole rotated matrix.
+    """
     g = Grid1D(-8.0, 8.0, 120)
     x = g.nodes
-    cases = {
-        "scalar box, Wilson": (scalar_box_operator(), np.float64),
-        "free periodic, wilson_r = 0": (free_operator(64, wilson_r=0.0),
+    return {
+        "scalar box, Wilson": (scalar_box_operator(), "svd", np.float64),
+        "free periodic, wilson_r = 0": (free_operator(64, wilson_r=0.0), "svd",
                                         np.float64),
-        "real V_p": (scalar_box_operator(v_p=GridFunction(g, 0.5 * np.tanh(x))),
-                     np.float64),
-        "real V_t": (scalar_box_operator(v_t=GridFunction(g, 0.3 * x)),
-                     np.float64),
         "V_sp": (scalar_box_operator(v_sp=GridFunction(g, 0.4 * np.cos(x))),
-                 np.complex128),
+                 "svd", np.complex128),
+        "real V_p": (scalar_box_operator(v_p=GridFunction(g, 0.5 * np.tanh(x))),
+                     "eigh", np.float64),
+        "real V_t": (scalar_box_operator(v_t=GridFunction(g, 0.3 * x)),
+                     "eigh", np.float64),
+        "real V_t = 1e-300": (
+            scalar_box_operator(v_t=GridFunction.constant(g, 1e-300)),
+            "eigh", np.float64),
     }
-    for label, (op, dtype) in cases.items():
+
+
+def test_real_hermitian_operators_reach_lapack_as_real_matrices(monkeypatch):
+    seen = spy_eigensolvers(monkeypatch, lambda name, matrix, out: (name, matrix))
+    for label, (op, routine, dtype) in hermitian_cases().items():
         seen.clear()
         result = solve_spectrum(op, max_pairs=op.size)
         (name, matrix), = seen
-        assert name == "eigh" and matrix.dtype == dtype, label
+        assert name == routine and matrix.dtype == dtype, label
+        half = op.size // 2
+        assert matrix.shape == ((half, half) if name == "svd" else (op.size,) * 2), label
         # measured at most 9.5 eps * max|E| (5.3e-14 at max|E| = 25.3, real
         # V_t) against the complex Hermitian routine on op.matrix itself
         oracle = np.linalg.eigvalsh(op.matrix)
@@ -159,6 +171,99 @@ def test_real_hermitian_operators_reach_lapack_as_real_matrices(monkeypatch):
     solve_spectrum(op)
     (name, matrix), = seen
     assert name == "eig" and matrix is op.matrix
+
+
+def projectors(vectors):
+    """v v^dagger / v^dagger v for each column v."""
+    return (np.einsum("ik,jk->kij", vectors, vectors.conj())
+            / np.sum(np.abs(vectors) ** 2, axis=0)[:, None, None])
+
+
+@pytest.mark.parametrize("max_pairs", [20, None])
+def test_chiral_svd_matches_eigh_of_the_rotated_matrix(max_pairs):
+    # the SVD of the upper-right block against eigh of the very matrix it
+    # stands for: the same energies, and the same eigenvector of every
+    # level no other level lies within 1e-6 max|E| of (its spectral
+    # projector); max_pairs None keeps the whole spectrum
+    for label, (op, routine, _) in hermitian_cases().items():
+        if routine != "svd":
+            continue
+        result = solve_spectrum(op, max_pairs=max_pairs or op.size)
+        real = np.array_equal(op.blocks[:, 0, 0], op.blocks[:, 1, 1])
+        w, v = np.linalg.eigh(solver._rotated(op.matrix, real))
+        scale = np.max(np.abs(w))
+        e = result.energies.real
+        nearest = np.argmin(np.abs(e[:, None] - w[None, :]), axis=1)
+        assert np.max(np.abs(e - w[nearest])) <= 1e-13 * scale, label
+        gaps = np.abs(w[nearest][:, None] - w[None, :])
+        gaps[np.arange(len(e)), nearest] = np.inf
+        gap = np.min(gaps, axis=1)
+        alone = gap > 1e-6 * scale
+        if label.startswith("free periodic"):
+            # every level is fourfold (+-k and their doublers), so only the
+            # energies compare
+            assert not alone.any()
+            continue
+        assert alone.any(), label
+        got = projectors(result.states[alone][:, op.active_index]
+                         .transpose(2, 1, 0).reshape(op.size, -1))
+        expected = projectors(solver._unrotated(v[:, nearest[alone]]))
+        # a backward-stable solve moves a projector by about eps |H| / gap
+        # (Davis-Kahan); measured at most 1.2e-12 over the whole spectrum
+        bound = 16 * np.finfo(float).eps * scale / gap[alone]
+        assert np.all(np.max(np.abs(got - expected), axis=(1, 2)) <= bound), label
+
+
+def complex_operator(rng, n, boundary, wilson_r):
+    """A random operator with all four channels and the mass complex."""
+    g = Grid1D(-3.0, 3.0, n, boundary=boundary)
+    re, im = rng.normal(size=(2, 5, n))
+    v_s, v_t, v_sp, v_p, m = re + 1j * im
+    pot = LorentzPotential.from_channels(
+        g, v_s=GridFunction(g, v_s), v_t=GridFunction(g, v_t),
+        v_sp=GridFunction(g, v_sp), v_p=GridFunction(g, v_p))
+    return assemble_hamiltonian(g, pot, GridFunction(g, 2.0 + m.real + 0.1j * m.imag),
+                                wilson_r=wilson_r)
+
+
+def test_the_residual_product_from_the_blocks_is_the_matrix_product():
+    # the residual gate applies the stencil from the blocks, grid.h and
+    # wilson_r; it must be the dense matrix's product up to rounding
+    rng = np.random.default_rng(29)
+    ops = [op for op, _, _ in hermitian_cases().values()]
+    ops += [complex_operator(rng, n, boundary, wilson_r)
+            for boundary in ("dirichlet", "periodic") for n in (9, 40, 200)
+            for wilson_r in (0.0, 0.7, 1.0)]
+    for op in ops:
+        v = rng.normal(size=(op.size, 7)) + 1j * rng.normal(size=(op.size, 7))
+        expected = op.matrix @ v
+        got = solver._applied(op, v)
+        assert got.shape == expected.shape
+        # measured at most 3.2e-16 relative
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+def test_chiral_zero_modes_are_exact_and_chirality_pure():
+    # the Jackiw-Rebbi kink M(x) = x between hard walls: a zero mode bound
+    # to the kink and one on the walls, both with singular value at
+    # rounding (7.4e-15 against the threshold s.max() K eps = 4.4e-12).
+    # Each is returned at E = +0.0 exactly as a sigma_y eigenstate, (x, 0)
+    # or (0, y) in the rotated basis, not a mixture picked by rounding
+    g = Grid1D(-10.0, 10.0, 400)
+    op = assemble_hamiltonian(g, LorentzPotential.from_channels(g),
+                              sample_mass(MassProfile("linear", m0=0.0, lam=1.0), g))
+    result = solve_spectrum(op, max_pairs=12)
+    e = result.energies
+    assert np.all(e[:2] == 0.0) and not np.signbit(e[:2].real).any()
+    assert np.all(np.abs(e[2:].real) > 1.4)
+    assert np.all(result.residuals <= 1e-12)
+    kink, wall = result.states[:2]
+    # sigma_y eigenvalue -1: phi_minus = -i phi_plus; +1: phi_plus = -i phi_minus
+    assert np.array_equal(kink[:, 1], -1j * kink[:, 0])
+    assert np.array_equal(wall[:, 0], -1j * wall[:, 1])
+    tails = [np.max(np.abs(s[[1, -2]]).sum(axis=1)) / np.linalg.norm(s)
+             for s in (kink, wall)]
+    assert tails[0] <= 1e-12 < 0.1 <= tails[1]
 
 
 def reference_rotated(h, real):
@@ -249,20 +354,28 @@ def test_states_are_the_kept_columns_on_the_full_grid(monkeypatch):
     # kept column, rotated back from the basis eigh solved in to
     # (top - i bot, bot - i top), lands with its plus and minus halves on the
     # active nodes, and the wall rows of a dirichlet grid stay zero
-    lapack = []
-    for name in ("eig", "eigh"):
-        def spy(matrix, _real=getattr(np.linalg, name)):
-            lapack.append(_real(matrix))
-            return lapack[-1]
-        monkeypatch.setattr(np.linalg, name, spy)
-    for op in (scalar_box_operator(n=40), free_operator(16)):
+    # (x_i, -+y_i)/sqrt(2) from the SVD A = X diag(s) Y^H of a chiral
+    # operator, the eigenvector of -+s_i
+    lapack = spy_eigensolvers(monkeypatch, lambda name, matrix, out: (name, out))
+    g = Grid1D(-8.0, 8.0, 40)
+    for op in (scalar_box_operator(n=40), free_operator(16),
+               scalar_box_operator(n=40, v_t=GridFunction(g, 0.3 * g.nodes))):
         lapack.clear()
         result = solve_spectrum(op, max_pairs=10)
-        (w, v), = lapack
+        (name, out), = lapack
+        half = op.size // 2
+        if name == "svd":
+            x, s, yh = out
+            w = np.concatenate([-s, s])
+            v = np.concatenate([np.concatenate([x, x], axis=1),
+                                np.concatenate([-yh.conj().T, yh.conj().T], axis=1)])
+            v *= np.sqrt(0.5)
+        else:
+            assert name == "eigh"
+            w, v = out
         energies = w.astype(complex)
         energies.imag[solver._is_real(energies, 1e-9)] = 0.0
         keep = solver._canonical_order(energies, 1e-9)[:10]
-        half = op.size // 2
         expected = np.zeros((10, op.grid.n_points, 2), dtype=complex)
         for k, col in enumerate(keep):
             top, bot = v[:half, col], v[half:, col]
