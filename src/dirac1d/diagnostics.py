@@ -137,13 +137,19 @@ def _overlap(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndar
 def gram_matrix(result: SpectrumResult) -> np.ndarray:
     """G[k', k] = quadrature of phibar_k' gamma0 phi_k over the domain.
 
-    Hermitian with unit diagonal for normalized states of a Hermitian
-    operator; genuinely non-Hermitian off-diagonal entries appear for
-    anti-Hermitian potential admixtures.
+    A Gram matrix with positive weights, so exactly Hermitian for any
+    states: the upper triangle is the overlap product, the strict lower
+    triangle its conjugate and the diagonal real, with unit entries for
+    normalized states.  Distinct levels of a Hermitian operator give a
+    diagonal G; anti-Hermitian potential admixtures give non-orthogonal
+    states, so non-zero off-diagonal entries.
     """
     c = result.states
     # gamma0 gamma0 = 1: the integrand is the plain component overlap
-    return _overlap(np.conj(c), c, result.grid.quadrature_weights)
+    upper = _overlap(np.conj(c), c, result.grid.quadrature_weights)
+    g = np.where(np.tri(len(upper), k=-1, dtype=bool), np.conj(upper.T), upper)
+    np.fill_diagonal(g.imag, 0.0)
+    return g
 
 
 def _edge_flux(rows: np.ndarray, cols: np.ndarray, j: int,
@@ -184,7 +190,9 @@ def _balance_terms(result: SpectrumResult, lo: int, hi: int,
     op = result.operator
     if op.wilson_r != 0.0:
         boundary = boundary + 0.5 * op.wilson_r * (a_hi - a_lo)
-    anti_c = np.einsum("nab,knb->kna", op.potential.anti_hermitian[sl], c[:, sl])
+    # column b of the anti-Hermitian part times component b, summed over b
+    a = op.potential.anti_hermitian[sl]
+    anti_c = a[:, :, 0] * c[:, sl, 0, None] + a[:, :, 1] * c[:, sl, 1, None]
     return energy, boundary, _overlap(rows[:, sl], anti_c, weights)
 
 

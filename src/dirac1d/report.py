@@ -6,9 +6,10 @@ checks, and the Gram and balance tables from the matrix and the
 BalanceTable.  The writers spell one table at a time, picking each
 column's rule from its numpy dtype kind alone (floats, ints, bools, else
 text), and the CSV and report.json share the cells.  A float is Python's
-shortest round-trip repr, formatted once per distinct bit pattern, in both
-files; only report.json spells the non-finite ones as NaN, Infinity and
--Infinity, where the CSVs keep nan, inf and -inf.  report.json is exactly
+shortest round-trip repr in both files, formatted once per distinct
+magnitude and given its sign as a "-" prefix (a NaN shows no sign); only
+report.json spells the non-finite ones as NaN, Infinity and -Infinity,
+where the CSVs keep nan, inf and -inf.  report.json is exactly
 json.dumps(indent=2, sort_keys=True) of the document.  Reports carry no
 timestamps or timing so repeated runs of the same configuration produce
 byte-identical CSV and JSON artifacts.
@@ -232,29 +233,38 @@ def _csv_cell(v) -> str:
 _BOOLS = {False: "false", True: "true"}
 
 
+def _signed(cells: list[str]) -> np.ndarray:
+    """cells, then each of them with a "-" in front, as one object array."""
+    return np.array(cells + ["-" + cell for cell in cells], dtype=object)
+
+
 def _column_cells(column) -> tuple[list[str], list[str]]:
     """The column's (CSV, JSON) cells, by its numpy dtype kind.
 
-    A float is float.__repr__ in both files, formatted once per distinct bit
-    pattern (bits, not values: 0.0 == -0.0 but the two are written apart),
-    and only report.json spells the non-finite ones as json does.  Ints
-    (int.__repr__, once per distinct value) and bools (true/false) are one
-    list for both files; text is _csv_cell in the CSV and json.dumps in
-    report.json.
+    A float is float.__repr__ in both files, formatted once per distinct
+    magnitude (compared by bits) and given a "-" prefix where its sign bit
+    is set, so -0.0 is written apart from 0.0; only report.json spells the
+    non-finite ones as json does.  Ints (int.__repr__, once per distinct
+    value) and bools (true/false) are one list for both files; text is
+    _csv_cell in the CSV and json.dumps in report.json.
     """
     values = np.asarray(column)
     kind = values.dtype.kind
     if kind == "f":
-        bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64)
-                                  .view(np.uint64), return_inverse=True)
-        distinct = bits.view(np.float64)
-        cells = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
-        csv_cells = cells[inverse].tolist()
-        nonfinite = np.flatnonzero(~np.isfinite(distinct))
+        x = np.ascontiguousarray(values, dtype=np.float64)
+        bits, inverse = np.unique(np.abs(x).view(np.uint64), return_inverse=True)
+        magnitudes = bits.view(np.float64)
+        # repr(-x) is "-" + repr(x), and json.dumps alike, for every float
+        # but NaN, whose cell shows no sign: cell m + i is magnitude i negated
+        index = inverse + len(magnitudes) * (np.signbit(x) & ~np.isnan(x))
+        cells = list(map(float.__repr__, magnitudes.tolist()))
+        csv_cells = _signed(cells)[index].tolist()
+        nonfinite = np.flatnonzero(~np.isfinite(magnitudes))
         if not nonfinite.size:
             return csv_cells, csv_cells
-        cells[nonfinite] = list(map(json.dumps, distinct[nonfinite].tolist()))
-        return csv_cells, cells[inverse].tolist()
+        for i in nonfinite.tolist():
+            cells[i] = json.dumps(magnitudes[i].item())
+        return csv_cells, _signed(cells)[index].tolist()
     if kind in "iu":
         distinct, inverse = np.unique(values, return_inverse=True)
         cells = np.array(list(map(int.__repr__, distinct.tolist())), dtype=object)

@@ -202,6 +202,47 @@ def test_gram_single_state():
     assert g[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# one normalized result per eigensolver path: chiral (svd), complex eigh
+# (v_t plus v_sp) and PT (eig)
+GRAM_CASES = {
+    "svd": {"v_s": lambda x: 0.5 * np.abs(x), "v_sp": lambda x: 0.2 + 0 * x},
+    "eigh": {"v_t": lambda x: 0.05 * x ** 2, "v_sp": lambda x: 0.2 + 0 * x},
+    "eig": {"v_t": lambda x: 0.3j * x, "v_s": lambda x: 0.5 * np.abs(x)},
+}
+
+
+@pytest.mark.parametrize("routine", GRAM_CASES)
+def test_gram_is_exactly_hermitian_around_the_overlap_upper_triangle(
+        routine, monkeypatch):
+    calls = []
+    solve = getattr(np.linalg, routine)
+    monkeypatch.setattr(np.linalg, routine,
+                        lambda m: calls.append(routine) or solve(m))
+    result = _channel_solve("dirichlet", 6.0, 100, max_pairs=10,
+                            **GRAM_CASES[routine])
+    assert calls == [routine]
+    g = gram_matrix(result)
+    assert np.array_equal(g, g.conj().T)
+    diagonal_im = g.diagonal().imag
+    assert not diagonal_im.any() and not np.signbit(diagonal_im).any()
+    c = result.states
+    product = diagnostics._overlap(np.conj(c), c, result.grid.quadrature_weights)
+    upper = np.triu_indices(len(g), 1)
+    assert np.array_equal(_bits(g[upper]), _bits(product[upper]))
+    assert np.array_equal(_bits(g.diagonal().real), _bits(product.diagonal().real))
+    # the windowless balance's <k'|k>, k' < k, is the Gram upper triangle
+    pairs = np.stack(np.tril_indices(len(g), -1), axis=1)
+    table, failures = orthogonality_balance(result, pairs)
+    assert failures == [] and len(table) == len(pairs)
+    e = result.energies
+    want = ((e[None, :] - np.conj(e)[:, None]) * g)[table.k_prime, table.k]
+    assert np.array_equal(_bits(table.term_energy), _bits(want))
+
+
 def test_balance_hermitian_limit(scalar_cases):
     result = normalize_result(scalar_cases[200].result)
     table, _ = orthogonality_balance(result, [(1, 0)])

@@ -180,6 +180,13 @@ TABLE_SHAPES = {
         "ok": np.array([True, False, True, True, False, False]),
         "x": np.array([1.5, -0.0, 1.5, math.inf, 1e-300, 2.0])},
     "empty_sweep_summary": {key: [] for key in SWEEP_HEADER},
+    # x and -x share one formatted magnitude; a column of negatives only
+    "signs": {
+        "mirror": np.array([0.1, -0.1, 2.5e-17, -2.5e-17, -0.1, math.inf,
+                            -math.inf, 0.0, -0.0, 5e-324, -5e-324, 7.0]),
+        "negative": np.array([-0.1, -1e-300, -5e-324, -math.inf, -0.1,
+                              -0.0, -7.0, -1.7976931348623157e308, -0.5,
+                              -1e16, -2.5e-17, -0.1])},
 }
 
 
@@ -201,11 +208,18 @@ def test_table_shapes_match_the_per_row_references(tmp_path, shape):
     assert (tmp_path / "out" / "report.json").read_text() == reference_json(report)
 
 
+# NaNs with their sign bit set or a payload: every NaN is written nan / NaN
+NEGATIVE_NAN = float(np.copysign(math.nan, -1.0))
+PAYLOAD_NAN = float(np.array([0x7FF80000DEADBEEF], dtype=np.uint64)
+                    .view(np.float64)[0])
+
 # every float whose bits a value-keyed dedupe would merge or split wrongly:
-# 0.0 == -0.0 but the two are written apart, and nan != nan
+# 0.0 == -0.0 but the two are written apart, nan != nan, and a NaN's sign
+# bit and payload must not reach its cell
 REPEATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, np.float64(0.1),
            -0.0, 0.0, math.inf, math.nan, 5e-324, -math.inf, 0.1, -0.0,
-           np.float64(-0.0), 0.0]
+           np.float64(-0.0), 0.0, NEGATIVE_NAN, PAYLOAD_NAN, -5e-324,
+           NEGATIVE_NAN]
 
 
 def test_repeated_odd_floats_are_written_per_cell(tmp_path):
@@ -241,13 +255,14 @@ def test_every_float_cell_parses_back_to_its_bits_and_reads_alike_in_both_files(
         tmp_path):
     rng = np.random.default_rng(20261020)
     # raw bit patterns reach every exponent, subnormals included; the
-    # writers spell NaN without its sign or payload, so only the canonical
-    # NaN goes in
+    # writers spell NaN without its sign or payload, so a NaN's cell parses
+    # back to the canonical NaN
     bits = rng.integers(0, 2**64, size=2000, dtype=np.uint64, endpoint=False)
     drawn = bits.view(np.float64)
     drawn = drawn[np.isfinite(drawn)]
     special = [-0.0, 0.0, 5e-324, -5e-324, np.finfo(float).max,
-               -np.finfo(float).max, math.nan, math.inf, -math.inf, 1e-12, 0.1]
+               -np.finfo(float).max, math.nan, math.inf, -math.inf, 1e-12, 0.1,
+               NEGATIVE_NAN, PAYLOAD_NAN, -0.1]
     n = len(special) * 20
     table = {"index": np.arange(n), "drawn": drawn[:n],
              "normal": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
@@ -260,9 +275,12 @@ def test_every_float_cell_parses_back_to_its_bits_and_reads_alike_in_both_files(
     json_rows = json.loads((tmp_path / "report.json").read_text(),
                            parse_float=str, parse_constant=str)["spectrum"]
     for key in ("drawn", "normal", "special"):
-        want = table[key].view(np.uint64)
+        values = table[key].tolist()
         csv_cells = [row[key] for row in csv_rows]
         json_cells = [row[key] for row in json_rows]
+        assert csv_cells == list(map(repr, values)), key
+        assert json_cells == list(map(json.dumps, values)), key
+        want = np.where(np.isnan(table[key]), math.nan, table[key]).view(np.uint64)
         for cells in (csv_cells, json_cells):
             got = np.array([float(c) for c in cells]).view(np.uint64)
             assert np.array_equal(got, want), key
