@@ -21,7 +21,8 @@ normalization, the continuity residual of every state as one (K, n) array,
 the K x K Gram matrix, the balance terms and the oracle norms of the
 states the balance pairs use.  The balance identity of all pairs comes back
 as one BalanceTable of per-pair columns, gathered from the K x K term
-matrices.
+matrices.  The Gram matrix and a windowless balance read one overlap
+product, formed once per result.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GridError
-from .grid import GridFunction, _is_a
+from .grid import GridFunction, _is_a, _overlap
 from .hamiltonian import reduced_residual_norm
 from .lorentz import GAMMA0, GAMMA1
 from .solver import SpectrumResult
@@ -128,12 +129,6 @@ def continuity_residual(result: SpectrumResult) -> np.ndarray:
             + div + 1.0j * anti)
 
 
-def _overlap(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """M[k', k] = sum over nodes j of weights_j rows[k', j] . cols[k, j]."""
-    k = rows.shape[0]
-    return rows.reshape(k, -1) @ (cols * weights[:, None]).reshape(k, -1).T
-
-
 def gram_matrix(result: SpectrumResult) -> np.ndarray:
     """G[k', k] = quadrature of phibar_k' gamma0 phi_k over the domain.
 
@@ -144,9 +139,8 @@ def gram_matrix(result: SpectrumResult) -> np.ndarray:
     diagonal G; anti-Hermitian potential admixtures give non-orthogonal
     states, so non-zero off-diagonal entries.
     """
-    c = result.states
     # gamma0 gamma0 = 1: the integrand is the plain component overlap
-    upper = _overlap(np.conj(c), c, result.grid.quadrature_weights)
+    upper = result._overlap_product
     g = np.where(np.tri(len(upper), k=-1, dtype=bool), np.conj(upper.T), upper)
     np.fill_diagonal(g.imag, 0.0)
     return g
@@ -167,22 +161,26 @@ def _edge_flux(rows: np.ndarray, cols: np.ndarray, j: int,
     return (ra @ GAMMA1) @ cb.T + (rb @ GAMMA1) @ ca.T, ra @ cb.T - rb @ ca.T
 
 
-def _balance_terms(result: SpectrumResult, lo: int, hi: int,
-                   weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _balance_terms(result: SpectrumResult, lo: int, hi: int, weights: np.ndarray,
+                   overlap: Optional[np.ndarray] = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Energy, boundary and potential terms of all pairs, as K x K [k', k].
 
-    The boundary term is the exact discrete flux of the assembled operator:
-    the central difference telescopes to a symmetrized cross-node gamma1
-    bilinear at each window edge and the Wilson term adds an antisymmetrized
-    gamma0 flux of size O(h), so the identity closes at rounding.
+    overlap, when given, is the window's <k'|k> product; else it is formed
+    here.  The boundary term is the exact discrete flux of the assembled
+    operator: the central difference telescopes to a symmetrized cross-node
+    gamma1 bilinear at each window edge and the Wilson term adds an
+    antisymmetrized gamma0 flux of size O(h), so the identity closes at
+    rounding.
     """
     c = result.states
     rows = np.conj(c) @ GAMMA0
     sl = slice(lo, hi + 1)
     e = result.energies
     # E_k' enters the gamma0-adjoint equation of state k' conjugated
-    energy = (e[None, :] - np.conj(e)[:, None]) * _overlap(np.conj(c[:, sl]),
-                                                            c[:, sl], weights)
+    if overlap is None:
+        overlap = _overlap(np.conj(c[:, sl]), c[:, sl], weights)
+    energy = (e[None, :] - np.conj(e)[:, None]) * overlap
     periodic = result.grid.boundary == "periodic"
     p_hi, a_hi = _edge_flux(rows, c, hi, periodic)
     p_lo, a_lo = _edge_flux(rows, c, lo - 1, periodic)
@@ -310,9 +308,12 @@ def orthogonality_balance(result: SpectrumResult, pairs: Sequence[tuple[int, int
     if len(k):
         # rectangle weights on a window: the discrete identity closes exactly
         # in plain h-weighted sums, edge halving would reopen it by O(h)
-        weights = (grid.quadrature_weights if window is None
-                   else np.full(hi - lo + 1, grid.h))
-        te, tb, tp = (t[kp, k] for t in _balance_terms(result, lo, hi, weights))
+        if window is None:  # the product gram_matrix reads
+            weights, overlap = grid.quadrature_weights, result._overlap_product
+        else:
+            weights, overlap = np.full(hi - lo + 1, grid.h), None
+        te, tb, tp = (t[kp, k] for t in
+                      _balance_terms(result, lo, hi, weights, overlap))
     else:
         te = tb = tp = np.zeros(0, dtype=complex)
     tol = identity_tol if identity_tol is not None else AUTO_IDENTITY_TOL

@@ -134,6 +134,12 @@ class GridFunction:
         return cls(grid, np.full(grid.n_points, complex(value)))
 
 
+def _overlap(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """M[k', k] = sum over nodes j of weights_j rows[k', j] . cols[k, j]."""
+    k = rows.shape[0]
+    return rows.reshape(k, -1) @ (cols * weights[:, None]).reshape(k, -1).T
+
+
 def central_difference(v: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Central-difference derivative of samples v on grid, along the last axis.
 

@@ -13,6 +13,11 @@ where the CSVs keep nan, inf and -inf.  report.json is exactly
 json.dumps(indent=2, sort_keys=True) of the document.  Reports carry no
 timestamps or timing so repeated runs of the same configuration produce
 byte-identical CSV and JSON artifacts.
+
+A column whose cells all have one spelling (a float of one magnitude and
+one sign, an int, an all-true or all-false bool) is one string, folded with
+its separator into the fixed text of every row, so a row costs list parts
+for its varying cells only.  Each file's text is one join.
 """
 
 from __future__ import annotations
@@ -175,8 +180,9 @@ def _diagnostics_stage(report: RunReport, cfg: RunConfig,
     if grid.boundary == "dirichlet":
         # |phi_plus| + |phi_minus| at the nodes next to the two walls;
         # hypot is what abs(complex) computes, np.abs rounds differently
-        a = np.hypot(result.states.real, result.states.imag).sum(axis=2)
-        tail = np.maximum(a[:, 1], a[:, -2])
+        walls = result.states[:, [1, -2]]
+        a = np.hypot(walls.real, walls.imag).sum(axis=2)
+        tail = np.maximum(a[:, 0], a[:, 1])
     else:
         tail = np.zeros(len(result.energies))
     report.spectrum["tail_amplitude"] = tail
@@ -233,13 +239,18 @@ def _csv_cell(v) -> str:
 _BOOLS = {False: "false", True: "true"}
 
 
-def _signed(cells: list[str]) -> np.ndarray:
-    """cells, then each of them with a "-" in front, as one object array."""
-    return np.array(cells + ["-" + cell for cell in cells], dtype=object)
+def _gathered(cells: list[str], index: np.ndarray, signed: bool) -> list[str]:
+    """cells[i] for each i in index; when signed, index m + i (m cells)
+    is cell i with a "-" prefix."""
+    cells = np.array(cells, dtype=object)
+    if signed:
+        cells = np.concatenate([cells, np.add("-", cells)])
+    return cells[index].tolist()
 
 
-def _column_cells(column) -> tuple[list[str], list[str]]:
-    """The column's (CSV, JSON) cells, by its numpy dtype kind.
+def _column_cells(column) -> tuple[list[str] | str, list[str] | str]:
+    """The column's (CSV, JSON) cells, by its numpy dtype kind; a column
+    whose cells all have one spelling in a file is that one str.
 
     A float is float.__repr__ in both files, formatted once per distinct
     magnitude (compared by bits) and given a "-" prefix where its sign bit
@@ -254,22 +265,35 @@ def _column_cells(column) -> tuple[list[str], list[str]]:
         x = np.ascontiguousarray(values, dtype=np.float64)
         bits, inverse = np.unique(np.abs(x).view(np.uint64), return_inverse=True)
         magnitudes = bits.view(np.float64)
-        # repr(-x) is "-" + repr(x), and json.dumps alike, for every float
-        # but NaN, whose cell shows no sign: cell m + i is magnitude i negated
-        index = inverse + len(magnitudes) * (np.signbit(x) & ~np.isnan(x))
         cells = list(map(float.__repr__, magnitudes.tolist()))
-        csv_cells = _signed(cells)[index].tolist()
-        nonfinite = np.flatnonzero(~np.isfinite(magnitudes))
-        if not nonfinite.size:
-            return csv_cells, csv_cells
-        for i in nonfinite.tolist():
-            cells[i] = json.dumps(magnitudes[i].item())
-        return csv_cells, _signed(cells)[index].tolist()
+        json_cells = cells
+        nonfinite = np.flatnonzero(~np.isfinite(magnitudes)).tolist()
+        if nonfinite:
+            json_cells = cells.copy()
+            for i in nonfinite:
+                json_cells[i] = json.dumps(magnitudes[i].item())
+        # repr(-x) is "-" + repr(x), and json.dumps alike, for every float
+        # but NaN, whose cell shows no sign
+        negative = np.signbit(x) & ~np.isnan(x)
+        n_negative = int(np.count_nonzero(negative))
+        if len(cells) == 1 and n_negative in (0, len(x)):
+            sign = "-" if n_negative else ""
+            return sign + cells[0], sign + json_cells[0]
+        if n_negative:  # cell m + i is magnitude i negated
+            inverse = inverse + len(cells) * negative
+        csv_column = _gathered(cells, inverse, n_negative > 0)
+        if not nonfinite:
+            return csv_column, csv_column
+        return csv_column, _gathered(json_cells, inverse, n_negative > 0)
     if kind in "iu":
         distinct, inverse = np.unique(values, return_inverse=True)
-        cells = np.array(list(map(int.__repr__, distinct.tolist())), dtype=object)
-        cells = cells[inverse].tolist()
+        cells = list(map(int.__repr__, distinct.tolist()))
+        if len(cells) == 1:
+            return cells[0], cells[0]
+        cells = _gathered(cells, inverse, False)
     elif kind == "b":
+        if values.size and (values.all() or not values.any()):
+            return (_BOOLS[bool(values[0])],) * 2
         cells = list(map(_BOOLS.__getitem__, values.tolist()))
     else:
         return list(map(_csv_cell, column)), list(map(json.dumps, column))
@@ -300,48 +324,68 @@ def _balance_columns(t: BalanceTable) -> dict[str, np.ndarray]:
             "orthogonality_restored": t.orthogonality_restored}
 
 
-def _n_rows(table: dict[str, list]) -> int:
+def _n_rows(table: dict) -> int:
     return len(next(iter(table.values()), ()))
 
 
-def _joined_rows(head: str, cells: list[list[str]],
-                 separators: list[str]) -> list[str]:
-    """The parts of a table's text, for one "".join: head, then every row as
-    cell i of each column followed by separators[i]."""
-    n_rows = len(cells[0]) if cells else 0
-    step = 2 * len(cells)
-    parts = [head] * (1 + step * n_rows)
-    for i, (column, separator) in enumerate(zip(cells, separators)):
+def _joined_rows(head: str, n_rows: int, cells: list, separators: list[str],
+                 end: str) -> list[str]:
+    """The parts of a table's text, for one "".join: head, then n_rows rows
+    of cell i of each column followed by separators[i], where the last row
+    ends in end instead of its last separator.
+
+    A column given as one str is that cell in every row: it is folded, with
+    its separator, into the fixed text around the varying cells, so a row
+    takes two parts per varying cell, the cell and the text after it.
+    """
+    if not n_rows:
+        return [head]
+    # fixed[0] leads each row; fixed[i + 1] follows varying column i, and
+    # the last one, the row's tail, leaves out the last separator
+    fixed, varying = [""], []
+    for column, separator in zip(cells, separators[:-1] + [""]):
+        if isinstance(column, str):
+            fixed[-1] += column + separator
+        else:
+            varying.append(column)
+            fixed.append(separator)
+    if not varying:
+        return [head, (fixed[0] + separators[-1]) * (n_rows - 1), fixed[0] + end]
+    texts = fixed[1:-1] + [fixed[-1] + separators[-1] + fixed[0]]
+    step = 2 * len(varying)
+    parts = [head + fixed[0]] * (1 + step * n_rows)
+    for i, (column, text) in enumerate(zip(varying, texts)):
         parts[1 + 2 * i::step] = column
-        parts[2 + 2 * i::step] = [separator] * n_rows
+        parts[2 + 2 * i::step] = [text] * n_rows
+    parts[-1] = fixed[-1] + end
     return parts
 
 
-def _write_csv(path: Path, columns: dict[str, list[str]]) -> None:
+def _write_csv(path: Path, n_rows: int, columns: dict) -> None:
     separators = [","] * (len(columns) - 1) + ["\n"]
-    path.write_text("".join(_joined_rows(",".join(columns) + "\n",
-                                         list(columns.values()), separators)))
+    path.write_text("".join(_joined_rows(",".join(columns) + "\n", n_rows,
+                                         list(columns.values()), separators,
+                                         "\n")))
 
 
 def write_csv(path: Path, table: dict[str, list]) -> None:
     """Write a {header: column} table as CSV: the header line, then the rows."""
-    _write_csv(path, {key: _column_cells(column)[0]
-                      for key, column in table.items()})
+    _write_csv(path, _n_rows(table), {key: _column_cells(column)[0]
+                                      for key, column in table.items()})
 
 
-def _json_rows(columns: dict[str, list[str]]) -> list[str]:
+def _json_rows(n_rows: int, columns: dict) -> list[str]:
     """The parts of the list of row objects json.dumps(indent=2,
     sort_keys=True) writes for the table under a key of the top-level
-    object, given the table's JSON cells."""
-    if not _n_rows(columns):
+    object, given the table's row count and JSON cells."""
+    if not n_rows:
         return ["[]"]
     keys = sorted(columns)
     names = list(map(json.dumps, keys))
     first = f"\n    {{\n      {names[0]}: "
     separators = [f",\n      {name}: " for name in names[1:]] + ["\n    }," + first]
-    parts = _joined_rows("[" + first, [columns[key] for key in keys], separators)
-    parts[-1] = "\n    }\n  ]"
-    return parts
+    return _joined_rows("[" + first, n_rows, [columns[key] for key in keys],
+                        separators, "\n    }\n  ]")
 
 
 def _report_json(doc: dict, tables: dict[str, list[str]]) -> str:
@@ -396,14 +440,15 @@ def write_outputs(report: RunReport, out_dir: Path, formats: str) -> list[Path]:
     for key, name in _TABLES:
         if key not in tables:
             continue
+        n_rows = _n_rows(tables[key])
         csv_cells, json_cells = {}, {}
         for header, column in tables[key].items():
             csv_cells[header], json_cells[header] = _column_cells(column)
-        if formats in ("csv", "both") and _n_rows(csv_cells):
-            _write_csv(out_dir / name, csv_cells)
+        if formats in ("csv", "both") and n_rows:
+            _write_csv(out_dir / name, n_rows, csv_cells)
             written.append(out_dir / name)
         if formats in ("json", "both"):
-            json_tables[key] = _json_rows(json_cells)
+            json_tables[key] = _json_rows(n_rows, json_cells)
 
     if formats in ("json", "both"):
         doc = {"mode": report.mode, "config": report.config,

@@ -38,12 +38,13 @@ changes no rounding, so no result depends on how often they rescale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, GridError
-from .grid import Grid1D, GridFunction, _is_a
+from .grid import Grid1D, GridFunction, _is_a, _overlap
 from .hamiltonian import DiracOperator, blocks_on_grid, hermiticity_of_operator
 from .lorentz import LorentzPotential
 
@@ -79,6 +80,17 @@ class SpectrumResult:
     @property
     def grid(self) -> Grid1D:
         return self.operator.grid
+
+    @cached_property
+    def _overlap_product(self) -> np.ndarray:
+        """The read-only K x K matrix [k', k] of the quadrature of
+        conj(states[k']) . states[k] over the domain, formed once: the Gram
+        matrix is its upper triangle, mirrored, and a windowless balance
+        reads it whole."""
+        c = self.states
+        product = _overlap(np.conj(c), c, self.grid.quadrature_weights)
+        product.flags.writeable = False
+        return product
 
     @property
     def eigenpairs(self) -> tuple[tuple[complex, np.ndarray], ...]:

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from dirac1d import diagnostics, report
+from dirac1d import diagnostics, report, solver
 from dirac1d import (BalanceTable, Grid1D, GridError, GridFunction,
                      LorentzPotential, MassProfile, SpectrumResult,
                      assemble_hamiltonian, continuity_residual, gram_matrix,
@@ -241,6 +241,33 @@ def test_gram_is_exactly_hermitian_around_the_overlap_upper_triangle(
     e = result.energies
     want = ((e[None, :] - np.conj(e)[:, None]) * g)[table.k_prime, table.k]
     assert np.array_equal(_bits(table.term_energy), _bits(want))
+
+
+@pytest.mark.parametrize("routine", GRAM_CASES)
+def test_a_windowless_balance_reads_the_product_gram_matrix_formed(
+        routine, monkeypatch):
+    result = _channel_solve("dirichlet", 6.0, 100, max_pairs=10,
+                            **GRAM_CASES[routine])
+    n, weights = result.grid.n_points, result.grid.quadrature_weights
+    # the terms as _balance_terms forms them without the product
+    want = diagnostics._balance_terms(result, 0, n - 1, weights)
+    calls = []
+    for module in (solver, diagnostics):
+        monkeypatch.setattr(module, "_overlap",
+                            lambda *args, f=module._overlap, name=module.__name__:
+                            calls.append(name) or f(*args))
+    gram_matrix(result)
+    # default pairs read the upper triangle; k < k' reads the lower one
+    upper = np.stack(np.tril_indices(len(result.energies), -1), axis=1)
+    for pairs in (upper, [(3, 1), (1, 3), (0, 2), (9, 8), (8, 9)]):
+        table, failures = orthogonality_balance(result, pairs)
+        assert failures == [] and len(table) == len(pairs)
+        for got, terms in zip((table.term_energy, table.term_boundary,
+                               table.term_potential), want):
+            assert np.array_equal(_bits(got), _bits(terms[table.k_prime, table.k]))
+    # the product once, by gram_matrix; each balance forms only its
+    # potential term
+    assert calls == ["dirac1d.solver"] + ["dirac1d.diagnostics"] * 2
 
 
 def test_balance_hermitian_limit(scalar_cases):

@@ -151,6 +151,18 @@ def test_unknown_formats_is_refused_before_out_dir_is_touched(tmp_path):
     assert not (tmp_path / "new").exists()
 
 
+def test_a_report_json_that_cannot_be_written_leaves_the_earlier_one(tmp_path):
+    report = sample_report(spectrum=columns([ODD_ROW]), gram=np.eye(2))
+    write_outputs(report, tmp_path, "json")
+    earlier = (tmp_path / "report.json").read_text()
+    # "notes" sorts after the tables: the whole text is built before the
+    # file is opened
+    report.notes.append(object())
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_outputs(report, tmp_path, "json")
+    assert (tmp_path / "report.json").read_text() == earlier
+
+
 def test_write_csv_matches_the_per_cell_rule_on_a_sweep_summary(tmp_path):
     rows = [{"value": '"x', "passed": False, "min_abs_im_e": math.nan,
              "n_complex_pairs": 0, "identity_residual": math.nan,
@@ -165,11 +177,17 @@ def test_write_csv_matches_the_per_cell_rule_on_a_sweep_summary(tmp_path):
     assert path.read_text() == ",".join(rows[0]) + "\n"
 
 
+# NaNs with their sign bit set or a payload: every NaN is written nan / NaN
+NEGATIVE_NAN = float(np.copysign(math.nan, -1.0))
+PAYLOAD_NAN = float(np.array([0x7FF80000DEADBEEF], dtype=np.uint64)
+                    .view(np.float64)[0])
+
 SWEEP_HEADER = ("value", "passed", "min_abs_im_e", "n_complex_pairs",
                 "identity_residual", "error")
 # tables at the edges of the row assembler: one column, one row, text cells
 # that need CSV quoting over several rows (with repeated, negative, large
-# and unsigned ints), and the header-only summary of an empty sweep
+# and unsigned ints), the header-only summary of an empty sweep, and
+# constant columns at every position
 TABLE_SHAPES = {
     "one_column": {"x": [0.1, -0.0, math.nan, 0.1, 7.0]},
     "one_row": columns([ODD_ROW]),
@@ -187,6 +205,43 @@ TABLE_SHAPES = {
         "negative": np.array([-0.1, -1e-300, -5e-324, -math.inf, -0.1,
                               -0.0, -7.0, -1.7976931348623157e308, -0.5,
                               -1e16, -2.5e-17, -0.1])},
+    # a column whose cells all have one spelling is folded into the row
+    # text; the names sort in column order, so a constant column is first,
+    # in the middle or last in report.json as in the CSV
+    "constant_first": {
+        "a_minus_zero": np.array([-0.0, -0.0]),
+        "b_nan": np.array([NEGATIVE_NAN, math.nan]),
+        "c_count": np.array([7, 7]),
+        "d_x": np.array([0.1, -2.0]), "e_k": np.array([1, 2])},
+    "constant_middle": {
+        "a_x": np.array([0.1, 0.2]), "b_inf": np.array([math.inf, math.inf]),
+        "c_minus_inf": np.array([-math.inf, -math.inf]),
+        "d_flag": np.array([True, True]), "e_y": np.array([-1.0, 3.0])},
+    "constant_last": {
+        "a_x": np.array([1e-300, -7.0]), "b_ok": np.array([True, False]),
+        "c_subnormal": np.array([5e-324, 5e-324]),
+        "d_flag": np.array([False, False]),
+        "e_nan": np.array([NEGATIVE_NAN, NEGATIVE_NAN])},
+    "every_column_constant": {
+        "a_minus_zero": np.array([-0.0, -0.0]),
+        "b_nan": np.array([NEGATIVE_NAN, NEGATIVE_NAN]),
+        "c_inf": np.array([math.inf, math.inf]),
+        "d_minus_inf": np.array([-math.inf, -math.inf]),
+        "e_subnormal": np.array([5e-324, 5e-324]),
+        "f_count": np.array([-3, -3]),
+        "g_flag": np.array([True, True])},
+    "every_column_constant_one_row": {
+        "a_minus_zero": [-0.0], "b_nan": [NEGATIVE_NAN], "c_inf": [math.inf],
+        "d_subnormal": [-5e-324], "e_count": np.array([2**63 - 1]),
+        "f_flag": [False]},
+    # text is never folded: one varying column between constant ones
+    "text_between_constants_one_row": {
+        "a_x": [0.5], "b_name": ["a,b"], "c_k": [3]},
+    # cells that differ only in their sign are two spellings
+    "sign_only": {
+        "a_zero": np.array([0.0, -0.0]), "b_x": np.array([0.1, -0.1]),
+        "c_inf": np.array([-math.inf, math.inf]),
+        "d_subnormal": np.array([-5e-324, 5e-324])},
 }
 
 
@@ -207,11 +262,6 @@ def test_table_shapes_match_the_per_row_references(tmp_path, shape):
         assert text(tmp_path / "out" / "spectrum.csv") == reference_csv(rows)
     assert (tmp_path / "out" / "report.json").read_text() == reference_json(report)
 
-
-# NaNs with their sign bit set or a payload: every NaN is written nan / NaN
-NEGATIVE_NAN = float(np.copysign(math.nan, -1.0))
-PAYLOAD_NAN = float(np.array([0x7FF80000DEADBEEF], dtype=np.uint64)
-                    .view(np.float64)[0])
 
 # every float whose bits a value-keyed dedupe would merge or split wrongly:
 # 0.0 == -0.0 but the two are written apart, nan != nan, and a NaN's sign
