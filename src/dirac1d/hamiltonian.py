@@ -19,8 +19,10 @@ leaves the plain central difference.
 
 A DiracOperator holds the blocks of its active nodes: dirichlet keeps the
 interior nodes only (hard wall, endpoint values pinned at zero) while
-periodic wraps the stencils.  The matrix is derived from them, in the
-layout v = [phi_plus(all active nodes), phi_minus(all active nodes)].
+periodic wraps the stencils.  _stencil writes the stencil down once, as
+node j's 2x2 couplings to j -+ 1 and its own block plus the Wilson term's
+on-site part; the dense matrix is _banded of it, in the layout
+v = [phi_plus(all active nodes), phi_minus(all active nodes)].
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class DiracOperator:
     """The operator as the central stencil, one Wilson weight and per-node blocks.
 
     blocks is the read-only (K, 2, 2) stack of lorentz.local_blocks on the K
-    active nodes (the interior for dirichlet); the dense matrix is derived.
+    active nodes (the interior for dirichlet); the stencil (_stencil) and
+    the dense matrix are derived.
     """
 
     grid: Grid1D
@@ -65,29 +68,9 @@ class DiracOperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense 2K x 2K matrix, read-only, built on first use.
-
-        Node j couples to j +- 1 (wrapped on periodic grids, dropped past a
-        hard wall) through -i sigma_z times the central difference +-1/2h
-        and through the Wilson term, -w inside sigma_x with w = wilson_r/2h,
-        which also puts 2w next to node j's block on the sigma_x diagonal.
-        """
-        k = len(self.blocks)
-        node = np.arange(k)
-        left = node if self.grid.boundary == "periodic" else node[:-1]
-        right = (left + 1) % k
-        s = 1.0 / (2.0 * self.grid.h)
-        h = np.zeros((2, k, 2, k), dtype=complex)
-        for c, z in enumerate(-1.0j * np.diagonal(GAMMA5)):
-            h[c, left, c, right] = z * s
-            h[c, right, c, left] = z * -s
-        if self.wilson_r != 0.0:  # else -w would write -0.0 over the zeros
-            w = self.wilson_r / (2.0 * self.grid.h)
-            for a, b in ((0, 1), (1, 0)):
-                h[a, left, b, right] = h[a, right, b, left] = -w
-                h[a, node, b, node] = 2.0 * w
-        h[:, node, :, node] += self.blocks
-        h = h.reshape(2 * k, 2 * k)
+        """The dense 2K x 2K matrix, read-only, built on first use: _banded
+        of _stencil."""
+        h = _banded(self.grid, *_stencil(self))
         h.flags.writeable = False
         return h
 
@@ -117,22 +100,55 @@ def assemble_hamiltonian(grid: Grid1D, pot: LorentzPotential, mass: GridFunction
     """The operator of the given couplings, with the blocks of its active nodes.
 
     A wilson_r whose on-site term 2w = 2 wilson_r/(2h), added to the mass
-    entries of the blocks, overflows is a GridError; Grid1D keeps 1/h, and
-    with it the central difference's 1/(2h), finite.
+    entries of the blocks (_stencil's onsite), overflows is a GridError;
+    Grid1D keeps 1/h, and with it the central difference's 1/(2h), finite.
     """
     wilson_r = _checked_wilson_r(scheme, wilson_r)
     act = slice(1, -1) if grid.boundary == "dirichlet" else slice(None)
     blocks = blocks_on_grid(grid, pot, mass)[act]
-    # the sum DiracOperator.matrix forms on the sigma_x diagonal
+    blocks.flags.writeable = False
+    op = DiracOperator(grid=grid, scheme=scheme, wilson_r=wilson_r, mass=mass,
+                       potential=pot, blocks=blocks)
     with np.errstate(over="ignore", invalid="ignore"):
-        onsite = 2.0 * (wilson_r / (2.0 * grid.h)) + blocks[:, [0, 1], [1, 0]]
+        onsite = _stencil(op)[1]
     if not np.isfinite(onsite).all():
         raise GridError(
             f"wilson_r = {wilson_r:g} overflows the operator on a grid with "
             f"h = {grid.h:g}: the Wilson term wilson_r/(2h) is too large")
-    blocks.flags.writeable = False
-    return DiracOperator(grid=grid, scheme=scheme, wilson_r=wilson_r, mass=mass,
-                         potential=pot, blocks=blocks)
+    return op
+
+
+def _stencil(op: DiracOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, onsite, upper): node j's 2x2 couplings to j - 1 and to j + 1,
+    the same for every node, and the (K, 2, 2) stack of its own.
+
+    A coupling is -i sigma_z times the central difference -+1/(2h), plus
+    the Wilson term -w sigma_x with w = wilson_r/(2h); onsite is node j's
+    block plus 2w sigma_x.  The Wilson entries start from +0.0 (0.0 - w,
+    0.0 + 2w), so wilson_r = 0 or -0.0 gives +0.0 there, never -0.0.
+    """
+    s = 1.0 / (2.0 * op.grid.h)
+    w = op.wilson_r / (2.0 * op.grid.h)
+    diag = np.eye(2, dtype=bool)
+    z = -1.0j * np.diagonal(GAMMA5)
+    lower, upper = (np.where(diag, z * t, 0.0 - w) for t in (-s, s))
+    return lower, op.blocks + np.where(diag, 0.0, 0.0 + 2.0 * w), upper
+
+
+def _banded(grid: Grid1D, lower: np.ndarray, onsite: np.ndarray,
+            upper: np.ndarray) -> np.ndarray:
+    """The (aK, bK) matrix, in the [component, node] layout, of node j's
+    a x b couplings: onsite[j] to itself, upper to j + 1 and lower to j - 1,
+    wrapped on a periodic grid and dropped past a hard wall."""
+    k, a, b = onsite.shape
+    node = np.arange(k)
+    left = node if grid.boundary == "periodic" else node[:-1]
+    right = (left + 1) % k
+    m = np.zeros((a, k, b, k), dtype=np.result_type(lower, onsite, upper))
+    m[:, left, :, right] = upper
+    m[:, right, :, left] = lower
+    m[:, node, :, node] = onsite
+    return m.reshape(a * k, b * k)
 
 
 def hermiticity_of_operator(op: DiracOperator) -> float:

@@ -14,8 +14,11 @@ term).  When only the mass, scalar and space-vector channels are present,
 H anticommutes with sigma_y, the rotated matrix is [[0, A], [A^H, 0]] in
 K x K blocks, and one SVD of A gives the levels +-s, exact zero modes
 chirality-pure.  Any other Hermitian operator takes LAPACK's Hermitian
-eigensolver, real symmetric when the rotated matrix is real.  The residual
-gate applies the operator's stencil from its blocks in O(K) per pair.
+eigensolver, real symmetric when the rotated matrix is real.  The rotation
+acts on the operator's stencil (hamiltonian._stencil), not on its dense
+matrix, which a Hermitian solve never builds: the SVD or eigh argument is
+the banded matrix of the rotated couplings (hamiltonian._banded).  The
+residual gate applies the stencil in O(K) per pair.
 
 The shooting path integrates the coupled first-order system from both walls
 with classical RK4 and drives the 2x2 matching determinant at the midpoint to
@@ -45,7 +48,8 @@ import numpy as np
 
 from .errors import ConvergenceError, GridError
 from .grid import Grid1D, GridFunction, _is_a, _overlap
-from .hamiltonian import DiracOperator, blocks_on_grid, hermiticity_of_operator
+from .hamiltonian import (DiracOperator, _banded, _stencil, blocks_on_grid,
+                          hermiticity_of_operator)
 from .lorentz import LorentzPotential
 
 # shooting root search: stop when the step is below SHOOTING_TOL relative to
@@ -124,33 +128,29 @@ def _canonical_order(energies: np.ndarray, tol: float) -> np.ndarray:
     return by_mag[np.lexsort((e.real, e.imag, np.sign(e.real), tie_class))]
 
 
-def _rotated(h: np.ndarray, real: bool) -> np.ndarray:
-    """U^dagger H U for U = (1 - i sigma_1)/sqrt(2), its real part if real.
+def _rotated(op: DiracOperator, real: bool) -> tuple:
+    """_stencil's (lower, onsite, upper) in the basis rotated by
+    U = (1 - i sigma_1)/sqrt(2), their real parts if real: U^dagger H U is
+    _banded of them.
 
-    With H = [[A, B], [C, D]] in K x K blocks of the [plus, minus] layout,
-    U^dagger H U = 1/2 [[A + D + i(C - B), B + C - i(A - D)],
-                        [B + C + i(A - D), A + D - i(C - B)]].
-    Only the entries DiracOperator.matrix writes are read: node j with j and
-    with j +- 1 mod K (the wrapped corners hold +0 on a dirichlet grid, and
-    every other entry rotates to +0), so the formula runs on O(K) values
-    and no K x K block is formed.  For an exactly Hermitian H this is exactly
-    Hermitian too.  The kinetic, Wilson, mass, scalar, time-vector and
-    pseudoscalar parts rotate to real entries, so its imaginary part is
-    exactly zero when every active block has h00 == h11, i.e. no
-    space-vector channel; the caller reads that from the blocks and passes
-    it as real.
+    Each 2x2 coupling [[a, b], [c, d]] goes to
+    1/2 [[a + d + i(c - b), b + c - i(a - d)],
+         [b + c + i(a - d), a + d - i(c - b)]],
+    O(K) values in all, and no matrix is read or formed.  For an exactly
+    Hermitian H, U^dagger H U is exactly Hermitian too.  The kinetic,
+    Wilson, mass, scalar, time-vector and pseudoscalar parts rotate to real
+    entries, so the imaginary parts are exactly zero when every active block
+    has h00 == h11, i.e. no space-vector channel; the caller reads that from
+    the blocks and passes it as real.
     """
-    k = h.shape[0] // 2
-    node = np.repeat(np.arange(k), 3)
-    near = (node + np.tile([-1, 0, 1], k)) % k
-    band = h.reshape(2, k, 2, k)[:, node, :, near]  # (3K, 2, 2)
-    a, b, c, d = band[:, 0, 0], band[:, 0, 1], band[:, 1, 0], band[:, 1, 1]
-    s, t = 0.5 * (a + d), 0.5j * (c - b)
-    u, v = 0.5 * (b + c), 0.5j * (a - d)
-    rotated = np.stack((s + t, u - v, u + v, s - t), axis=1).reshape(-1, 2, 2)
-    m = np.zeros((2, k, 2, k), dtype=float if real else complex)
-    m[:, node, :, near] = rotated.real if real else rotated
-    return m.reshape(2 * k, 2 * k)
+    out = []
+    for x in _stencil(op):
+        a, b, c, d = x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
+        s, t = 0.5 * (a + d), 0.5j * (c - b)
+        u, v = 0.5 * (b + c), 0.5j * (a - d)
+        r = np.stack((s + t, u - v, u + v, s - t), axis=-1).reshape(x.shape)
+        out.append(r.real if real else r)
+    return tuple(out)
 
 
 def _unrotated(u: np.ndarray) -> np.ndarray:
@@ -195,25 +195,21 @@ def _chiral_columns(x: np.ndarray, yh: np.ndarray, zero: np.ndarray,
 
 
 def _applied(op: DiracOperator, v: np.ndarray) -> np.ndarray:
-    """H v for columns v in the [plus, minus] layout, from op.blocks, grid.h
-    and wilson_r in O(K) per column: the stencil DiracOperator.matrix
-    writes, never the matrix itself.  Node j takes -+i/(2h) (v_{j+1} -
-    v_{j-1}) on sigma_z, -w (v_{j+1} + v_{j-1}) in sigma_x with
-    w = wilson_r/(2h), and its block plus 2w sigma_x, summed as the matrix
-    sums them; neighbours wrap on a periodic grid and are zero past a wall.
+    """H v for columns v in the [plus, minus] layout, from _stencil's onsite
+    and upper in O(K) per column, never the matrix.  Node j takes the
+    kinetic diag(upper) (v_{j+1} - v_{j-1}), the Wilson upper[0, 1]
+    (v_{j+1} + v_{j-1}) with its components swapped, and onsite[j] v_j, in
+    that order; neighbours wrap on a periodic grid and are zero past a wall.
     """
-    k = len(op.blocks)
+    _, onsite, upper = _stencil(op)
+    k = len(onsite)
     x = v.reshape(2, k, -1)
     nxt, prv = np.roll(x, -1, axis=1), np.roll(x, 1, axis=1)
     if op.grid.boundary != "periodic":
         nxt[:, -1] = prv[:, 0] = 0.0
-    out = -_J * (1.0 / (2.0 * op.grid.h)) * (nxt - prv)
-    onsite = op.blocks
+    out = np.diagonal(upper)[:, None, None] * (nxt - prv)
     if op.wilson_r != 0.0:
-        w = op.wilson_r / (2.0 * op.grid.h)
-        out -= w * (nxt + prv)[::-1]
-        onsite = onsite.copy()
-        onsite[:, [0, 1], [1, 0]] += 2.0 * w
+        out += upper[0, 1] * (nxt + prv)[::-1]
     d = onsite.transpose(1, 2, 0)[..., None]  # (2, 2, K, 1)
     out += d[:, 0] * x[0] + d[:, 1] * x[1]
     return out.reshape(2 * k, -1)
@@ -233,12 +229,14 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
     block only and would drop an anti-Hermitian part of any size.  The
     rotated matrix is real exactly when every active block has
     h00 == h11 (no space-vector channel).  When both of its diagonal K x K
-    blocks are exactly zero (only the mass, scalar and space-vector
-    channels: H anticommutes with sigma_y), it is [[0, A], [A^H, 0]], and
-    one SVD of A gives its spectrum +-s (_chiral_svd), exact zero modes
-    chirality-pure; any other rotated matrix goes to LAPACK's Hermitian
-    eigensolver, the real symmetric one when it is real.  Either way only
-    the kept columns are rotated back (_unrotated).  Levels that pass the
+    blocks are exactly zero, i.e. every rotated coupling has zero diagonal
+    entries (only the mass, scalar and space-vector channels: H
+    anticommutes with sigma_y), it is [[0, A], [A^H, 0]], and one SVD of A,
+    banded from the couplings' upper-right entries, gives its spectrum +-s
+    (_chiral_svd), exact zero modes chirality-pure; any other rotated
+    matrix goes, banded whole, to LAPACK's Hermitian eigensolver, the real
+    symmetric one when it is real.  Neither builds op.matrix.  Either way
+    only the kept columns are rotated back (_unrotated).  Levels that pass the
     reality test (_is_real) get Im E = 0 exactly, then _canonical_order
     picks the lowest max_pairs, and _reality_tags tags them.  max_pairs
     must be an integer >= 1.  Every returned pair is residual-checked
@@ -258,17 +256,17 @@ def solve_spectrum(op: DiracOperator, tol: float = 1e-9, max_pairs: int = 12,
         raise GridError(f"reality_tol must be finite and non-negative, got {reality_tol}")
     hermitian = hermiticity_of_operator(op) == 0.0
     chiral = None
-    if hermitian:  # the rotated matrix lives only as the solver's argument
+    if hermitian:  # a rotated matrix lives only as the solver's argument
         real = np.array_equal(op.blocks[:, 0, 0], op.blocks[:, 1, 1])
-        m = _rotated(op.matrix, real)
-        k = len(op.blocks)
+        rotated = _rotated(op, real)
+        corner = [c[..., :1, 1:] for c in rotated]  # the upper-right K x K block's
         # an overflowed rotation goes to eigh too, which returns NaN
         # quietly where the SVD's LAPACK routine prints an error message
-        if m[:k, :k].any() or m[k:, k:].any() or not np.isfinite(m[:k, k:]).all():
-            w, v = np.linalg.eigh(m)
+        if (any(c[..., 0, 0].any() or c[..., 1, 1].any() for c in rotated)
+                or not all(np.isfinite(c).all() for c in corner)):
+            w, v = np.linalg.eigh(_banded(op.grid, *rotated))
         else:
-            w, chiral = _chiral_svd(m[:k, k:])
-        del m
+            w, chiral = _chiral_svd(_banded(op.grid, *corner))
     else:
         w, v = np.linalg.eig(op.matrix)
     energies = w.astype(complex)

@@ -11,6 +11,7 @@ from dirac1d import (ConvergenceError, Grid1D, GridError, GridFunction,
                      hermiticity_of_operator, pt_vector_potential,
                      sample_mass, shooting_solve, solve_spectrum)
 from dirac1d import solver
+from dirac1d.hamiltonian import _banded
 from dirac1d.lorentz import local_blocks
 from dirac1d.solver import (_EYE, _coefficient_table, _evaluate_steps,
                             _matching_determinants, _ordered_product,
@@ -127,7 +128,7 @@ def hermitian_cases():
     and with or without the Wilson term; V_sp makes it complex.  With only
     the mass, V_s and V_sp its diagonal K x K blocks are zero, and the SVD
     of the upper-right block solves it; V_t or V_p, however small, fills
-    them, and eigh solves the whole rotated matrix.
+    them, and eigh solves the whole rotated matrix, complex with V_sp.
     """
     g = Grid1D(-8.0, 8.0, 120)
     x = g.nodes
@@ -144,6 +145,9 @@ def hermitian_cases():
         "real V_t = 1e-300": (
             scalar_box_operator(v_t=GridFunction.constant(g, 1e-300)),
             "eigh", np.float64),
+        "V_sp and V_t": (scalar_box_operator(v_sp=GridFunction(g, 0.4 * np.cos(x)),
+                                             v_t=GridFunction(g, 0.3 * x)),
+                         "eigh", np.complex128),
     }
 
 
@@ -173,6 +177,15 @@ def test_real_hermitian_operators_reach_lapack_as_real_matrices(monkeypatch):
     assert name == "eig" and matrix is op.matrix
 
 
+def test_hermitian_solves_build_no_dense_matrix():
+    # the SVD and eigh take the rotated stencil, banded, so op.matrix, a
+    # cached property, is never built; eig still takes op.matrix itself
+    # (test_real_hermitian_operators_reach_lapack_as_real_matrices)
+    for label, (op, _, _) in hermitian_cases().items():
+        solve_spectrum(op, max_pairs=4)
+        assert "matrix" not in vars(op), label
+
+
 def projectors(vectors):
     """v v^dagger / v^dagger v for each column v."""
     return (np.einsum("ik,jk->kij", vectors, vectors.conj())
@@ -190,7 +203,7 @@ def test_chiral_svd_matches_eigh_of_the_rotated_matrix(max_pairs):
             continue
         result = solve_spectrum(op, max_pairs=max_pairs or op.size)
         real = np.array_equal(op.blocks[:, 0, 0], op.blocks[:, 1, 1])
-        w, v = np.linalg.eigh(solver._rotated(op.matrix, real))
+        w, v = np.linalg.eigh(_banded(op.grid, *solver._rotated(op, real)))
         scale = np.max(np.abs(w))
         e = result.energies.real
         nearest = np.argmin(np.abs(e[:, None] - w[None, :]), axis=1)
@@ -319,34 +332,16 @@ def test_rotated_matrix_realness_is_read_from_the_blocks():
     for op in ops:
         assert hermiticity_of_operator(op) == 0.0
         full = reference_rotated(op.matrix, False)
-        assert np.array_equal(solver._rotated(op.matrix, False).view(np.uint64),
-                              full.view(np.uint64))
+        assert np.array_equal(_banded(op.grid, *solver._rotated(op, False))
+                              .view(np.uint64), full.view(np.uint64))
         real = np.array_equal(op.blocks[:, 0, 0], op.blocks[:, 1, 1])
         assert real == (not full.imag.any())
-        got = solver._rotated(op.matrix, real)
+        got = _banded(op.grid, *solver._rotated(op, real))
         expected = reference_rotated(op.matrix, real)
         assert got.dtype == expected.dtype and got.flags.c_contiguous
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
         outcomes.append(real)
     assert outcomes[-1] and set(outcomes) == {True, False}
-
-
-def test_the_operator_writes_only_the_entries_the_rotation_reads():
-    # _rotated reads node j with j and j +- 1 mod K in each of the four
-    # K x K blocks; a wider stencil would be dropped from the eigh solve
-    rng = np.random.default_rng(21)
-    for boundary in ("dirichlet", "periodic"):
-        for wilson_r in (0.0, 1.0):
-            for n in (8, 9, 31):
-                op = random_operator(rng, n, boundary, wilson_r)
-                k = len(op.blocks)
-                node = np.arange(k)
-                read = np.zeros((k, k), dtype=bool)
-                for step in (-1, 0, 1):
-                    read[node, (node + step) % k] = True
-                blocks = op.matrix.reshape(2, k, 2, k).transpose(0, 2, 1, 3)
-                assert not blocks[:, :, ~read].any()
-                assert blocks[:, :, read].any()
 
 
 def test_states_are_the_kept_columns_on_the_full_grid(monkeypatch):
